@@ -15,12 +15,14 @@ from .hetgraph import (
     EdgeTypeSchema,
     HeteroGraph,
     MetaPath,
+    MetaPathOperator,
     NodeTypeSchema,
     adjacency,
     build_graph,
     candidate_metapaths,
     compose_metapath,
     metapath_features,
+    metapath_operator,
 )
 from .metrics import (
     BinaryScoredSet,
@@ -51,14 +53,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryScoredSet", "DetectorConfig", "EdgeTypeSchema", "EncoderParams",
-    "HeteroGraph", "KPlusOnePrediction", "MetaPath", "NodeTypeSchema",
+    "HeteroGraph", "KPlusOnePrediction", "MetaPath", "MetaPathOperator",
+    "NodeTypeSchema",
     "PropagationConfig", "SparseRowMatrix", "Splits", "SynthConfig",
     "TrainConfig", "TrainHistory", "adjacency", "aupr", "auroc",
     "build_graph", "candidate_metapaths", "compose_metapath", "detect",
     "energy_scores", "errors", "evaluate", "forward", "fpr_at_95tpr",
     "fuse", "generate_synthetic", "gradients", "load_checkpoint",
     "load_dataset", "loss_classification", "loss_energy", "loss_total",
-    "macro_f1", "make_splits", "metapath_features", "micro_f1", "msp_score",
+    "macro_f1", "make_splits", "metapath_features", "metapath_operator",
+    "micro_f1", "msp_score",
     "propagate", "row_normalize", "run_experiment", "save_checkpoint",
     "save_dataset", "softmax_probs", "sweep_threshold", "train",
 ]

@@ -40,6 +40,10 @@ from .hetgraph import EdgeTypeSchema, HeteroGraph, NodeTypeSchema, build_graph
 # ood_shift, so shift 0 makes it indistinguishable from its hidden class
 CLASS_SEP = 3.0
 
+# edge coins are drawn this many (target, aux) cells at a time, so the
+# generator's coin buffer stays near 8 MB however large the graph grows
+COIN_BLOCK_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class Splits:
@@ -124,6 +128,27 @@ def make_splits(labels: np.ndarray, ood_class: int, train_frac: float = 0.24,
     return Splits(train, val, test, int(ood_class))
 
 
+def _edge_coins(rng: np.random.Generator, labels: np.ndarray,
+                communities: np.ndarray, intra: float, inter: float) -> np.ndarray:
+    """(target, aux) pairs whose coin came up, in row-major order.
+
+    Draws the n_target x n_aux coin matrix in blocks of whole rows. The
+    stream is consumed in the same order as one full-matrix draw, so the
+    edges are identical; only the peak buffer is smaller.
+    """
+    n_target, n_aux = labels.size, communities.size
+    rows = max(1, COIN_BLOCK_CELLS // n_aux)
+    blocks = []
+    for start in range(0, n_target, rows):
+        stop = min(start + rows, n_target)
+        prob = np.where(labels[start:stop, None] == communities[None, :],
+                        intra, inter)
+        hits = np.argwhere(rng.random((stop - start, n_aux)) < prob)
+        hits[:, 0] += start
+        blocks.append(hits)
+    return np.concatenate(blocks).astype(np.int64)
+
+
 def generate_synthetic(cfg: SynthConfig) -> tuple[HeteroGraph, np.ndarray]:
     """Planted-community heterogeneous graph with one held-out class.
 
@@ -138,8 +163,9 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[HeteroGraph, np.ndarray]:
     are therefore class-aligned, including among held-out nodes.
 
     Draw order from the single Philox(seed) stream: hidden classes, feature
-    noise, then edge coins per auxiliary type. Equal seeds give identical
-    datasets byte for byte.
+    noise, then edge coins per auxiliary type, one uniform per (target, aux)
+    cell in row-major order. Equal seeds give identical datasets byte for
+    byte.
     """
     k = cfg.n_id_classes
     npc = cfg.nodes_per_class
@@ -166,10 +192,8 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[HeteroGraph, np.ndarray]:
     for a in range(cfg.n_aux_types):
         aux_name = f"aux{a}"
         node_types.append(NodeTypeSchema(aux_name, n_aux, 0))
-        prob = np.where(labels[:, None] == communities[None, :],
-                        cfg.intra_edge_prob, cfg.inter_edge_prob)
-        draw = rng.random((n_target, n_aux)) < prob
-        pairs = np.argwhere(draw).astype(np.int64)
+        pairs = _edge_coins(rng, labels, communities,
+                            cfg.intra_edge_prob, cfg.inter_edge_prob)
         fwd = f"target_{aux_name}"
         rev = f"{aux_name}_target"
         edge_types.append(EdgeTypeSchema(fwd, "target", aux_name))

@@ -11,6 +11,7 @@ detector flags node i when -E_i <= tau.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .sparse import SparseRowMatrix
+
+if TYPE_CHECKING:
+    from .hetgraph import MetaPathOperator
 
 ROW_SUM_TOL = 1e-9
 
@@ -77,25 +81,24 @@ def msp_score(probs: np.ndarray) -> np.ndarray:
     return probs.max(axis=1)
 
 
-def check_row_stochastic(a_hat: SparseRowMatrix, tol: float = ROW_SUM_TOL) -> None:
+def check_row_stochastic(a_hat: SparseRowMatrix | MetaPathOperator,
+                         tol: float = ROW_SUM_TOL) -> None:
     """Raise NotRowStochastic unless nonempty rows sum to 1 within tol."""
     dev, low = a_hat.stochastic_stats()
-    if low >= 0.0 and dev <= tol:
-        return
     if low < 0.0:
         raise NotRowStochastic("matrix has negative entries")
-    sums = a_hat.row_sums()
-    bad = (a_hat.row_counts() > 0) & (np.abs(sums - 1.0) > tol)
-    i = int(np.flatnonzero(bad)[0])
-    raise NotRowStochastic(f"row {i} sums to {sums[i]}, expected 1 +- {tol}")
+    if dev > tol:
+        raise NotRowStochastic(
+            f"a nonempty row sums to 1 +- {dev:.3g}, expected 1 +- {tol}")
 
 
-def propagate(e0: np.ndarray, a_hat: SparseRowMatrix,
+def propagate(e0: np.ndarray, a_hat: SparseRowMatrix | MetaPathOperator,
               config: PropagationConfig) -> np.ndarray:
     """Apply E <- gamma E + (1 - gamma) A_hat E for config.steps iterations.
 
-    a_hat must be square and row-stochastic (validated on entry, within
-    1e-9); with gamma = 1 or steps = 0 the input is returned unchanged.
+    a_hat is a SparseRowMatrix or a hetgraph.MetaPathOperator; it must be
+    square and row-stochastic (validated on entry, within 1e-9). With
+    gamma = 1 or steps = 0 the input is returned unchanged.
     """
     e = np.asarray(e0, dtype=np.float64)
     if a_hat.n_rows != a_hat.n_cols:
@@ -112,11 +115,12 @@ def propagate(e0: np.ndarray, a_hat: SparseRowMatrix,
     return e
 
 
-def propagate_transpose(g: np.ndarray, a_hat_t: SparseRowMatrix,
+def propagate_transpose(g: np.ndarray,
+                        a_hat: SparseRowMatrix | MetaPathOperator,
                         config: PropagationConfig) -> np.ndarray:
-    """Adjoint of propagate: applies the transposed update to a gradient.
+    """Adjoint of propagate(., a_hat, config), applied to a gradient.
 
-    a_hat_t must already be the transpose of the propagation matrix; no
+    Takes the same operator as propagate and applies a_hat.rmatvec; no
     stochasticity check is done since column sums are unconstrained.
     """
     g = np.asarray(g, dtype=np.float64)
@@ -124,7 +128,7 @@ def propagate_transpose(g: np.ndarray, a_hat_t: SparseRowMatrix,
         return g.copy()
     gamma = config.gamma
     for _ in range(config.steps):
-        g = gamma * g + (1.0 - gamma) * a_hat_t.matvec(g)
+        g = gamma * g + (1.0 - gamma) * a_hat.rmatvec(g)
     return g
 
 

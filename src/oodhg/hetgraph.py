@@ -1,18 +1,22 @@
-"""Typed heterogeneous graphs and meta-path adjacency composition.
+"""Typed heterogeneous graphs and meta-path adjacency operators.
 
 A graph holds typed node sets, one directed edge list per declared edge type,
 and optional per-type feature matrices. Meta-paths are node-type sequences;
-composing one multiplies the row-normalized per-hop adjacencies left to
-right, yielding a row-stochastic matrix between the endpoint types.
+the adjacency of one is the product of the row-normalized per-hop
+adjacencies, a row-stochastic matrix between the endpoint types.
 
 Graphs are immutable after construction and safe to share across threads.
-Composed matrices are cached on the graph keyed by type sequence, so repeated
-propagation reuses them instead of recomputing the chain.
+Propagation never forms that product: metapath_operator applies the cached
+hop matrices right to left (and their transposes for the adjoint), which
+costs the hops' nnz per product instead of the far denser composed matrix.
+compose_metapath materializes the product and is kept as the reference the
+operator is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from .errors import (
     FeaturelessEndType,
     IndexOutOfRange,
     InvalidPath,
+    ShapeMismatch,
     UnknownType,
     ValidationError,
 )
@@ -320,6 +325,88 @@ def compose_metapath(graph: HeteroGraph, path) -> SparseRowMatrix:
         product = product.with_unit_diagonal_on_empty_rows()
     graph._composed_cache[path.types] = product
     return product
+
+
+class MetaPathOperator:
+    """Matrix-free form of compose_metapath(graph, path): the same linear map,
+    applied as the row-normalized hop chain H_1 ... H_k.
+
+        A_hat x = scale * (H_1 (H_2 (... (H_k x)))) + loop * x
+
+    The two repairs of compose_metapath become diagonal terms, fixed at build
+    time from the chain applied to a ones vector: scale is 1 / (row sum) on
+    rows that lost mass and 1 elsewhere, and loop is 1 on rows that are
+    empty when the path starts and ends at the same type (such rows of the
+    chain give 0, so A_hat x copies x there). Build with metapath_operator.
+    """
+
+    def __init__(self, path: MetaPath, hops: list[SparseRowMatrix]):
+        self.hops = tuple(hops)
+        self.n_rows = self.hops[0].n_rows
+        self.n_cols = self.hops[-1].n_cols
+        sums = self._chain(np.ones(self.n_cols))
+        lossy = (sums > 0) & (np.abs(sums - 1.0) > LOST_MASS_TOL)
+        self._scale = np.where(lossy, 1.0 / np.where(sums > 0, sums, 1.0), 1.0)
+        # entries are positive, so a chain row sums to 0 only if it is empty
+        self._loops = (np.flatnonzero(sums == 0)
+                       if path.types[0] == path.types[-1]
+                       else np.zeros(0, np.int64))
+        sums = sums * self._scale
+        sums[self._loops] = 1.0
+        nonempty = sums > 0
+        dev = float(np.abs(sums[nonempty] - 1.0).max()) if nonempty.any() else 0.0
+        low = min((float(h.values.min()) for h in self.hops if h.nnz), default=0.0)
+        self._stochastic_stats = (dev, low)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n_rows, self.n_cols)
+
+    def _chain(self, x: np.ndarray) -> np.ndarray:
+        for hop in reversed(self.hops):
+            x = hop.matvec(x)
+        return x
+
+    @cached_property
+    def _hops_t(self) -> tuple[SparseRowMatrix, ...]:
+        # built on first use: evaluation never needs the adjoint
+        return tuple(h.transpose() for h in self.hops)
+
+    def stochastic_stats(self) -> tuple[float, float]:
+        """(max |row sum - 1| over nonempty rows, min entry), as
+        SparseRowMatrix.stochastic_stats; taken from A_hat 1 at build time."""
+        return self._stochastic_stats
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A_hat @ x."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.n_cols,):
+            raise ShapeMismatch(f"matvec expects shape ({self.n_cols},), got {x.shape}")
+        out = self._chain(x) * self._scale
+        out[self._loops] = x[self._loops]
+        return out
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """A_hat.T @ y: the transposed hops applied in reverse order."""
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (self.n_rows,):
+            raise ShapeMismatch(f"rmatvec expects shape ({self.n_rows},), got {y.shape}")
+        g = y * self._scale
+        for hop_t in self._hops_t:
+            g = hop_t.matvec(g)
+        g[self._loops] += y[self._loops]
+        return g
+
+
+def metapath_operator(graph: HeteroGraph, path) -> MetaPathOperator:
+    """Matrix-free propagation operator of one meta-path.
+
+    Equal to compose_metapath(graph, path) up to float summation order,
+    without ever forming the product. Reuses the graph's cached hop
+    matrices; the operator itself is not cached.
+    """
+    path = validate_metapath(graph, path)
+    return MetaPathOperator(path, [hop_matrix(graph, *hop) for hop in path.hops()])
 
 
 def candidate_metapaths(graph: HeteroGraph, max_hops: int) -> list[MetaPath]:

@@ -41,8 +41,17 @@ from .errors import (
     OodLabelInTrainSet,
     ShapeMismatch,
 )
-from .hetgraph import HeteroGraph, MetaPath, candidate_metapaths, compose_metapath, metapath_features
-from .sparse import SparseRowMatrix
+# compose_metapath is not called here; it stays importable as
+# model.compose_metapath because perfbench/tracer.py patches it by name
+from .hetgraph import (
+    HeteroGraph,
+    MetaPath,
+    MetaPathOperator,
+    candidate_metapaths,
+    compose_metapath,  # noqa: F401
+    metapath_features,
+    metapath_operator,
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -286,10 +295,11 @@ class _ForwardState:
     grads: GradientBundle
 
 
-def _prepare_propagation(graph: HeteroGraph, prop_paths, steps: int):
-    """Composed matrices and their transposes for every propagation path."""
+def _prepare_propagation(graph: HeteroGraph, prop_paths,
+                         steps: int) -> list[MetaPathOperator]:
+    """Matrix-free operator (forward and adjoint) for every propagation path."""
     if steps == 0:
-        return [], []
+        return []
     paths = [p if isinstance(p, MetaPath) else MetaPath(p) for p in prop_paths or []]
     if not paths:
         raise InvalidPath("propagation steps > 0 but no target-to-target meta-path given")
@@ -298,13 +308,11 @@ def _prepare_propagation(graph: HeteroGraph, prop_paths, steps: int):
             raise InvalidPath(
                 f"propagation meta-path {p} must start and end at "
                 f"{graph.target_type!r}")
-    a_hats = [compose_metapath(graph, p) for p in paths]
-    return a_hats, [a.transpose() for a in a_hats]
+    return [metapath_operator(graph, p) for p in paths]
 
 
 def _forward_backward(xs: list[np.ndarray],
-                      a_hats: list[SparseRowMatrix],
-                      a_hats_t: list[SparseRowMatrix],
+                      a_hats: list[MetaPathOperator],
                       params: EncoderParams,
                       labels: np.ndarray,
                       train_ids: np.ndarray,
@@ -341,8 +349,8 @@ def _forward_backward(xs: list[np.ndarray],
         hinge = np.maximum(e_final[train_ids] - config.m_in, 0.0)
         g = np.zeros(n)
         g[train_ids] = 2.0 * hinge / n_train
-        if a_hats_t:
-            back = [propagate_transpose(g, at, prop_cfg) for at in a_hats_t]
+        if a_hats:
+            back = [propagate_transpose(g, a, prop_cfg) for a in a_hats]
             d_e_raw = np.mean(np.stack(back), axis=0)
         else:
             d_e_raw = g
@@ -377,10 +385,10 @@ def gradients(graph: HeteroGraph, feature_paths, prop_paths,
     differentiates through the propagation chain via its transpose.
     """
     xs = feature_tables(graph, feature_paths)
-    a_hats, a_hats_t = _prepare_propagation(graph, prop_paths, config.steps)
+    a_hats = _prepare_propagation(graph, prop_paths, config.steps)
     labels = np.asarray(labels, dtype=np.int64)
     _check_head_labels(labels, np.asarray(train_ids, dtype=np.int64), params.n_classes)
-    return _forward_backward(xs, a_hats, a_hats_t, params, labels,
+    return _forward_backward(xs, a_hats, params, labels,
                              train_ids, config).grads
 
 
@@ -389,9 +397,9 @@ def training_loss(graph: HeteroGraph, feature_paths, prop_paths,
                   train_ids: np.ndarray, config: TrainConfig) -> tuple[float, float, float]:
     """(total, classification, energy) loss; the finite-difference target."""
     xs = feature_tables(graph, feature_paths)
-    a_hats, a_hats_t = _prepare_propagation(graph, prop_paths, config.steps)
+    a_hats = _prepare_propagation(graph, prop_paths, config.steps)
     labels = np.asarray(labels, dtype=np.int64)
-    state = _forward_backward(xs, a_hats, a_hats_t, params, labels,
+    state = _forward_backward(xs, a_hats, params, labels,
                               np.asarray(train_ids, dtype=np.int64), config)
     return state.total_loss, state.class_loss, state.energy_loss
 
@@ -448,7 +456,7 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     for x in xs:
         if x.shape[0] != graph.target_count:
             raise ShapeMismatch("feature tables must cover every target node")
-    a_hats, a_hats_t = _prepare_propagation(graph, prop_paths, config.steps)
+    a_hats = _prepare_propagation(graph, prop_paths, config.steps)
 
     rng = np.random.Generator(np.random.Philox(config.seed))
     params = init_params(rng, feature_paths, [x.shape[1] for x in xs],
@@ -463,7 +471,7 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     best_params = None
     best_f1 = -np.inf
     for epoch in range(config.epochs):
-        state = _forward_backward(xs, a_hats, a_hats_t, params, y_head,
+        state = _forward_backward(xs, a_hats, params, y_head,
                                   train_ids, config)
         t = epoch + 1
         for p, g, m, v in zip(params.param_list(), state.grads.param_list(),

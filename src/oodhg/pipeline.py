@@ -16,7 +16,16 @@ import numpy as np
 from .data import Splits
 from .energy import energy_scores, fuse, msp_score, propagate
 from .errors import InvalidPath, LabelOutOfRange, ValidationError
-from .hetgraph import HeteroGraph, MetaPath, candidate_metapaths, compose_metapath, validate_metapath
+# compose_metapath is not called here; it stays importable as
+# pipeline.compose_metapath because perfbench/tracer.py patches it by name
+from .hetgraph import (
+    HeteroGraph,
+    MetaPath,
+    candidate_metapaths,
+    compose_metapath,  # noqa: F401
+    metapath_operator,
+    validate_metapath,
+)
 from .metrics import (
     BinaryScoredSet,
     KPlusOnePrediction,
@@ -108,7 +117,7 @@ def final_energies(graph: HeteroGraph, e_raw: np.ndarray, prop_paths,
     if config.steps == 0 or not prop_paths:
         return e_raw.copy()
     prop_cfg = config.propagation
-    return fuse([propagate(e_raw, compose_metapath(graph, p), prop_cfg)
+    return fuse([propagate(e_raw, metapath_operator(graph, p), prop_cfg)
                  for p in prop_paths])
 
 

@@ -253,6 +253,11 @@ class SparseRowMatrix:
             out[nonempty] = np.add.reduceat(prod, starts[nonempty])
         return out
 
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """Product self.T @ y. Forms the transpose on every call; repeated
+        adjoints should transpose once and call matvec."""
+        return self.transpose().matvec(y)
+
     def matmul_dense(self, x: np.ndarray) -> np.ndarray:
         """Product self @ x for a dense (n_cols, d) matrix."""
         x = np.asarray(x, dtype=np.float64)

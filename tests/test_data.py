@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oodhg import SynthConfig, generate_synthetic, load_dataset, make_splits, save_dataset
+from oodhg import SynthConfig, data, generate_synthetic, load_dataset, make_splits, save_dataset
 from oodhg.data import load_path_config
 from oodhg.errors import (
     FractionOverflow,
@@ -80,6 +80,34 @@ class TestGenerator:
             graph, labels = generate_synthetic(SynthConfig(nodes_per_class=20, seed=9))
             save_dataset(tmp_path / sub, graph, labels)
         assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
+
+    def test_blocked_edge_coins_match_the_full_matrix_draw(self, tmp_path, monkeypatch):
+        cfg = SynthConfig(nodes_per_class=11, n_aux_types=3, seed=6)
+        k, npc = cfg.n_id_classes, cfg.nodes_per_class
+        n_target = (k + 1) * npc
+        labels = np.repeat(np.arange(k + 1), npc)
+        communities = np.repeat(np.arange(k + 1), max(npc // 3, 1))
+        # the draw sequence of generate_synthetic with one coin matrix per
+        # auxiliary type
+        rng = np.random.Generator(np.random.Philox(cfg.seed))
+        rng.integers(0, k, size=npc)
+        rng.standard_normal((n_target, cfg.feature_dim))
+        prob = np.where(labels[:, None] == communities[None, :],
+                        cfg.intra_edge_prob, cfg.inter_edge_prob)
+        expected = [np.argwhere(rng.random((n_target, communities.size)) < prob)
+                    for _ in range(cfg.n_aux_types)]
+
+        trees = []
+        # 5 rows per block leaves a ragged last block; the default is one block
+        for cells in (5 * communities.size, data.COIN_BLOCK_CELLS):
+            monkeypatch.setattr(data, "COIN_BLOCK_CELLS", cells)
+            graph, got_labels = generate_synthetic(cfg)
+            for a, pairs in enumerate(expected):
+                np.testing.assert_array_equal(graph.edges[f"target_aux{a}"], pairs)
+            out = tmp_path / str(cells)
+            save_dataset(out, graph, got_labels)
+            trees.append(_tree_bytes(out))
+        assert trees[0] == trees[1]
 
     def test_homophily_exceeds_null_rate(self):
         # two-hop (target-aux-target) pairs agree on class more often than

@@ -30,11 +30,12 @@ from .data import (
     save_dataset,
 )
 from .energy import PropagationConfig, propagate
-from .errors import OodhgError
+from .errors import OodhgError, ValidationError
 from .hetgraph import metapath_operator
 from .metrics import ENERGY_TAU_GRID
 from .model import TrainConfig, id_class_values, train
 from .pipeline import (
+    DEFAULT_TAU,
     evaluate,
     load_checkpoint,
     resolve_paths,
@@ -65,27 +66,32 @@ def _resolve(args, config_file: dict, key: str, default):
     return default
 
 
+_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+
+
 def _load_config_file(args) -> dict:
+    """The --config JSON object; its keys are TrainConfig field names, the
+    vocabulary of config_echo.train_config, plus "seeds"."""
     if getattr(args, "config", None) is None:
         return {}
-    return json.loads(Path(args.config).read_text())
+    config = json.loads(Path(args.config).read_text())
+    if not isinstance(config, dict):
+        raise ValidationError(f"{args.config}: config must be a JSON object")
+    allowed = _TRAIN_KEYS + ("seeds",)
+    for key in config:
+        if key not in allowed:
+            raise ValidationError(
+                f"{args.config}: unknown config key {key!r}; expected one "
+                f"of {sorted(allowed)}")
+    return config
 
 
-def _train_config(args, config_file: dict, seed: int | None = None) -> TrainConfig:
-    base = TrainConfig()
-    cfg = TrainConfig(
-        learning_rate=float(_resolve(args, config_file, "lr", base.learning_rate)),
-        epochs=int(_resolve(args, config_file, "epochs", base.epochs)),
-        alpha=float(_resolve(args, config_file, "alpha", base.alpha)),
-        m_in=float(_resolve(args, config_file, "m_in", base.m_in)),
-        gamma=float(_resolve(args, config_file, "gamma", base.gamma)),
-        steps=int(_resolve(args, config_file, "steps", base.steps)),
-        seed=int(_resolve(args, config_file, "seed", base.seed)),
-        d_hidden=int(_resolve(args, config_file, "hidden", base.d_hidden)),
-    )
-    if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
-    return cfg
+def _train_config(args, config_file: dict) -> TrainConfig:
+    values = {k: v for k, v in config_file.items() if k in _TRAIN_KEYS}
+    for key in _TRAIN_KEYS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    return TrainConfig.from_dict(values)
 
 
 def _parse_gen_spec(spec: str) -> SynthConfig:
@@ -221,8 +227,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.tau is not None and args.sweep:
-        raise ValueError("--tau and --sweep are mutually exclusive")
     ckpt = load_checkpoint(args.ckpt)
     graph, labels, file_splits, _, _, source = _load_graph(args)
     splits = _splits_for_seed(args, labels, file_splits, ckpt.config.seed)
@@ -235,7 +239,7 @@ def cmd_eval(args) -> int:
         raise ValueError(
             f"checkpoint class set {ckpt.id_class_values.tolist()} does not "
             f"match the dataset's train/val classes {seen.tolist()}")
-    tau = args.tau
+    tau = DEFAULT_TAU if args.tau is None else args.tau
     report = evaluate(graph, labels, splits, ckpt.params, ckpt.config,
                       ckpt.feature_paths, ckpt.prop_paths, tau)
 
@@ -245,7 +249,7 @@ def cmd_eval(args) -> int:
 
     out = _out_dir(args)
     echo = {"command": "eval", **source, "ckpt": str(args.ckpt),
-            "tau_source": "flag" if tau is not None else "validation-sweep",
+            "tau_source": "default" if args.tau is None else "flag",
             "train_config": ckpt.config.to_dict()}
     gold = np.asarray(labels, dtype=np.int64)
     _write_json(out / "metrics.json", {
@@ -285,10 +289,9 @@ def cmd_eval(args) -> int:
 _HEADLINE = ("auroc", "aupr", "fpr95", "micro_f1", "macro_f1", "auroc_msp")
 
 
-def _experiment_row(graph, labels, file_splits, args, cfg, feat, prop,
-                    tau=None) -> dict:
+def _experiment_row(graph, labels, file_splits, args, cfg, feat, prop) -> dict:
     splits = _splits_for_seed(args, labels, file_splits, cfg.seed)
-    _, _, report = run_experiment(graph, labels, splits, cfg, feat, prop, tau)
+    _, _, report = run_experiment(graph, labels, splits, cfg, feat, prop)
     return {k: report.metrics[k] for k in _HEADLINE} | {"tau": report.tau}
 
 
@@ -460,14 +463,14 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--lr", type=float, dest="lr")
+    p.add_argument("--lr", type=float, dest="learning_rate")
     p.add_argument("--epochs", type=int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--m-in", type=float, dest="m_in")
     p.add_argument("--gamma", type=float)
     p.add_argument("--steps", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--hidden", type=int, dest="hidden")
+    p.add_argument("--hidden", type=int, dest="d_hidden")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,10 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--ckpt", required=True)
     _add_data_flags(p)
-    p.add_argument("--tau", type=float, help="detector threshold; defaults "
-                   "to the best validation micro-F1 over the 1.00..2.00 grid")
-    p.add_argument("--sweep", action="store_true",
-                   help="force validation-sweep threshold selection")
+    p.add_argument("--tau", type=float, help="detector threshold: a node is "
+                   f"OOD when -E <= tau (default {DEFAULT_TAU}; the validation "
+                   "split holds no held-out-class nodes to tune it on)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -81,6 +81,10 @@ class OodLabelInTrainSet(OodhgError):
     """A train or validation node carries the held-out class label."""
 
 
+class TrainingDiverged(OodhgError):
+    """The training loss or a parameter became non-finite."""
+
+
 # metrics
 
 class DegenerateLabels(OodhgError):
@@ -89,6 +93,10 @@ class DegenerateLabels(OodhgError):
 
 class EmptyPredictions(OodhgError):
     """A classification metric applied to zero predictions."""
+
+
+class NonFiniteScore(OodhgError):
+    """A detection score is NaN or infinite."""
 
 
 # dataset io

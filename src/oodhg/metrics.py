@@ -19,10 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateLabels, EmptyPredictions, LengthMismatch
+from .errors import (
+    DegenerateLabels,
+    EmptyPredictions,
+    LengthMismatch,
+    NonFiniteScore,
+)
 
 ENERGY_TAU_GRID = np.linspace(1.0, 2.0, 21)
-SOFTMAX_TAU_GRID = np.linspace(0.5, 0.9, 9)
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,10 @@ class BinaryScoredSet:
             raise LengthMismatch(
                 f"scores {self.scores.shape} and labels {self.labels.shape} "
                 "must be equal-length 1-D arrays")
+        if not np.isfinite(self.scores).all():
+            bad = int(np.flatnonzero(~np.isfinite(self.scores))[0])
+            raise NonFiniteScore(
+                f"score {bad} is {self.scores[bad]}; every score must be finite")
 
     @property
     def n_pos(self) -> int:
@@ -182,6 +190,10 @@ def sweep_threshold(energies: np.ndarray, probs: np.ndarray, gold: np.ndarray,
     Returns (best_tau, table) where table is a list of (tau, micro_f1) in
     grid order; ties resolve to the smallest tau. The default grid spans
     1.0 to 2.0 in steps of 0.05.
+
+    A library function; evaluation does not call it. Its gold labels must
+    contain OOD nodes for the choice to mean anything: on an ID-only split
+    micro-F1 never rises with tau, so the smallest tau always wins.
     """
     grid = ENERGY_TAU_GRID if grid is None else np.asarray(grid, dtype=np.float64)
     if grid.size == 0:

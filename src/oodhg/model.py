@@ -40,6 +40,8 @@ from .errors import (
     LabelOutOfRange,
     OodLabelInTrainSet,
     ShapeMismatch,
+    TrainingDiverged,
+    ValidationError,
 )
 # compose_metapath is not called here; it stays importable as
 # model.compose_metapath because perfbench/tracer.py patches it by name
@@ -90,16 +92,31 @@ class TrainConfig:
         return PropagationConfig(self.gamma, self.steps)
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "alpha": self.alpha,
-            "m_in": self.m_in,
-            "gamma": self.gamma,
-            "steps": self.steps,
-            "seed": self.seed,
-            "d_hidden": self.d_hidden,
-        }
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, values: dict) -> "TrainConfig":
+        """Config from field-name keys, the vocabulary of to_dict; absent
+        fields keep their defaults.
+
+        Raises ValidationError naming an unknown key, or a value that is not
+        a number its field's type holds exactly.
+        """
+        defaults = dataclasses.asdict(cls())
+        kwargs = {}
+        for key, value in values.items():
+            if key not in defaults:
+                raise ValidationError(
+                    f"unknown train config key {key!r}; expected one of "
+                    f"{sorted(defaults)}")
+            cast = type(defaults[key])
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or cast(value) != value):
+                raise ValidationError(
+                    f"train config key {key!r} must be {cast.__name__}, "
+                    f"got {value!r}")
+            kwargs[key] = cast(value)
+        return cls(**kwargs)
 
 
 @dataclass
@@ -123,7 +140,8 @@ class EncoderParams:
         return self.hidden_weight.shape[1]
 
     def param_list(self) -> list[np.ndarray]:
-        """Fixed flattening order shared with GradientBundle and Adam state."""
+        """Fixed flattening order shared by parameters, gradients and Adam
+        state."""
         out: list[np.ndarray] = []
         for w, b in zip(self.proj_weights, self.proj_biases):
             out.extend([w, b])
@@ -138,26 +156,6 @@ class EncoderParams:
             [b.copy() for b in self.proj_biases],
             self.hidden_weight.copy(), self.hidden_bias.copy(),
             self.out_weight.copy(), self.out_bias.copy())
-
-
-@dataclass
-class GradientBundle:
-    """Gradient arrays shaped exactly like EncoderParams."""
-
-    proj_weights: list[np.ndarray]
-    proj_biases: list[np.ndarray]
-    hidden_weight: np.ndarray
-    hidden_bias: np.ndarray
-    out_weight: np.ndarray
-    out_bias: np.ndarray
-
-    def param_list(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for w, b in zip(self.proj_weights, self.proj_biases):
-            out.extend([w, b])
-        out.extend([self.hidden_weight, self.hidden_bias,
-                    self.out_weight, self.out_bias])
-        return out
 
 
 @dataclass(frozen=True)
@@ -292,12 +290,13 @@ class _ForwardState:
     class_loss: float
     energy_loss: float
     total_loss: float
-    grads: GradientBundle
+    grads: EncoderParams
 
 
-def _prepare_propagation(graph: HeteroGraph, prop_paths,
-                         steps: int) -> list[MetaPathOperator]:
-    """Matrix-free operator (forward and adjoint) for every propagation path."""
+def propagation_operators(graph: HeteroGraph, prop_paths,
+                          steps: int) -> list[MetaPathOperator]:
+    """Matrix-free operator (forward and adjoint) for every propagation path;
+    none when steps is 0."""
     if steps == 0:
         return []
     paths = [p if isinstance(p, MetaPath) else MetaPath(p) for p in prop_paths or []]
@@ -309,6 +308,15 @@ def _prepare_propagation(graph: HeteroGraph, prop_paths,
                 f"propagation meta-path {p} must start and end at "
                 f"{graph.target_type!r}")
     return [metapath_operator(graph, p) for p in paths]
+
+
+def propagated_energies(e_raw: np.ndarray, a_hats: list[MetaPathOperator],
+                        prop_cfg: PropagationConfig) -> np.ndarray:
+    """Final energies: propagate raw energies along every path, then average.
+    With no operators the raw energies are returned unchanged."""
+    if not a_hats:
+        return e_raw
+    return fuse([propagate(e_raw, a, prop_cfg) for a in a_hats])
 
 
 def _forward_backward(xs: list[np.ndarray],
@@ -331,10 +339,7 @@ def _forward_backward(xs: list[np.ndarray],
     logits = hidden @ params.out_weight + params.out_bias
     probs = softmax_probs(logits)
     e_raw = energy_scores(logits)
-    if a_hats:
-        e_final = fuse([propagate(e_raw, a, prop_cfg) for a in a_hats])
-    else:
-        e_final = e_raw
+    e_final = propagated_energies(e_raw, a_hats, prop_cfg)
     l_c = loss_classification(logits, labels, train_ids)
     l_e = loss_energy(e_final, train_ids, config.m_in)
     total = loss_total(l_c, l_e, config.alpha)
@@ -371,21 +376,22 @@ def _forward_backward(xs: list[np.ndarray],
         d_proj_w.append(x.T @ chunk)
         d_proj_b.append(chunk.sum(axis=0))
 
-    grads = GradientBundle(d_proj_w, d_proj_b, d_hidden_w, d_hidden_b,
-                           d_out_w, d_out_b)
+    grads = EncoderParams(params.paths, d_proj_w, d_proj_b,
+                          d_hidden_w, d_hidden_b, d_out_w, d_out_b)
     return _ForwardState(logits, probs, e_raw, e_final, l_c, l_e, total, grads)
 
 
 def gradients(graph: HeteroGraph, feature_paths, prop_paths,
               params: EncoderParams, labels: np.ndarray,
-              train_ids: np.ndarray, config: TrainConfig) -> GradientBundle:
-    """Exact gradient of the joint loss for every parameter.
+              train_ids: np.ndarray, config: TrainConfig) -> EncoderParams:
+    """Exact gradient of the joint loss for every parameter, shaped like
+    params.
 
     labels must already be head-space class ids in [0, K); the energy term
     differentiates through the propagation chain via its transpose.
     """
     xs = feature_tables(graph, feature_paths)
-    a_hats = _prepare_propagation(graph, prop_paths, config.steps)
+    a_hats = propagation_operators(graph, prop_paths, config.steps)
     labels = np.asarray(labels, dtype=np.int64)
     _check_head_labels(labels, np.asarray(train_ids, dtype=np.int64), params.n_classes)
     return _forward_backward(xs, a_hats, params, labels,
@@ -397,7 +403,7 @@ def training_loss(graph: HeteroGraph, feature_paths, prop_paths,
                   train_ids: np.ndarray, config: TrainConfig) -> tuple[float, float, float]:
     """(total, classification, energy) loss; the finite-difference target."""
     xs = feature_tables(graph, feature_paths)
-    a_hats = _prepare_propagation(graph, prop_paths, config.steps)
+    a_hats = propagation_operators(graph, prop_paths, config.steps)
     labels = np.asarray(labels, dtype=np.int64)
     state = _forward_backward(xs, a_hats, params, labels,
                               np.asarray(train_ids, dtype=np.int64), config)
@@ -431,7 +437,8 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     parameters with the highest validation micro-F1 (earliest epoch wins
     ties); with an empty validation split the final parameters are returned.
 
-    Raises EmptyTrainSet and OodLabelInTrainSet on protocol violations.
+    Raises EmptyTrainSet and OodLabelInTrainSet on protocol violations, and
+    TrainingDiverged once the loss or a parameter stops being finite.
     """
     labels = np.asarray(labels, dtype=np.int64)
     train_ids = np.asarray(splits.train_ids, dtype=np.int64)
@@ -456,7 +463,7 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     for x in xs:
         if x.shape[0] != graph.target_count:
             raise ShapeMismatch("feature tables must cover every target node")
-    a_hats = _prepare_propagation(graph, prop_paths, config.steps)
+    a_hats = propagation_operators(graph, prop_paths, config.steps)
 
     rng = np.random.Generator(np.random.Philox(config.seed))
     params = init_params(rng, feature_paths, [x.shape[1] for x in xs],
@@ -483,6 +490,12 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
             m_hat = m / (1.0 - ADAM_BETA1 ** t)
             v_hat = v / (1.0 - ADAM_BETA2 ** t)
             p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if not (np.isfinite(state.total_loss)
+                and all(np.isfinite(p).all() for p in params.param_list())):
+            raise TrainingDiverged(
+                f"training diverged at epoch {epoch}: loss "
+                f"{state.total_loss} or a parameter is not finite; "
+                f"lower the learning rate")
 
         if val_ids.size:
             val_logits = forward_from_features(xs, params)[val_ids]

@@ -1,7 +1,7 @@
 """End-to-end experiment plumbing shared by the CLI and the test suite.
 
 Covers meta-path resolution from dataset schema settings, post-training
-evaluation (detection metrics, K+1 classification, threshold selection),
+evaluation (detection metrics and K+1 classification at a threshold tau),
 and the versioned parameter checkpoint format "oodhg-ckpt-v1".
 """
 
@@ -14,16 +14,16 @@ from pathlib import Path
 import numpy as np
 
 from .data import Splits
-from .energy import energy_scores, fuse, msp_score, propagate
+# compose_metapath, propagate and sweep_threshold are not called here; they
+# stay importable as pipeline.<name> because perfbench/tracer.py patches
+# them by name
+from .energy import energy_scores, msp_score, propagate  # noqa: F401
 from .errors import InvalidPath, LabelOutOfRange, ValidationError
-# compose_metapath is not called here; it stays importable as
-# pipeline.compose_metapath because perfbench/tracer.py patches it by name
 from .hetgraph import (
     HeteroGraph,
     MetaPath,
     candidate_metapaths,
     compose_metapath,  # noqa: F401
-    metapath_operator,
     validate_metapath,
 )
 from .metrics import (
@@ -35,7 +35,7 @@ from .metrics import (
     fpr_at_95tpr,
     macro_f1,
     micro_f1,
-    sweep_threshold,
+    sweep_threshold,  # noqa: F401
 )
 from .model import (
     EncoderParams,
@@ -43,11 +43,20 @@ from .model import (
     TrainHistory,
     forward,
     id_class_values,
+    map_to_head,
+    propagated_energies,
+    propagation_operators,
     softmax_probs,
     train,
 )
 
 CHECKPOINT_FORMAT = "oodhg-ckpt-v1"
+
+# The validation split never holds held-out-class nodes (train() rejects
+# it), so no validation score can choose tau: K+1 micro-F1 there only falls
+# as tau rises. The threshold is a fixed constant, as in energy-based OOD
+# detection, which sets it from ID data alone.
+DEFAULT_TAU = 1.0
 
 
 @dataclass
@@ -63,7 +72,6 @@ class EvalReport:
     predicted: np.ndarray
     gold: np.ndarray
     ood_flags: np.ndarray
-    sweep_table: list | None = None
 
 
 def resolve_paths(graph: HeteroGraph, metapaths=None, max_hops: int | None = None):
@@ -97,11 +105,8 @@ def gold_kplus1(labels: np.ndarray, ids: np.ndarray, id_values: np.ndarray,
     """Gold classes in [0, K]: head index for ID labels, K for the held-out
     class; any other value is a protocol violation."""
     labels = np.asarray(labels, dtype=np.int64)[np.asarray(ids, dtype=np.int64)]
-    k = id_values.size
-    out = np.full(labels.shape, -1, dtype=np.int64)
-    out[labels == ood_class] = k
-    for idx, value in enumerate(id_values):
-        out[labels == value] = idx
+    out = map_to_head(labels, id_values)
+    out[(out == -1) & (labels == ood_class)] = id_values.size
     if np.any(out == -1):
         bad = labels[out == -1][0]
         raise LabelOutOfRange(
@@ -110,45 +115,33 @@ def gold_kplus1(labels: np.ndarray, ids: np.ndarray, id_values: np.ndarray,
     return out
 
 
-def final_energies(graph: HeteroGraph, e_raw: np.ndarray, prop_paths,
-                   config: TrainConfig) -> np.ndarray:
-    """Propagate raw energies along every path and average; identity when
-    steps is 0."""
-    if config.steps == 0 or not prop_paths:
-        return e_raw.copy()
-    prop_cfg = config.propagation
-    return fuse([propagate(e_raw, metapath_operator(graph, p), prop_cfg)
-                 for p in prop_paths])
-
-
 def evaluate(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
              params: EncoderParams, config: TrainConfig, feature_paths,
-             prop_paths, tau: float | None = None, tau_grid=None) -> EvalReport:
-    """Score every node, pick tau (given, or best validation micro-F1 on the
-    default energy grid), and compute the test-split metric suite."""
+             prop_paths, tau: float = DEFAULT_TAU) -> EvalReport:
+    """Score every node with the training head, flag -E <= tau as OOD, and
+    compute the test-split metric suite.
+
+    Final energies come from the same propagate-then-average step training
+    uses, so the path checks of training apply here too.
+    """
     logits = forward(graph, feature_paths, params)
     probs = softmax_probs(logits)
     e_raw = energy_scores(logits)
-    e_final = final_energies(graph, e_raw, prop_paths, config)
+    e_final = propagated_energies(
+        e_raw, propagation_operators(graph, prop_paths, config.steps),
+        config.propagation)
 
     id_values = id_class_values(labels, splits.train_ids, splits.val_ids)
     k = id_values.size
     test_ids = np.asarray(splits.test_ids, dtype=np.int64)
     gold = gold_kplus1(labels, test_ids, id_values, splits.ood_class)
 
-    sweep_table = None
-    if tau is None:
-        val_ids = np.asarray(splits.val_ids, dtype=np.int64)
-        gold_val = gold_kplus1(labels, val_ids, id_values, splits.ood_class)
-        tau, sweep_table = sweep_threshold(e_final[val_ids], probs[val_ids],
-                                           gold_val, k + 1, tau_grid)
-
     predicted = assemble_kplus1(probs[test_ids], e_final[test_ids], tau, k + 1)
     is_ood = gold == k
     scored = BinaryScoredSet(e_final[test_ids], is_ood)
     kp = KPlusOnePrediction(predicted, gold, k + 1)
-    max_soft = msp_score(probs[test_ids])
-    msp_scored = BinaryScoredSet(-max_soft, is_ood)
+    max_soft = msp_score(probs)
+    msp_scored = BinaryScoredSet(-max_soft[test_ids], is_ood)
     metrics = {
         "auroc": auroc(scored),
         "aupr": aupr(scored),
@@ -160,14 +153,13 @@ def evaluate(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
     }
     return EvalReport(
         tau=float(tau), metrics=metrics, test_ids=test_ids,
-        energy_raw=e_raw, energy_final=e_final, max_softmax=msp_score(probs),
-        predicted=predicted, gold=gold, ood_flags=predicted == k,
-        sweep_table=sweep_table)
+        energy_raw=e_raw, energy_final=e_final, max_softmax=max_soft,
+        predicted=predicted, gold=gold, ood_flags=predicted == k)
 
 
 def run_experiment(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
                    config: TrainConfig, feature_paths=None, prop_paths=None,
-                   tau: float | None = None
+                   tau: float = DEFAULT_TAU
                    ) -> tuple[EncoderParams, TrainHistory, EvalReport]:
     """Train, then evaluate on the test split; one seed, fully deterministic."""
     if feature_paths is None or prop_paths is None:
@@ -226,31 +218,111 @@ class Checkpoint:
     ood_class: int
 
 
-def load_checkpoint(path) -> Checkpoint:
-    path = Path(path)
-    payload = json.loads(path.read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
+def _field(obj: dict, name: str, kind: type):
+    """obj[key] for the last part of the dotted field name, which must be
+    present and of type kind (bool never counts as int)."""
+    key = name.rsplit(".", 1)[-1]
+    if key not in obj:
+        raise ValidationError(f"checkpoint field {name!r} is missing")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValidationError(
-            f"{path}: unsupported checkpoint format "
-            f"{payload.get('format')!r}, expected {CHECKPOINT_FORMAT!r}")
-    raw = payload["params"]
-    paths = tuple(MetaPath(p["path"]) for p in raw["projections"])
+            f"checkpoint field {name!r} must be a {kind.__name__}, "
+            f"got {type(value).__name__}")
+    return value
+
+
+def _array(obj: dict, name: str, shape: tuple) -> np.ndarray:
+    """Float array field whose shape must equal shape; None matches any
+    length along that axis."""
+    try:
+        arr = np.asarray(_field(obj, name, list), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"checkpoint field {name!r} is not a numeric array") from None
+    if arr.ndim != len(shape) or any(
+            want is not None and got != want for got, want in zip(arr.shape, shape)):
+        expected = tuple("*" if w is None else w for w in shape)
+        raise ValidationError(
+            f"checkpoint field {name!r} has shape {arr.shape}, expected "
+            f"{expected}")
+    return arr
+
+
+def _metapaths(obj: dict, name: str) -> list[MetaPath]:
+    paths = _field(obj, name, list)
+    for i, p in enumerate(paths):
+        if not isinstance(p, list) or not all(isinstance(t, str) for t in p):
+            raise ValidationError(
+                f"checkpoint field '{name}[{i}]' must be a list of type names")
+    return [MetaPath(p) for p in paths]
+
+
+def _parse_checkpoint(payload) -> Checkpoint:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+        found = payload.get("format") if isinstance(payload, dict) else None
+        raise ValidationError(
+            f"unsupported checkpoint format {found!r}, expected "
+            f"{CHECKPOINT_FORMAT!r}")
+    raw_config = _field(payload, "train_config", dict)
+    missing = sorted(set(TrainConfig().to_dict()) - set(raw_config))
+    if missing:
+        raise ValidationError(
+            f"checkpoint field 'train_config.{missing[0]}' is missing")
+    config = TrainConfig.from_dict(raw_config)
+    feature_paths = _metapaths(payload, "feature_paths")
+    prop_paths = _metapaths(payload, "prop_paths")
+    id_values = _field(payload, "id_class_values", list)
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in id_values):
+        raise ValidationError(
+            "checkpoint field 'id_class_values' must list integers")
+    ood_class = _field(payload, "ood_class", int)
+
+    raw = _field(payload, "params", dict)
+    projections = _field(raw, "params.projections", list)
+    if len(projections) != len(feature_paths):
+        raise ValidationError(
+            f"checkpoint has {len(projections)} projections for "
+            f"{len(feature_paths)} feature paths")
+    h, k = config.d_hidden, len(id_values)
+    weights, biases = [], []
+    for i, (proj, path) in enumerate(zip(projections, feature_paths)):
+        name = f"params.projections[{i}]"
+        if not isinstance(proj, dict):
+            raise ValidationError(f"checkpoint field {name!r} must be a dict")
+        if _field(proj, name + ".path", list) != list(path.types):
+            raise ValidationError(
+                f"checkpoint field '{name}.path' does not match feature "
+                f"path {path}")
+        weights.append(_array(proj, name + ".weight", (None, h)))
+        biases.append(_array(proj, name + ".bias", (h,)))
     params = EncoderParams(
-        paths,
-        [np.asarray(p["weight"], dtype=np.float64) for p in raw["projections"]],
-        [np.asarray(p["bias"], dtype=np.float64) for p in raw["projections"]],
-        np.asarray(raw["hidden_weight"], dtype=np.float64),
-        np.asarray(raw["hidden_bias"], dtype=np.float64),
-        np.asarray(raw["out_weight"], dtype=np.float64),
-        np.asarray(raw["out_bias"], dtype=np.float64))
-    config = TrainConfig(**payload["train_config"])
+        tuple(feature_paths), weights, biases,
+        _array(raw, "params.hidden_weight", (h * len(feature_paths), h)),
+        _array(raw, "params.hidden_bias", (h,)),
+        _array(raw, "params.out_weight", (h, k)),
+        _array(raw, "params.out_bias", (k,)))
     return Checkpoint(
         params=params,
         config=config,
-        feature_paths=[MetaPath(p) for p in payload["feature_paths"]],
-        prop_paths=[MetaPath(p) for p in payload["prop_paths"]],
-        id_class_values=np.asarray(payload["id_class_values"], dtype=np.int64),
-        ood_class=int(payload["ood_class"]))
+        feature_paths=feature_paths,
+        prop_paths=prop_paths,
+        id_class_values=np.asarray(id_values, dtype=np.int64),
+        ood_class=ood_class)
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Checkpoint written by save_checkpoint.
+
+    Raises ValidationError naming the first field that is missing, of the
+    wrong type, or whose array shape disagrees with the training config, the
+    feature paths or the class values.
+    """
+    path = Path(path)
+    try:
+        return _parse_checkpoint(json.loads(path.read_text()))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def summarize_metric_rows(rows: list[dict]) -> dict:

@@ -80,6 +80,43 @@ class TestTrain:
         assert ckpt["train_config"]["epochs"] == 3       # from file
         assert ckpt["train_config"]["alpha"] == 0.75     # flag wins
 
+    def test_config_echo_replays_byte_for_byte(self, dataset, tmp_path):
+        first = tmp_path / "first"
+        assert main(["train", "--data", str(dataset), "--ood-class", "3",
+                     "--lr", "0.05", "--seed", "4", "--out", str(first)]
+                    + FAST) == 0
+        echo = json.loads((first / "history.json").read_text())["config_echo"]
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(echo["train_config"]))
+        replay = tmp_path / "replay"
+        assert main(["train", "--data", str(dataset), "--ood-class", "3",
+                     "--config", str(cfg_file), "--out", str(replay)]) == 0
+        assert ((replay / "checkpoint.json").read_bytes()
+                == (first / "checkpoint.json").read_bytes())
+
+    @pytest.mark.parametrize("content, needle", [
+        ({"lr": 0.05}, "'lr'"),
+        ({"epochs": 2.5}, "'epochs'"),
+        ([1, 2], "JSON object"),
+    ])
+    def test_bad_config_file_is_one_line_error(self, dataset, tmp_path,
+                                               capsys, content, needle):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(content))
+        assert main(["train", "--data", str(dataset), "--ood-class", "3",
+                     "--config", str(cfg_file),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and needle in err
+
+    def test_divergent_training_stops_without_checkpoint(self, dataset,
+                                                         tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(dataset), "--ood-class", "3",
+                     "--lr", "1e300", "--epochs", "5", "--out", str(out)]) == 2
+        assert "diverged at epoch" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
 
 class TestEval:
     @pytest.fixture
@@ -98,6 +135,8 @@ class TestEval:
         for key in ("auroc", "aupr", "fpr95", "micro_f1", "macro_f1", "tau",
                     "n_train", "n_val", "n_test", "n_ood", "config_echo"):
             assert key in metrics
+        assert metrics["tau"] == 1.0
+        assert metrics["config_echo"]["tau_source"] == "default"
         lines = (out / "scores.tsv").read_text().strip().splitlines()
         assert len(lines) - 1 == metrics["n_test"]
         assert lines[0] == "node_id\tenergy\tmax_softmax\tpredicted\tgold"
@@ -228,15 +267,27 @@ class TestCheckpointFormat:
                      "--out", str(tmp_path / "o")]) == 2
         assert "held-out class" in capsys.readouterr().err
 
-    def test_tau_and_sweep_conflict(self, dataset, tmp_path, capsys):
+
+    @pytest.mark.parametrize("corrupt, needle", [
+        (lambda c: c["params"].pop("out_bias"), "'params.out_bias' is missing"),
+        (lambda c: [row.append(0.0) for row in c["params"]["out_weight"]],
+         "'params.out_weight' has shape"),
+        (lambda c: c.update(prop_paths=[]), "no target-to-target meta-path"),
+    ])
+    def test_corrupt_checkpoint_is_one_line_error(self, dataset, tmp_path,
+                                                  capsys, corrupt, needle):
         run = tmp_path / "run"
         assert main(["train", "--data", str(dataset), "--ood-class", "3",
                      "--out", str(run)] + FAST) == 0
+        ckpt = json.loads((run / "checkpoint.json").read_text())
+        corrupt(ckpt)
+        (run / "checkpoint.json").write_text(json.dumps(ckpt))
+        capsys.readouterr()
         assert main(["eval", "--ckpt", str(run / "checkpoint.json"),
                      "--data", str(dataset), "--ood-class", "3",
-                     "--tau", "1.5", "--sweep",
                      "--out", str(tmp_path / "o")]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and needle in err
 
 
 class TestErrors:

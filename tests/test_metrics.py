@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oodhg import BinaryScoredSet, KPlusOnePrediction, aupr, auroc, fpr_at_95tpr, macro_f1, micro_f1, sweep_threshold
-from oodhg.errors import DegenerateLabels, EmptyPredictions
+from oodhg.errors import DegenerateLabels, EmptyPredictions, NonFiniteScore
 from oodhg.metrics import ENERGY_TAU_GRID, assemble_kplus1
 
 
@@ -61,6 +61,13 @@ def _random_scored(rng, n, tie_prob=0.3):
     if labels.all():
         labels[0] = False
     return BinaryScoredSet(scores, labels)
+
+
+class TestBinaryScoredSet:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(NonFiniteScore, match="score 1"):
+            BinaryScoredSet([0.5, bad, 1.0], [True, False, False])
 
 
 class TestAuroc:

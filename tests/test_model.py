@@ -17,6 +17,7 @@ from oodhg import (
     loss_energy,
     loss_total,
     make_splits,
+    run_experiment,
     softmax_probs,
     train,
 )
@@ -306,6 +307,15 @@ class TestTrain:
         bad = dataclasses.replace(splits, train_ids=np.array([], dtype=np.int64))
         with pytest.raises(EmptyTrainSet):
             train(graph, labels, bad, TrainConfig(epochs=1))
+
+    def test_empty_validation_split_evaluates_at_default_tau(self):
+        graph, labels = small_instance(nodes_per_class=10)
+        splits = dataclasses.replace(self._splits(labels),
+                                     val_ids=np.array([], dtype=np.int64))
+        _, history, report = run_experiment(
+            graph, labels, splits, TrainConfig(epochs=2, d_hidden=4))
+        assert len(history) == 2
+        assert report.tau == 1.0
 
     def test_ood_label_in_train_set(self):
         graph, labels = small_instance(nodes_per_class=10)

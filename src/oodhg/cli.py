@@ -71,13 +71,14 @@ _TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 def _load_config_file(args) -> dict:
     """The --config JSON object; its keys are TrainConfig field names, the
-    vocabulary of config_echo.train_config, plus "seeds"."""
+    vocabulary of config_echo.train_config, plus "seeds" for the commands
+    that take --seeds."""
     if getattr(args, "config", None) is None:
         return {}
     config = json.loads(Path(args.config).read_text())
     if not isinstance(config, dict):
         raise ValidationError(f"{args.config}: config must be a JSON object")
-    allowed = _TRAIN_KEYS + ("seeds",)
+    allowed = _TRAIN_KEYS + (("seeds",) if hasattr(args, "seeds") else ())
     for key in config:
         if key not in allowed:
             raise ValidationError(
@@ -157,7 +158,9 @@ def _seed_list(args, config_file: dict) -> list[int]:
     if seeds is None:
         return [int(_resolve(args, config_file, "seed", 0))]
     if isinstance(seeds, str):
-        return [int(s) for s in seeds.split(",") if s.strip()]
+        seeds = [s for s in seeds.split(",") if s.strip()]
+    if not seeds:
+        raise ValueError("the seed list is empty")
     return [int(s) for s in seeds]
 
 
@@ -344,6 +347,8 @@ def cmd_sweep(args) -> int:
     param = args.param
     if args.grid is not None:
         grid = [float(v) for v in args.grid.split(",") if v.strip()]
+        if not grid:
+            raise ValueError("--grid lists no value")
     else:
         grid = _SWEEP_DEFAULT_GRIDS[param]
     rows_per_value = []

@@ -92,6 +92,17 @@ def check_row_stochastic(a_hat: SparseRowMatrix | MetaPathOperator,
             f"a nonempty row sums to 1 +- {dev:.3g}, expected 1 +- {tol}")
 
 
+def _iterate(x: np.ndarray, apply, config: PropagationConfig) -> np.ndarray:
+    """x after config.steps updates x <- gamma x + (1 - gamma) apply(x); a
+    copy of x when gamma = 1 or steps = 0."""
+    if config.steps == 0 or config.gamma == 1.0:
+        return x.copy()
+    gamma = config.gamma
+    for _ in range(config.steps):
+        x = gamma * x + (1.0 - gamma) * apply(x)
+    return x
+
+
 def propagate(e0: np.ndarray, a_hat: SparseRowMatrix | MetaPathOperator,
               config: PropagationConfig) -> np.ndarray:
     """Apply E <- gamma E + (1 - gamma) A_hat E for config.steps iterations.
@@ -107,12 +118,7 @@ def propagate(e0: np.ndarray, a_hat: SparseRowMatrix | MetaPathOperator,
         raise ShapeMismatch(
             f"energy vector shape {e.shape} does not match matrix {a_hat.shape}")
     check_row_stochastic(a_hat)
-    if config.steps == 0 or config.gamma == 1.0:
-        return e.copy()
-    gamma = config.gamma
-    for _ in range(config.steps):
-        e = gamma * e + (1.0 - gamma) * a_hat.matvec(e)
-    return e
+    return _iterate(e, a_hat.matvec, config)
 
 
 def propagate_transpose(g: np.ndarray,
@@ -123,13 +129,7 @@ def propagate_transpose(g: np.ndarray,
     Takes the same operator as propagate and applies a_hat.rmatvec; no
     stochasticity check is done since column sums are unconstrained.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if config.steps == 0 or config.gamma == 1.0:
-        return g.copy()
-    gamma = config.gamma
-    for _ in range(config.steps):
-        g = gamma * g + (1.0 - gamma) * a_hat.rmatvec(g)
-    return g
+    return _iterate(np.asarray(g, dtype=np.float64), a_hat.rmatvec, config)
 
 
 def fuse(per_path: list[np.ndarray]) -> np.ndarray:

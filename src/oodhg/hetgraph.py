@@ -5,12 +5,15 @@ and optional per-type feature matrices. Meta-paths are node-type sequences;
 the adjacency of one is the product of the row-normalized per-hop
 adjacencies, a row-stochastic matrix between the endpoint types.
 
-Graphs are immutable after construction and safe to share across threads.
 Propagation never forms that product: metapath_operator applies the cached
 hop matrices right to left (and their transposes for the adjoint), which
 costs the hops' nnz per product instead of the far denser composed matrix.
 compose_metapath materializes the product and is kept as the reference the
 operator is tested against.
+
+A graph's nodes, edges and features do not change after construction. Hop
+matrices are memoised lazily on the graph; threads that fill the same entry
+at once each build and store an equal matrix.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ class MetaPath:
 
 
 class HeteroGraph:
-    """Validated, immutable heterogeneous graph.
+    """Validated heterogeneous graph whose data does not change; hop
+    matrices are memoised on it as they are first used.
 
     Build through build_graph; the constructor trusts its inputs. Edge lists
     are (m, 2) int64 arrays of indices local to each endpoint type. Feature
@@ -95,9 +99,7 @@ class HeteroGraph:
         for s in self.edge_types:
             pair_index.setdefault((s.src_type, s.dst_type), []).append(s.name)
         self._pair_index = pair_index
-        self._adjacency_cache: dict[str, SparseRowMatrix] = {}
         self._hop_cache: dict[tuple[str, str], SparseRowMatrix] = {}
-        self._composed_cache: dict[tuple[str, ...], SparseRowMatrix] = {}
 
     # -- schema lookups -------------------------------------------------
 
@@ -127,10 +129,8 @@ class HeteroGraph:
         return self._pair_index.get((src, dst), [])
 
     def clear_caches(self) -> None:
-        """Drop cached adjacencies (used by the propagation benchmark)."""
-        self._adjacency_cache.clear()
+        """Drop the memoised hop matrices (used by the propagation benchmark)."""
         self._hop_cache.clear()
-        self._composed_cache.clear()
 
 
 def build_graph(node_types, edge_types, edges, features=None,
@@ -232,16 +232,11 @@ def build_graph(node_types, edge_types, edges, features=None,
 
 def adjacency(graph: HeteroGraph, edge_type: str) -> SparseRowMatrix:
     """Binary adjacency of one edge type, shape count(src) x count(dst)."""
-    cached = graph._adjacency_cache.get(edge_type)
-    if cached is not None:
-        return cached
     schema = graph.edge_schema(edge_type)
-    mat = SparseRowMatrix.from_edge_pairs(
+    return SparseRowMatrix.from_edge_pairs(
         graph.node_count(schema.src_type),
         graph.node_count(schema.dst_type),
         graph.edges[edge_type])
-    graph._adjacency_cache[edge_type] = mat
-    return mat
 
 
 def hop_matrix(graph: HeteroGraph, src: str, dst: str) -> SparseRowMatrix:
@@ -309,13 +304,9 @@ def compose_metapath(graph: HeteroGraph, path) -> SparseRowMatrix:
     hop) is rescaled to sum 1; rows already summing to 1 are left bitwise
     untouched. Then, when the path starts and ends at the same type, every
     all-zero row i becomes a lone (i, i) = 1 entry so propagation leaves
-    isolated nodes unchanged instead of draining them. The result is cached
-    on the graph per type sequence.
+    isolated nodes unchanged instead of draining them.
     """
     path = validate_metapath(graph, path)
-    cached = graph._composed_cache.get(path.types)
-    if cached is not None:
-        return cached
     hops = path.hops()
     product = hop_matrix(graph, *hops[0])
     for hop in hops[1:]:
@@ -323,7 +314,6 @@ def compose_metapath(graph: HeteroGraph, path) -> SparseRowMatrix:
     product = _renormalize_lossy_rows(product)
     if path.types[0] == path.types[-1]:
         product = product.with_unit_diagonal_on_empty_rows()
-    graph._composed_cache[path.types] = product
     return product
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .energy import DetectorConfig, detect
 from .errors import (
     DegenerateLabels,
     EmptyPredictions,
@@ -175,11 +176,13 @@ def macro_f1(p: KPlusOnePrediction) -> float:
 def assemble_kplus1(probs: np.ndarray, energies: np.ndarray, tau: float,
                     n_classes: int) -> np.ndarray:
     """Predictions in [0, n_classes): argmax class, or the OOD bucket
-    (n_classes - 1) when -E_i <= tau."""
+    (n_classes - 1) where energy.detect flags the node (-E_i <= tau).
+
+    Raises ValueError when tau is not finite.
+    """
     probs = np.asarray(probs, dtype=np.float64)
-    energies = np.asarray(energies, dtype=np.float64)
     pred = probs.argmax(axis=1).astype(np.int64)
-    pred[-energies <= tau] = n_classes - 1
+    pred[detect(energies, DetectorConfig(tau))] = n_classes - 1
     return pred
 
 

@@ -13,6 +13,12 @@ its adjoint is the transposed update, so the hinge gradient reaches every
 logit that influenced a training node's final energy, including unlabeled
 neighbours.
 
+Each epoch runs the encoder once. The parameters leaving epoch t are the
+ones entering epoch t + 1, so the forward/backward pass that gives epoch
+t + 1 its gradients also scores epoch t on the validation split; only the
+last epoch runs a forward pass of its own, and only when there is a
+validation split.
+
 All math is float64 and full batch. Randomness comes from a Philox
 (counter-based) generator seeded by the run seed: weights are drawn
 Glorot-uniform in path order, then hidden, then output layer; biases start
@@ -172,7 +178,7 @@ class EpochRecord:
 class TrainHistory:
     """Per-epoch log. Losses and the mean raw training energy are measured
     with the parameters entering the epoch; val_micro_f1 with the updated
-    parameters leaving it."""
+    parameters leaving it, which the next epoch's forward pass scores."""
 
     records: list[EpochRecord] = field(default_factory=list)
 
@@ -214,8 +220,9 @@ def feature_tables(graph: HeteroGraph, feature_paths) -> list[np.ndarray]:
     return [metapath_features(graph, p) for p in paths]
 
 
-def forward_from_features(xs: list[np.ndarray], params: EncoderParams) -> np.ndarray:
-    """Logits from precomputed per-path feature tables."""
+def _encode(xs: list[np.ndarray], params: EncoderParams):
+    """Encoder forward: (z, pre_hidden, hidden, logits), where z is the
+    concatenated per-path projections; the backward pass reuses all four."""
     if len(xs) != len(params.proj_weights):
         raise ShapeMismatch(
             f"{len(xs)} feature tables for {len(params.proj_weights)} projections")
@@ -226,8 +233,14 @@ def forward_from_features(xs: list[np.ndarray], params: EncoderParams) -> np.nda
                 f"feature dim {x.shape[1]} does not match projection {w.shape}")
         cols.append(x @ w + b)
     z = np.concatenate(cols, axis=1)
-    hidden = np.maximum(z @ params.hidden_weight + params.hidden_bias, 0.0)
-    return hidden @ params.out_weight + params.out_bias
+    pre_hidden = z @ params.hidden_weight + params.hidden_bias
+    hidden = np.maximum(pre_hidden, 0.0)
+    return z, pre_hidden, hidden, hidden @ params.out_weight + params.out_bias
+
+
+def forward_from_features(xs: list[np.ndarray], params: EncoderParams) -> np.ndarray:
+    """Logits from precomputed per-path feature tables."""
+    return _encode(xs, params)[3]
 
 
 def forward(graph: HeteroGraph, feature_paths, params: EncoderParams) -> np.ndarray:
@@ -326,17 +339,14 @@ def _forward_backward(xs: list[np.ndarray],
                       train_ids: np.ndarray,
                       config: TrainConfig) -> _ForwardState:
     n = xs[0].shape[0]
+    labels = np.asarray(labels, dtype=np.int64)
     train_ids = np.asarray(train_ids, dtype=np.int64)
     n_train = train_ids.size
     prop_cfg = config.propagation
 
-    # forward
-    cols = [x @ w + b for x, w, b in
-            zip(xs, params.proj_weights, params.proj_biases)]
-    z = np.concatenate(cols, axis=1)
-    pre_hidden = z @ params.hidden_weight + params.hidden_bias
-    hidden = np.maximum(pre_hidden, 0.0)
-    logits = hidden @ params.out_weight + params.out_bias
+    # forward; loss_classification checks the labels before the backward
+    # pass indexes with them
+    z, pre_hidden, hidden, logits = _encode(xs, params)
     probs = softmax_probs(logits)
     e_raw = energy_scores(logits)
     e_final = propagated_energies(e_raw, a_hats, prop_cfg)
@@ -381,6 +391,15 @@ def _forward_backward(xs: list[np.ndarray],
     return _ForwardState(logits, probs, e_raw, e_final, l_c, l_e, total, grads)
 
 
+def _graph_pass(graph: HeteroGraph, feature_paths, prop_paths,
+                params: EncoderParams, labels: np.ndarray,
+                train_ids: np.ndarray, config: TrainConfig) -> _ForwardState:
+    """_forward_backward on feature tables and operators built from graph."""
+    xs = feature_tables(graph, feature_paths)
+    a_hats = propagation_operators(graph, prop_paths, config.steps)
+    return _forward_backward(xs, a_hats, params, labels, train_ids, config)
+
+
 def gradients(graph: HeteroGraph, feature_paths, prop_paths,
               params: EncoderParams, labels: np.ndarray,
               train_ids: np.ndarray, config: TrainConfig) -> EncoderParams:
@@ -390,23 +409,16 @@ def gradients(graph: HeteroGraph, feature_paths, prop_paths,
     labels must already be head-space class ids in [0, K); the energy term
     differentiates through the propagation chain via its transpose.
     """
-    xs = feature_tables(graph, feature_paths)
-    a_hats = propagation_operators(graph, prop_paths, config.steps)
-    labels = np.asarray(labels, dtype=np.int64)
-    _check_head_labels(labels, np.asarray(train_ids, dtype=np.int64), params.n_classes)
-    return _forward_backward(xs, a_hats, params, labels,
-                             train_ids, config).grads
+    return _graph_pass(graph, feature_paths, prop_paths, params, labels,
+                       train_ids, config).grads
 
 
 def training_loss(graph: HeteroGraph, feature_paths, prop_paths,
                   params: EncoderParams, labels: np.ndarray,
                   train_ids: np.ndarray, config: TrainConfig) -> tuple[float, float, float]:
     """(total, classification, energy) loss; the finite-difference target."""
-    xs = feature_tables(graph, feature_paths)
-    a_hats = propagation_operators(graph, prop_paths, config.steps)
-    labels = np.asarray(labels, dtype=np.int64)
-    state = _forward_backward(xs, a_hats, params, labels,
-                              np.asarray(train_ids, dtype=np.int64), config)
+    state = _graph_pass(graph, feature_paths, prop_paths, params, labels,
+                        train_ids, config)
     return state.total_loss, state.class_loss, state.energy_loss
 
 
@@ -436,6 +448,8 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     target-to-target candidates within 2 hops. Model selection keeps the
     parameters with the highest validation micro-F1 (earliest epoch wins
     ties); with an empty validation split the final parameters are returned.
+    The encoder runs once per epoch, plus once after the last epoch when the
+    validation split is non-empty.
 
     Raises EmptyTrainSet and OodLabelInTrainSet on protocol violations, and
     TrainingDiverged once the loss or a parameter stops being finite.
@@ -477,42 +491,53 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     history = TrainHistory()
     best_params = None
     best_f1 = -np.inf
-    for epoch in range(config.epochs):
+    # The finite check below turns overflow and NaN into TrainingDiverged,
+    # so numpy's warnings on the way there only add noise.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = _forward_backward(xs, a_hats, params, y_head,
                                   train_ids, config)
-        t = epoch + 1
-        for p, g, m, v in zip(params.param_list(), state.grads.param_list(),
-                              m_state, v_state):
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1 ** t)
-            v_hat = v / (1.0 - ADAM_BETA2 ** t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if not (np.isfinite(state.total_loss)
-                and all(np.isfinite(p).all() for p in params.param_list())):
-            raise TrainingDiverged(
-                f"training diverged at epoch {epoch}: loss "
-                f"{state.total_loss} or a parameter is not finite; "
-                f"lower the learning rate")
+        for epoch in range(config.epochs):
+            t = epoch + 1
+            for p, g, m, v in zip(params.param_list(), state.grads.param_list(),
+                                  m_state, v_state):
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * g * g
+                m_hat = m / (1.0 - ADAM_BETA1 ** t)
+                v_hat = v / (1.0 - ADAM_BETA2 ** t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            if not (np.isfinite(state.total_loss)
+                    and all(np.isfinite(p).all() for p in params.param_list())):
+                raise TrainingDiverged(
+                    f"training diverged at epoch {epoch}: loss "
+                    f"{state.total_loss} or a parameter is not finite; "
+                    f"lower the learning rate")
 
-        if val_ids.size:
-            val_logits = forward_from_features(xs, params)[val_ids]
-            val_f1 = float(np.mean(val_logits.argmax(axis=1) == y_head[val_ids]))
-        else:
-            val_f1 = 0.0
-        history.records.append(EpochRecord(
-            epoch=epoch,
-            total_loss=state.total_loss,
-            class_loss=state.class_loss,
-            energy_loss=state.energy_loss,
-            val_micro_f1=val_f1,
-            train_energy_mean=float(state.energy_raw[train_ids].mean()),
-        ))
-        if val_ids.size and val_f1 > best_f1:
-            best_f1 = val_f1
-            best_params = params.copy()
+            # the next epoch's forward pass scores validation for this one
+            next_state = None
+            if t < config.epochs:
+                next_state = _forward_backward(xs, a_hats, params, y_head,
+                                               train_ids, config)
+            if val_ids.size:
+                logits = (forward_from_features(xs, params) if next_state is None
+                          else next_state.logits)
+                val_f1 = float(np.mean(
+                    logits[val_ids].argmax(axis=1) == y_head[val_ids]))
+            else:
+                val_f1 = 0.0
+            history.records.append(EpochRecord(
+                epoch=epoch,
+                total_loss=state.total_loss,
+                class_loss=state.class_loss,
+                energy_loss=state.energy_loss,
+                val_micro_f1=val_f1,
+                train_energy_mean=float(state.energy_raw[train_ids].mean()),
+            ))
+            if val_ids.size and val_f1 > best_f1:
+                best_f1 = val_f1
+                best_params = params.copy()
+            state = next_state
 
     if best_params is None:
         best_params = params.copy()

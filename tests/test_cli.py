@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,7 @@ class TestTrain:
         ({"lr": 0.05}, "'lr'"),
         ({"epochs": 2.5}, "'epochs'"),
         ([1, 2], "JSON object"),
+        ({"seeds": [3, 4]}, "'seeds'"),
     ])
     def test_bad_config_file_is_one_line_error(self, dataset, tmp_path,
                                                capsys, content, needle):
@@ -112,9 +114,14 @@ class TestTrain:
     def test_divergent_training_stops_without_checkpoint(self, dataset,
                                                          tmp_path, capsys):
         out = tmp_path / "run"
-        assert main(["train", "--data", str(dataset), "--ood-class", "3",
-                     "--lr", "1e300", "--epochs", "5", "--out", str(out)]) == 2
-        assert "diverged at epoch" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--data", str(dataset), "--ood-class", "3",
+                         "--lr", "1e300", "--epochs", "5",
+                         "--out", str(out)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "diverged at epoch" in err
         assert not (out / "checkpoint.json").exists()
 
 
@@ -159,6 +166,15 @@ class TestEval:
         assert metrics["tau"] == 1.45
         assert metrics["config_echo"]["tau_source"] == "flag"
 
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_is_one_line_error(self, dataset, trained,
+                                              tmp_path, capsys, tau):
+        assert main(["eval", "--ckpt", str(trained / "checkpoint.json"),
+                     "--data", str(dataset), "--ood-class", "3",
+                     "--tau", tau, "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "tau must be finite" in err
+
     def test_byte_identical_reruns(self, dataset, trained, tmp_path):
         outs = []
         for sub in ("e1", "e2"):
@@ -187,6 +203,12 @@ class TestAblate:
                      "--alpha", "1.0"] + FAST) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_empty_seed_list_is_one_line_error(self, dataset, capsys):
+        assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
+                     "--seeds", ","] + FAST) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "seed list is empty" in err
+
 
 class TestSweep:
     def test_gamma_grid(self, dataset, tmp_path):
@@ -211,6 +233,18 @@ class TestSweep:
         payload = json.loads((out / "sweep.json").read_text())
         taus = [v["per_seed"][0]["tau"] for v in payload["values"]]
         assert taus == [1.0, 1.5, 2.0]
+
+
+    @pytest.mark.parametrize("flags, needle", [
+        (["--param", "gamma", "--seeds", ","], "seed list is empty"),
+        (["--param", "steps", "--grid", ""], "--grid lists no value"),
+    ])
+    def test_empty_list_is_one_line_error(self, dataset, capsys, flags,
+                                          needle):
+        assert main(["sweep", "--data", str(dataset), "--ood-class", "3"]
+                    + flags + FAST) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and needle in err
 
 
 class TestBench:

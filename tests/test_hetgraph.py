@@ -3,7 +3,6 @@ import pytest
 
 from oodhg import (
     EdgeTypeSchema,
-    MetaPath,
     NodeTypeSchema,
     adjacency,
     build_graph,
@@ -136,11 +135,6 @@ class TestComposeMetapath:
         g = _ap_graph([(0, 0)])
         with pytest.raises(InvalidPath):
             compose_metapath(g, ["A", "P", "A"])  # no P->A relation declared
-
-    def test_result_cached(self):
-        g = _ap_graph([(0, 0), (1, 0)], n_a=2, n_p=1, pa_pairs=[(0, 0), (0, 1)])
-        first = compose_metapath(g, ["A", "P", "A"])
-        assert compose_metapath(g, MetaPath(("A", "P", "A"))) is first
 
     def test_matches_dense_oracle_on_random_graphs(self):
         rng = np.random.default_rng(100)

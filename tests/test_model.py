@@ -301,6 +301,32 @@ class TestTrain:
         _, h2 = train(graph, perturbed, splits, cfg)
         assert h1.records == h2.records
 
+    # seed 0's best epoch is epoch 2 of 4; seed 1 ties epochs 0-2
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_validation_scores_the_parameters_leaving_each_epoch(self, seed):
+        graph, labels = small_instance(nodes_per_class=20)
+        splits = self._splits(labels)
+        cfg = TrainConfig(epochs=4, seed=seed, d_hidden=4, learning_rate=0.1)
+        best, history = train(graph, labels, splits, cfg)
+        y_head = map_to_head(labels, id_class_values(
+            labels, splits.train_ids, splits.val_ids))
+        xs = feature_tables(graph, list(best.paths))
+        # validation ids do not enter the gradient, so without them train
+        # returns the parameters leaving its last epoch
+        no_val = dataclasses.replace(splits, val_ids=np.array([], dtype=np.int64))
+        leaving = [train(graph, labels, no_val,
+                         dataclasses.replace(cfg, epochs=t + 1))[0]
+                   for t in range(cfg.epochs)]
+        for rec, params in zip(history.records, leaving):
+            logits = forward_from_features(xs, params)[splits.val_ids]
+            assert rec.val_micro_f1 == float(np.mean(
+                logits.argmax(axis=1) == y_head[splits.val_ids]))
+        f1s = [rec.val_micro_f1 for rec in history.records]
+        assert len(set(f1s)) > 1
+        for a, b in zip(best.param_list(),
+                        leaving[int(np.argmax(f1s))].param_list()):
+            np.testing.assert_array_equal(a, b)
+
     def test_empty_train_set(self):
         graph, labels = small_instance(nodes_per_class=10)
         splits = self._splits(labels)

@@ -29,7 +29,7 @@ from .data import (
     make_splits,
     save_dataset,
 )
-from .energy import PropagationConfig, propagate
+from .energy import DetectorConfig, PropagationConfig, propagate
 from .errors import OodhgError, ValidationError
 from .hetgraph import metapath_operator
 from .metrics import ENERGY_TAU_GRID
@@ -159,6 +159,10 @@ def _seed_list(args, config_file: dict) -> list[int]:
         return [int(_resolve(args, config_file, "seed", 0))]
     if isinstance(seeds, str):
         seeds = [s for s in seeds.split(",") if s.strip()]
+    elif not (isinstance(seeds, list) and all(
+            isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
+        raise ValidationError(f"{args.config}: config key 'seeds' must be a "
+                              f"list of integers, got {seeds!r}")
     if not seeds:
         raise ValueError("the seed list is empty")
     return [int(s) for s in seeds]
@@ -353,6 +357,9 @@ def cmd_sweep(args) -> int:
         grid = _SWEEP_DEFAULT_GRIDS[param]
     rows_per_value = []
     if param == "tau":
+        for value in grid:
+            DetectorConfig(value)  # a bad tau fails before any training
+
         def one(seed):
             cfg = dataclasses.replace(base, seed=seed)
             splits = _splits_for_seed(args, labels, file_splits, seed)

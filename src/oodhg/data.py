@@ -11,6 +11,13 @@ Directory format:
     labels.tsv                 one "node_id<TAB>label" per target node.
     splits.json (optional)     {train, val, test, ood_class}.
 
+Text files are read as Python's int() and float() read each field, and
+blank lines are skipped; ids and labels must fit int64. numpy's C reader
+parses them, and a line-by-line reference parser takes over for any file
+that reader refuses or could read differently, so a bad field is reported
+as a ParseError naming its file and line. An out-of-range edge endpoint
+names its file line too.
+
 Splits follow the transductive protocol: every node of the held-out class
 goes to the test set; the remaining nodes are shuffled by a seeded Philox
 generator with an explicit Fisher-Yates pass (stated so the permutation can
@@ -20,7 +27,9 @@ count.
 
 from __future__ import annotations
 
+import itertools
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -208,6 +217,12 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[HeteroGraph, np.ndarray]:
 # ----------------------------------------------------------------------
 # directory io
 
+def _int_pair_text(pairs: np.ndarray) -> str:
+    """One "a<TAB>b" line per row of an (m, 2) integer array."""
+    flat = np.asarray(pairs, dtype=np.int64).reshape(-1).tolist()
+    return ("{}\t{}\n" * (len(flat) // 2)).format(*flat)
+
+
 def save_dataset(dir_path, graph: HeteroGraph, labels=None, splits=None,
                  feature_format: str = "csv", schema_extra: dict | None = None) -> Path:
     """Write a dataset directory; the inverse of load_dataset.
@@ -237,9 +252,8 @@ def save_dataset(dir_path, graph: HeteroGraph, labels=None, splits=None,
     edge_dir = root / "edges"
     edge_dir.mkdir(exist_ok=True)
     for s in graph.edge_types:
-        pairs = graph.edges[s.name]
-        lines = "".join(f"{int(a)}\t{int(b)}\n" for a, b in pairs)
-        (edge_dir / f"{s.name}.tsv").write_text(lines)
+        (edge_dir / f"{s.name}.tsv").write_text(
+            _int_pair_text(graph.edges[s.name]))
 
     feat_dir = root / "features"
     feat_dir.mkdir(exist_ok=True)
@@ -257,8 +271,8 @@ def save_dataset(dir_path, graph: HeteroGraph, labels=None, splits=None,
 
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
-        (root / "labels.tsv").write_text(
-            "".join(f"{i}\t{int(v)}\n" for i, v in enumerate(labels)))
+        (root / "labels.tsv").write_text(_int_pair_text(
+            np.column_stack([np.arange(labels.size, dtype=np.int64), labels])))
     if splits is not None:
         payload = {
             "train": [int(i) for i in splits.train_ids],
@@ -280,9 +294,49 @@ def _read_json(path: Path) -> dict:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
 
 
-def _parse_int_pair_file(path: Path) -> np.ndarray:
+# the bytes on which numpy's C reader parses a field exactly as Python's
+# int() and float() do: its digit test misreads code points above 255, and
+# its whitespace test admits \x1c-\x1f, which Python's parsers refuse
+_PLAIN_TEXT = b"\t\n\r" + bytes(range(0x20, 0x7F))
+
+
+def _read_table(path: Path, dtype, delimiter: str, width: int,
+                parse_lines) -> np.ndarray:
+    """(rows, width) table of a delimited text file, read by np.loadtxt.
+
+    parse_lines(path), the line-by-line reference parser, decides every file
+    the C reader refuses, reads at another width, or might read differently.
+    The reference accepts more (Python int/float syntax such as "1_0",
+    whitespace-only lines) and names the file line of a bad field, which
+    loadtxt's row numbers cannot give. Where loadtxt returns the table, the
+    reference returns the same values.
+    """
     if not path.is_file():
         raise MissingFile(f"{path} not found")
+    raw = path.read_bytes()
+    # int() refuses a field of more than get_int_max_str_digits() digits,
+    # leading zeros included; one that still fits int64 has at most 19
+    # digits after its zeros, so it holds a run of limit - 18 zeros
+    limit = sys.get_int_max_str_digits()
+    if raw.translate(None, _PLAIN_TEXT) or (limit and b"0" * (limit - 18) in raw):
+        return parse_lines(path)
+    if not raw.strip():
+        # loadtxt would warn about a file without data
+        return np.zeros((0, width), dtype=dtype)
+    try:
+        table = np.loadtxt(path, dtype=dtype, delimiter=delimiter, ndmin=2,
+                           comments=None)
+    except ValueError:
+        return parse_lines(path)
+    return table if table.shape[1] == width else parse_lines(path)
+
+
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def _parse_int_pair_lines(path: Path) -> np.ndarray:
+    """Reference parser of an int pair file: one "a<TAB>b" per line, blank
+    lines skipped, each field a Python int literal that fits int64."""
     rows = []
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -294,31 +348,54 @@ def _parse_int_pair_file(path: Path) -> np.ndarray:
                 raise ParseError(f"{path}:{lineno}: expected 2 tab-separated "
                                  f"fields, got {len(parts)}")
             try:
-                rows.append((int(parts[0]), int(parts[1])))
+                pair = (int(parts[0]), int(parts[1]))
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: non-integer field") from None
+            if not all(_INT64_MIN <= v <= _INT64_MAX for v in pair):
+                raise ParseError(f"{path}:{lineno}: integer field outside "
+                                 "the int64 range")
+            rows.append(pair)
     return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def _parse_int_pair_file(path: Path) -> np.ndarray:
+    return _read_table(path, np.int64, "\t", 2, _parse_int_pair_lines)
+
+
+def _data_line(path: Path, row: int) -> int:
+    """1-based line of path holding its row-th (0-based) data row; blank
+    lines hold no row."""
+    with path.open() as fh:
+        lines = (n for n, line in enumerate(fh, start=1) if line.strip())
+        return next(itertools.islice(lines, row, None))
+
+
+def _parse_feature_lines(path: Path, dim: int) -> np.ndarray:
+    """Reference parser of a feature csv: dim Python float literals per
+    line, blank lines skipped."""
+    rows = []
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != dim:
+                raise ParseError(f"{path}:{lineno}: expected {dim} "
+                                 f"columns, got {len(parts)}")
+            try:
+                rows.append([float(v) for v in parts])
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: non-numeric field") from None
+    return np.asarray(rows, dtype=np.float64).reshape(-1, dim)
 
 
 def _load_features(feat_dir: Path, name: str, count: int, dim: int) -> np.ndarray:
     csv_path = feat_dir / f"{name}.csv"
     f32_path = feat_dir / f"{name}.f32"
     if csv_path.is_file():
-        rows = []
-        with csv_path.open() as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != dim:
-                    raise ParseError(f"{csv_path}:{lineno}: expected {dim} "
-                                     f"columns, got {len(parts)}")
-                try:
-                    rows.append([float(v) for v in parts])
-                except ValueError:
-                    raise ParseError(f"{csv_path}:{lineno}: non-numeric field") from None
-        mat = np.asarray(rows, dtype=np.float64).reshape(-1, dim)
+        mat = _read_table(csv_path, np.float64, ",", dim,
+                          lambda path: _parse_feature_lines(path, dim))
         if mat.shape[0] != count:
             raise ValidationError(f"{csv_path}: {mat.shape[0]} rows for "
                                   f"{count} nodes of type {name!r}")
@@ -331,6 +408,40 @@ def _load_features(feat_dir: Path, name: str, count: int, dim: int) -> np.ndarra
         # widen 32-bit payloads to the 64-bit working type
         return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(count, dim)
     raise MissingFile(f"no {csv_path.name} or {f32_path.name} in {feat_dir}")
+
+
+def _assign_labels(path: Path, pairs: np.ndarray, n_target: int) -> np.ndarray:
+    """labels[node_id] = value for each (node_id, value) row, -1 where none.
+
+    Rows apply in file order, so the error raised is the one at the first
+    bad row (numbered from 1 among the data rows): a node id outside
+    [0, n_target), or a node that already holds a label other than -1.
+    """
+    ids, values = pairs[:, 0], pairs[:, 1]
+    outside = (ids < 0) | (ids >= n_target)
+    # a row is a duplicate when the previous row naming its node set a
+    # label; rows after the first error never apply, so only rows before
+    # the first outside id matter and outside ids can be left out here
+    inside = np.flatnonzero(~outside)
+    order = inside[np.argsort(ids[inside], kind="stable")]
+    repeat = ids[order[1:]] == ids[order[:-1]]
+    duplicate = np.zeros(ids.size, dtype=bool)
+    duplicate[order[1:][repeat & (values[order[:-1]] != -1)]] = True
+    bad = np.flatnonzero(outside | duplicate)
+    if bad.size:
+        row = int(bad[0])
+        node_id = int(ids[row])
+        if outside[row]:
+            raise ValidationError(f"{path}:{row + 1}: node id {node_id} "
+                                  f"outside [0, {n_target})")
+        raise ValidationError(f"{path}:{row + 1}: duplicate label for "
+                              f"node {node_id}")
+    # every earlier row of a repeated node holds -1, so at most one row per
+    # node sets a value other than -1, and it is the last
+    labels = np.full(n_target, -1, dtype=np.int64)
+    keep = values != -1
+    labels[ids[keep]] = values[keep]
+    return labels
 
 
 def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
@@ -376,8 +487,8 @@ def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
                                  (pairs[:, 1] < 0) | (pairs[:, 1] >= n_dst))
             if bad.size:
                 raise ValidationError(
-                    f"{path}:{bad[0] + 1}: endpoint {tuple(pairs[bad[0]])} outside "
-                    f"[0,{n_src}) x [0,{n_dst})")
+                    f"{path}:{_data_line(path, int(bad[0]))}: endpoint "
+                    f"{tuple(pairs[bad[0]])} outside [0,{n_src}) x [0,{n_dst})")
         edges[s.name] = pairs
 
     features = {}
@@ -392,15 +503,7 @@ def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
     labels_path = root / "labels.tsv"
     pairs = _parse_int_pair_file(labels_path)
     n_target = graph.target_count
-    labels = np.full(n_target, -1, dtype=np.int64)
-    for row, (node_id, value) in enumerate(pairs, start=1):
-        if not (0 <= node_id < n_target):
-            raise ValidationError(f"{labels_path}:{row}: node id {node_id} "
-                                  f"outside [0, {n_target})")
-        if labels[node_id] != -1:
-            raise ValidationError(f"{labels_path}:{row}: duplicate label for "
-                                  f"node {node_id}")
-        labels[node_id] = value
+    labels = _assign_labels(labels_path, pairs, n_target)
     if np.any(labels == -1):
         missing = int(np.flatnonzero(labels == -1)[0])
         raise ValidationError(f"{labels_path}: no label for target node {missing}")

@@ -32,7 +32,7 @@ from .errors import (
     UnknownType,
     ValidationError,
 )
-from .sparse import SparseRowMatrix
+from .sparse import SparseRowMatrix, pair_keys
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,8 @@ def build_graph(node_types, edge_types, edges, features=None,
         IndexOutOfRange: an edge endpoint index is >= its type's count.
         DimensionMismatch: a feature matrix has the wrong shape.
         ValidationError: duplicate names, duplicate edge pairs, count < 1,
-            missing features for a featured type, or non-finite features.
+            missing features for a featured type, non-finite features, or
+            an edge type whose count(src) * count(dst) does not fit int64.
     """
     node_types = tuple(node_types)
     edge_types = tuple(edge_types)
@@ -200,8 +201,8 @@ def build_graph(node_types, edge_types, edges, features=None,
                 raise IndexOutOfRange(
                     f"edge type {s.name!r}: dst index {bad[1]} outside "
                     f"[0, {n_dst}) for type {s.dst_type!r}")
-            uniq = np.unique(pairs, axis=0)
-            if uniq.shape[0] != pairs.shape[0]:
+            keys = np.sort(pair_keys(n_src, n_dst, pairs[:, 0], pairs[:, 1]))
+            if np.any(keys[1:] == keys[:-1]):
                 raise ValidationError(f"duplicate (src, dst) pair in edge type {s.name!r}")
         checked_edges[s.name] = pairs
 

@@ -86,9 +86,10 @@ class SparseRowMatrix:
             return cls(n_rows, n_cols, np.zeros(n_rows + 1, np.int64),
                        np.zeros(0, np.int64), np.zeros(0, np.float64))
         rows, cols = pairs[:, 0], pairs[:, 1]
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        keys = pair_keys(n_rows, n_cols, rows, cols)
+        order = np.argsort(keys, kind="stable")
+        rows, cols, keys = rows[order], cols[order], keys[order]
+        dup = keys[1:] == keys[:-1]
         if np.any(dup):
             if duplicates == "union":
                 keep = np.concatenate([[True], ~dup])
@@ -290,6 +291,27 @@ class SparseRowMatrix:
         np.cumsum(np.bincount(rows, minlength=self.n_rows), out=offsets[1:])
         return SparseRowMatrix(self.n_rows, self.n_cols, offsets,
                                cols[order], vals[order])
+
+
+def pair_keys(n_rows: int, n_cols: int, rows: np.ndarray,
+              cols: np.ndarray) -> np.ndarray:
+    """Row-major int64 key row * n_cols + col of each (row, col) pair.
+
+    Pairs are equal exactly when their keys are, and sorting the keys orders
+    the pairs by row and then by column. Raises ValidationError when an index
+    lies outside the n_rows x n_cols shape, or when n_rows * n_cols does not
+    fit int64, so a key can never wrap.
+    """
+    if int(n_rows) * int(n_cols) >= 2 ** 63:
+        raise ValidationError(
+            f"a {n_rows} x {n_cols} shape is too large for int64 pair keys")
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+        raise ValidationError("row index out of [0, n_rows)")
+    if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
+        raise ValidationError("column index out of [0, n_cols)")
+    return rows * n_cols + cols
 
 
 def row_normalize(m: SparseRowMatrix) -> SparseRowMatrix:

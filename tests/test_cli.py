@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from oodhg import cli
 from oodhg.cli import main
 from oodhg.pipeline import load_checkpoint
 
@@ -209,6 +210,16 @@ class TestAblate:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "seed list is empty" in err
 
+    @pytest.mark.parametrize("seeds", [3, 0, {"a": 1}, [1, "2"], [0.5], [True]])
+    def test_ill_typed_config_seeds_is_one_line_error(self, dataset, tmp_path,
+                                                      capsys, seeds):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"seeds": seeds}))
+        assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
+                     "--config", str(cfg_file)] + FAST) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "'seeds'" in err
+
 
 class TestSweep:
     def test_gamma_grid(self, dataset, tmp_path):
@@ -245,6 +256,18 @@ class TestSweep:
                     + flags + FAST) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and needle in err
+
+
+    def test_non_finite_tau_grid_fails_before_training(self, dataset,
+                                                       monkeypatch, capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained before checking its grid")
+        monkeypatch.setattr(cli, "train", no_training)
+        assert main(["sweep", "--data", str(dataset), "--ood-class", "3",
+                     "--param", "tau", "--grid", "1.0,nan",
+                     "--seeds", "0"] + FAST) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "tau must be finite" in err
 
 
 class TestBench:
@@ -329,6 +352,16 @@ class TestErrors:
         assert main(["train", "--data", str(tmp_path / "nope"),
                      "--ood-class", "3", "--out", str(tmp_path / "o")]) == 2
         assert "schema.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["edges/target_aux0.tsv", "labels.tsv"])
+    def test_id_outside_int64_is_one_line_error(self, dataset, tmp_path,
+                                                capsys, name):
+        with (dataset / name).open("a") as fh:
+            fh.write("0\t99999999999999999999\n")
+        assert main(["train", "--data", str(dataset), "--ood-class", "3",
+                     "--out", str(tmp_path / "o")] + FAST) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and f"{name}:" in err
 
     def test_data_and_gen_mutually_exclusive(self, dataset, tmp_path, capsys):
         assert main(["train", "--data", str(dataset), "--gen", "classes=3",

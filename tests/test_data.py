@@ -1,8 +1,12 @@
 import json
+import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oodhg import SynthConfig, data, generate_synthetic, load_dataset, make_splits, save_dataset
 from oodhg.data import load_path_config
@@ -156,6 +160,9 @@ class TestDatasetIO:
         splits = make_splits(labels, 3, seed=2)
         save_dataset(tmp_path / "d", graph, labels, splits)
         g2, l2, s2 = load_dataset(tmp_path / "d")
+        assert g2.edges.keys() == graph.edges.keys()
+        for name, pairs in graph.edges.items():
+            np.testing.assert_array_equal(g2.edges[name], pairs)
         np.testing.assert_array_equal(graph.features["target"], g2.features["target"])
         np.testing.assert_array_equal(labels, l2)
         np.testing.assert_array_equal(splits.train_ids, s2.train_ids)
@@ -175,7 +182,6 @@ class TestDatasetIO:
             load_dataset(tmp_path)
 
     def test_edge_schema_with_unknown_type_names_the_file(self, tmp_path, mini_dataset_dir):
-        import shutil
         dst = tmp_path / "bad"
         shutil.copytree(mini_dataset_dir, dst)
         schema = json.loads((dst / "schema.json").read_text())
@@ -184,16 +190,35 @@ class TestDatasetIO:
         with pytest.raises(ValidationError, match="schema.json"):
             load_dataset(dst)
 
-    def test_out_of_range_edge_names_file_and_line(self, tmp_path, mini_dataset_dir):
-        import shutil
+    @pytest.mark.parametrize("text, line", [
+        pytest.param("0\t0\n9\t0\n", 2, id="no-blank-line"),
+        # blank lines hold no data row
+        pytest.param("0\t0\n\n9\t0\n", 3, id="blank-line"),
+        pytest.param("0\t0\r\n \r\n1\t1\r\n9\t0\r\n", 4, id="crlf-whitespace-line"),
+    ])
+    def test_out_of_range_edge_names_file_and_line(self, tmp_path, mini_dataset_dir,
+                                                   text, line):
         dst = tmp_path / "bad"
         shutil.copytree(mini_dataset_dir, dst)
-        (dst / "edges" / "user_item.tsv").write_text("0\t0\n9\t0\n")
-        with pytest.raises(ValidationError, match=r"user_item\.tsv:2"):
+        (dst / "edges" / "user_item.tsv").write_bytes(text.encode())
+        with pytest.raises(ValidationError, match=rf"user_item\.tsv:{line}: endpoint"):
+            load_dataset(dst)
+
+    @pytest.mark.parametrize("name, text, line", [
+        ("edges/user_item.tsv", "0\t0\n\n0\t99999999999999999999\n", 3),
+        ("edges/user_item.tsv", "-9223372036854775809\t0\n", 1),
+        ("labels.tsv", "0\t0\n1\t9223372036854775808\n", 2),
+    ])
+    def test_id_outside_int64_is_parse_error(self, tmp_path, mini_dataset_dir,
+                                             name, text, line):
+        dst = tmp_path / "bad"
+        shutil.copytree(mini_dataset_dir, dst)
+        (dst / name).write_text(text)
+        with pytest.raises(ParseError, match=rf"{name.split('/')[-1]}:{line}: "
+                                             "integer field outside the int64"):
             load_dataset(dst)
 
     def test_non_integer_edge_is_parse_error(self, tmp_path, mini_dataset_dir):
-        import shutil
         dst = tmp_path / "bad"
         shutil.copytree(mini_dataset_dir, dst)
         (dst / "edges" / "user_item.tsv").write_text("0\tx\n")
@@ -201,7 +226,6 @@ class TestDatasetIO:
             load_dataset(dst)
 
     def test_missing_label_row_rejected(self, tmp_path, mini_dataset_dir):
-        import shutil
         dst = tmp_path / "bad"
         shutil.copytree(mini_dataset_dir, dst)
         (dst / "labels.tsv").write_text("0\t0\n1\t0\n")
@@ -209,7 +233,6 @@ class TestDatasetIO:
             load_dataset(dst)
 
     def test_overlapping_splits_rejected(self, tmp_path, mini_dataset_dir):
-        import shutil
         dst = tmp_path / "bad"
         shutil.copytree(mini_dataset_dir, dst)
         (dst / "splits.json").write_text(json.dumps(
@@ -264,3 +287,151 @@ class TestDatasetIO:
         feat, prop = resolve_paths(g2, metapaths, max_hops)
         assert [p.types for p in prop] == [("target", "aux1", "target")]
         assert [p.types for p in feat] == [("target", "aux1", "target")]
+
+
+# ----------------------------------------------------------------------
+# the numpy table reader against the line-by-line reference parsers
+
+property_settings = settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _outcome(parse, *args):
+    """The parsed array, or the type and message of what parse raised."""
+    try:
+        return parse(*args)
+    except Exception as exc:  # the exception is the outcome under test
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), got
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+
+
+@st.composite
+def _int_field(draw):
+    value = draw(st.one_of(st.integers(-3, 12), st.integers(-2 ** 63, 2 ** 63 - 1)))
+    digits = str(abs(value))
+    if len(digits) > 1 and draw(st.integers(0, 4)) == 0:
+        cut = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:cut] + "_" + digits[cut:]  # Python's int() reads 1_0
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    pad = st.sampled_from(["", "", " ", "  "])
+    return draw(pad) + sign + draw(st.sampled_from(["", "", "0"])) + digits + draw(pad)
+
+
+_pair = st.tuples(_int_field(), _int_field()).map("\t".join)
+_pair_lines = st.one_of(_pair, _pair, _pair, st.just(""),
+                        st.sampled_from([" ", "\t", "  \t ", "\x0b", "\x0c"]))
+# lines loadtxt refuses, or reads otherwise than Python's int() unless the
+# reader sends them to the reference parser
+_ODD_PAIR_LINES = [
+    "7", "1\t2\t3", "x\t1", "1.0\t2", "1e3\t2", "\t1\t2", "1\t\t2", "1 2\t3",
+    "99999999999999999999\t0", "0\t-9223372036854775809", "9223372036854775808\t0",
+    "9223372036854775807\t-9223372036854775808",
+    "\u01fe1\t2", "1\u01ff\t2", "1\x1c\t2", "2\t1\x1f", "\u0661\t2", "\ufeff1\t2",
+    "1\x00\t2", "1\t" + "0" * 4301,
+    # int() refuses more than 4300 digits, leading zeros included
+    "0" * 4299 + "1\t2", "0" * 4282 + "1" * 19 + "\t2",
+]
+_ODD_FEATURE_LINES = [
+    "1,2", "1,2,3,4", "1,,2", "1_0,2,3", "nan,inf,-Infinity", "1e400,1e-400,-0.0",
+    "0x1p3,1,2", "\u01fe,1,2", "1\x1c,2,3", "\u0661.5,1,2", "1\x00,2,3",
+]
+
+
+def _int_pair_outcomes(path, text):
+    path.write_bytes(text.encode())
+    return (_outcome(data._parse_int_pair_file, path),
+            _outcome(data._parse_int_pair_lines, path))
+
+
+def _feature_outcomes(dir_path, text):
+    """(_load_features, reference) outcomes of a 3-column features/t.csv."""
+    path = dir_path / "t.csv"
+    path.write_bytes(text.encode())
+    want = _outcome(data._parse_feature_lines, path, 3)
+    count = want.shape[0] if isinstance(want, np.ndarray) else 0
+    return _outcome(data._load_features, dir_path, "t", count, 3), want
+
+
+class TestTableReaders:
+    @pytest.mark.parametrize("odd", _ODD_PAIR_LINES)
+    def test_odd_int_pair_line_matches_the_line_parser(self, tmp_path, odd):
+        _assert_same_outcome(*_int_pair_outcomes(tmp_path / "p.tsv",
+                                                 f"0\t1\n{odd}\n2\t3\n"))
+
+    @pytest.mark.parametrize("odd", _ODD_FEATURE_LINES)
+    def test_odd_feature_line_matches_the_line_parser(self, tmp_path, odd):
+        _assert_same_outcome(*_feature_outcomes(tmp_path, f"0,1,2\n{odd}\n3,4,5\n"))
+
+    @property_settings
+    @given(lines=st.lists(_pair_lines, max_size=8),
+           odd=st.one_of(st.none(), st.tuples(st.integers(0, 8),
+                                              st.sampled_from(_ODD_PAIR_LINES))),
+           newline=st.sampled_from(["\n", "\r\n", "\r"]),
+           final_newline=st.booleans())
+    def test_int_pair_file_matches_the_line_parser(self, tmp_path, lines, odd,
+                                                   newline, final_newline):
+        if odd is not None:
+            lines.insert(odd[0], odd[1])
+        text = newline.join(lines) + (newline if final_newline and lines else "")
+        _assert_same_outcome(*_int_pair_outcomes(tmp_path / "p.tsv", text))
+
+    @property_settings
+    @given(values=st.lists(st.lists(
+               st.floats(allow_nan=False, allow_infinity=False, width=64),
+               min_size=3, max_size=3), max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1),
+           pad=st.sampled_from(["", " ", "\t"]),
+           odd=st.one_of(st.none(), st.sampled_from(_ODD_FEATURE_LINES)))
+    def test_feature_csv_matches_the_line_parser(self, tmp_path, values, seed,
+                                                 pad, odd):
+        rng = np.random.default_rng(seed)
+        # subnormals, and values spread over the exponent range
+        values.append(list(rng.integers(1, 2 ** 52, 3).astype(np.uint64)
+                           .view(np.float64) * rng.choice([-1.0, 1.0], 3)))
+        values.append(list(rng.standard_normal(3) * 10.0 ** rng.integers(-300, 300, 3)))
+        lines = [",".join(pad + repr(float(v)) + pad for v in row) for row in values]
+        if odd is not None:
+            lines.insert(len(lines) // 2, odd)
+        _assert_same_outcome(*_feature_outcomes(tmp_path, "\n".join(lines) + "\n"))
+
+    def test_empty_and_blank_files_read_as_no_rows(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        for text in ("", "\n", " \n\t\r\n"):
+            path.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pairs = data._parse_int_pair_file(path)
+            assert pairs.shape == (0, 2) and pairs.dtype == np.int64
+
+
+def _assign_labels_loop(path, pairs, n_target):
+    """The row-by-row label assignment the vectorised one must reproduce."""
+    labels = np.full(n_target, -1, dtype=np.int64)
+    for row, (node_id, value) in enumerate(pairs, start=1):
+        if not (0 <= node_id < n_target):
+            raise ValidationError(f"{path}:{row}: node id {node_id} "
+                                  f"outside [0, {n_target})")
+        if labels[node_id] != -1:
+            raise ValidationError(f"{path}:{row}: duplicate label for "
+                                  f"node {node_id}")
+        labels[node_id] = value
+    return labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_target=st.integers(1, 5),
+       rows=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 2)), max_size=10))
+def test_label_assignment_matches_the_row_loop(n_target, rows):
+    pairs = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    _assert_same_outcome(
+        _outcome(data._assign_labels, Path("labels.tsv"), pairs, n_target),
+        _outcome(_assign_labels_loop, Path("labels.tsv"), pairs, n_target))

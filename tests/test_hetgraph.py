@@ -61,6 +61,12 @@ class TestBuildGraph:
         with pytest.raises(ValidationError, match="duplicate"):
             _ap_graph([(0, 0), (0, 0)])
 
+    def test_edge_type_too_large_for_pair_keys_rejected(self):
+        node_types = [NodeTypeSchema("A", 2 ** 32), NodeTypeSchema("B", 2 ** 31)]
+        with pytest.raises(ValidationError, match="int64"):
+            build_graph(node_types, [EdgeTypeSchema("AB", "A", "B")],
+                        {"AB": [(0, 0)]}, None, "A")
+
     def test_unknown_target(self):
         with pytest.raises(UnknownType):
             build_graph([NodeTypeSchema("A", 1)], [], {}, None, "B")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oodhg.errors import NegativeValue, ShapeMismatch, ValidationError
-from oodhg.sparse import SparseRowMatrix, row_normalize
+from oodhg.sparse import SparseRowMatrix, pair_keys, row_normalize
 
 from conftest import dense_row_normalize
 
@@ -31,6 +33,36 @@ class TestConstruction:
                                             duplicates="union")
         assert m.nnz == 2
         assert m.to_dense()[0, 1] == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_rows=st.integers(1, 6), n_cols=st.integers(1, 6), data=st.data())
+    def test_union_of_pairs_matches_dense_count(self, n_rows, n_cols, data):
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n_rows - 1),
+                                             st.integers(0, n_cols - 1)),
+                                   max_size=20))
+        counts = np.zeros((n_rows, n_cols))
+        for r, c in pairs:
+            counts[r, c] += 1
+        m = SparseRowMatrix.from_edge_pairs(n_rows, n_cols, pairs,
+                                            duplicates="union")
+        np.testing.assert_array_equal(m.to_dense(), (counts > 0).astype(float))
+        if counts.max(initial=0) > 1:
+            with pytest.raises(ValidationError, match="duplicate"):
+                SparseRowMatrix.from_edge_pairs(n_rows, n_cols, pairs)
+
+    @pytest.mark.parametrize("pairs, needle", [
+        ([(2, 0)], "row index"), ([(-1, 0)], "row index"),
+        ([(0, 2)], "column index"), ([(0, -1)], "column index"),
+    ])
+    def test_out_of_range_pair_rejected(self, pairs, needle):
+        with pytest.raises(ValidationError, match=needle):
+            SparseRowMatrix.from_edge_pairs(2, 2, pairs)
+
+    def test_pair_keys_refuse_shapes_beyond_int64(self):
+        keys = pair_keys(2 ** 31, 2 ** 32 - 1, [2 ** 31 - 1], [2 ** 32 - 2])
+        assert keys.dtype == np.int64 and keys[0] == 2 ** 63 - 2 ** 31 - 1
+        with pytest.raises(ValidationError, match="int64"):
+            pair_keys(2 ** 31, 2 ** 32, [0], [0])
 
     def test_empty(self):
         m = SparseRowMatrix.from_edge_pairs(4, 5, [])

@@ -16,7 +16,8 @@ blank lines are skipped; ids and labels must fit int64. numpy's C reader
 parses them, and a line-by-line reference parser takes over for any file
 that reader refuses or could read differently, so a bad field is reported
 as a ParseError naming its file and line. An out-of-range edge endpoint
-names its file line too.
+and an out-of-range or repeated label name their file line too. Text and
+JSON files are UTF-8; any other bytes are a ParseError naming the file.
 
 Splits follow the transductive protocol: every node of the held-out class
 goes to the test set; the remaining nodes are shuffled by a seeded Philox
@@ -27,7 +28,6 @@ count.
 
 from __future__ import annotations
 
-import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -285,11 +285,23 @@ def save_dataset(dir_path, graph: HeteroGraph, labels=None, splits=None,
     return root
 
 
+def _not_utf8(path: Path) -> ParseError:
+    """ParseError naming the first byte of path that is not valid UTF-8."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError(f"{path}: byte {exc.start} is not valid UTF-8 "
+                          f"({exc.reason})")
+    return ParseError(f"{path}: not valid UTF-8")
+
+
 def _read_json(path: Path) -> dict:
     if not path.is_file():
         raise MissingFile(f"{path} not found")
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
 
@@ -334,27 +346,35 @@ def _read_table(path: Path, dtype, delimiter: str, width: int,
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
+def _text_lines(path: Path):
+    """(1-based line number, stripped line) for every non-blank line of a
+    UTF-8 text file; ParseError naming the file when it is not UTF-8."""
+    with path.open(encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+    return [(n, line.strip()) for n, line in enumerate(lines, start=1)
+            if line.strip()]
+
+
 def _parse_int_pair_lines(path: Path) -> np.ndarray:
     """Reference parser of an int pair file: one "a<TAB>b" per line, blank
     lines skipped, each field a Python int literal that fits int64."""
     rows = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 tab-separated "
-                                 f"fields, got {len(parts)}")
-            try:
-                pair = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer field") from None
-            if not all(_INT64_MIN <= v <= _INT64_MAX for v in pair):
-                raise ParseError(f"{path}:{lineno}: integer field outside "
-                                 "the int64 range")
-            rows.append(pair)
+    for lineno, line in _text_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 2 tab-separated "
+                             f"fields, got {len(parts)}")
+        try:
+            pair = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-integer field") from None
+        if not all(_INT64_MIN <= v <= _INT64_MAX for v in pair):
+            raise ParseError(f"{path}:{lineno}: integer field outside "
+                             "the int64 range")
+        rows.append(pair)
     return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
 
 
@@ -365,28 +385,22 @@ def _parse_int_pair_file(path: Path) -> np.ndarray:
 def _data_line(path: Path, row: int) -> int:
     """1-based line of path holding its row-th (0-based) data row; blank
     lines hold no row."""
-    with path.open() as fh:
-        lines = (n for n, line in enumerate(fh, start=1) if line.strip())
-        return next(itertools.islice(lines, row, None))
+    return _text_lines(path)[row][0]
 
 
 def _parse_feature_lines(path: Path, dim: int) -> np.ndarray:
     """Reference parser of a feature csv: dim Python float literals per
     line, blank lines skipped."""
     rows = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != dim:
-                raise ParseError(f"{path}:{lineno}: expected {dim} "
-                                 f"columns, got {len(parts)}")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") from None
+    for lineno, line in _text_lines(path):
+        parts = line.split(",")
+        if len(parts) != dim:
+            raise ParseError(f"{path}:{lineno}: expected {dim} "
+                             f"columns, got {len(parts)}")
+        try:
+            rows.append([float(v) for v in parts])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric field") from None
     return np.asarray(rows, dtype=np.float64).reshape(-1, dim)
 
 
@@ -414,8 +428,8 @@ def _assign_labels(path: Path, pairs: np.ndarray, n_target: int) -> np.ndarray:
     """labels[node_id] = value for each (node_id, value) row, -1 where none.
 
     Rows apply in file order, so the error raised is the one at the first
-    bad row (numbered from 1 among the data rows): a node id outside
-    [0, n_target), or a node that already holds a label other than -1.
+    bad row, named by its line in path: a node id outside [0, n_target), or
+    a node that already holds a label other than -1.
     """
     ids, values = pairs[:, 0], pairs[:, 1]
     outside = (ids < 0) | (ids >= n_target)
@@ -431,11 +445,11 @@ def _assign_labels(path: Path, pairs: np.ndarray, n_target: int) -> np.ndarray:
     if bad.size:
         row = int(bad[0])
         node_id = int(ids[row])
+        where = f"{path}:{_data_line(path, row)}"
         if outside[row]:
-            raise ValidationError(f"{path}:{row + 1}: node id {node_id} "
+            raise ValidationError(f"{where}: node id {node_id} "
                                   f"outside [0, {n_target})")
-        raise ValidationError(f"{path}:{row + 1}: duplicate label for "
-                              f"node {node_id}")
+        raise ValidationError(f"{where}: duplicate label for node {node_id}")
     # every earlier row of a repeated node holds -1, so at most one row per
     # node sets a value other than -1, and it is the last
     labels = np.full(n_target, -1, dtype=np.int64)
@@ -488,7 +502,8 @@ def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
             if bad.size:
                 raise ValidationError(
                     f"{path}:{_data_line(path, int(bad[0]))}: endpoint "
-                    f"{tuple(pairs[bad[0]])} outside [0,{n_src}) x [0,{n_dst})")
+                    f"{tuple(pairs[bad[0]].tolist())} outside [0,{n_src}) x "
+                    f"[0,{n_dst})")
         edges[s.name] = pairs
 
     features = {}

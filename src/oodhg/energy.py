@@ -60,13 +60,57 @@ class DetectorConfig:
             raise ValueError(f"tau must be finite, got {self.tau}")
 
 
-def energy_scores(logits: np.ndarray) -> np.ndarray:
-    """Per-row energy -logsumexp(logits), max-shifted for stability."""
+@dataclass(frozen=True)
+class LogitPass:
+    """Row statistics of one (n, k) logit matrix from a single max, shift,
+    exp and row-sum pass; the softmax, the raw energy and log-softmax
+    entries are all read from them.
+
+    Attributes:
+        shifted: (n, k) logits minus their row maximum.
+        probs: (n, k) row softmax exp(shifted) / row sum.
+        log_sum: (n,) log of the row sums of exp(shifted).
+        energy: (n,) raw energy -(row max + log_sum).
+    """
+
+    shifted: np.ndarray
+    probs: np.ndarray
+    log_sum: np.ndarray
+    energy: np.ndarray
+
+    @classmethod
+    def empty(cls, n: int, k: int) -> "LogitPass":
+        """Uninitialised buffers for logit_pass(..., out=)."""
+        return cls(np.empty((n, k)), np.empty((n, k)), np.empty(n), np.empty(n))
+
+    def log_probs(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """log softmax at the entries (rows[i], cols[i])."""
+        return self.shifted[rows, cols] - self.log_sum[rows]
+
+
+def logit_pass(logits: np.ndarray, out: LogitPass | None = None) -> LogitPass:
+    """Max-shifted softmax and energy statistics of every logit row, written
+    into out's buffers when given (shaped like the logits)."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2 or logits.shape[1] == 0:
         raise EmptyLogits(f"logits must be (n, k) with k >= 1, got shape {logits.shape}")
-    m = logits.max(axis=1)
-    return -(m + np.log(np.exp(logits - m[:, None]).sum(axis=1)))
+    if out is None:
+        out = LogitPass.empty(*logits.shape)
+    # energy holds the row maximum until the last step
+    np.max(logits, axis=1, out=out.energy)
+    np.subtract(logits, out.energy[:, None], out=out.shifted)
+    np.exp(out.shifted, out=out.probs)
+    np.sum(out.probs, axis=1, out=out.log_sum)
+    np.divide(out.probs, out.log_sum[:, None], out=out.probs)
+    np.log(out.log_sum, out=out.log_sum)
+    np.add(out.energy, out.log_sum, out=out.energy)
+    np.negative(out.energy, out=out.energy)
+    return out
+
+
+def energy_scores(logits: np.ndarray) -> np.ndarray:
+    """Per-row energy -logsumexp(logits), max-shifted for stability."""
+    return logit_pass(logits).energy
 
 
 def msp_score(probs: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ compose_metapath materializes the product and is kept as the reference the
 operator is tested against.
 
 A graph's nodes, edges and features do not change after construction. Hop
-matrices are memoised lazily on the graph; threads that fill the same entry
-at once each build and store an equal matrix.
+matrices and meta-path feature tables are memoised lazily on the graph;
+threads that fill the same entry at once each build and store an equal
+value. Memoised feature tables are read-only arrays.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ class MetaPath:
 
 class HeteroGraph:
     """Validated heterogeneous graph whose data does not change; hop
-    matrices are memoised on it as they are first used.
+    matrices and meta-path feature tables are memoised on it as they are
+    first used.
 
     Build through build_graph; the constructor trusts its inputs. Edge lists
     are (m, 2) int64 arrays of indices local to each endpoint type. Feature
@@ -100,6 +102,7 @@ class HeteroGraph:
             pair_index.setdefault((s.src_type, s.dst_type), []).append(s.name)
         self._pair_index = pair_index
         self._hop_cache: dict[tuple[str, str], SparseRowMatrix] = {}
+        self._feature_cache: dict[tuple[str, ...], np.ndarray] = {}
 
     # -- schema lookups -------------------------------------------------
 
@@ -129,8 +132,10 @@ class HeteroGraph:
         return self._pair_index.get((src, dst), [])
 
     def clear_caches(self) -> None:
-        """Drop the memoised hop matrices (used by the propagation benchmark)."""
+        """Drop the memoised hop matrices and feature tables, so the next use
+        builds them again (the propagation benchmark times that build)."""
         self._hop_cache.clear()
+        self._feature_cache.clear()
 
 
 def build_graph(node_types, edge_types, edges, features=None,
@@ -434,9 +439,13 @@ def metapath_features(graph: HeteroGraph, path) -> np.ndarray:
     Computes (product of row-normalized hop adjacencies) @ features(end).
     Zero rows are left as zeros here, not self-loop repaired: a node with no
     path instances simply aggregates nothing. Evaluated right to left so only
-    sparse-by-dense products are formed.
+    sparse-by-dense products are formed. The table is memoised on the graph
+    and returned read-only; every call for one path returns equal values.
     """
     path = validate_metapath(graph, path)
+    cached = graph._feature_cache.get(path.types)
+    if cached is not None:
+        return cached
     end = path.types[-1]
     if graph.feature_dim(end) == 0:
         raise FeaturelessEndType(
@@ -444,4 +453,6 @@ def metapath_features(graph: HeteroGraph, path) -> np.ndarray:
     out = graph.features[end]
     for src, dst in reversed(path.hops()):
         out = hop_matrix(graph, src, dst).matmul_dense(out)
+    out.flags.writeable = False
+    graph._feature_cache[path.types] = out
     return out

@@ -19,6 +19,15 @@ t + 1 its gradients also scores epoch t on the validation split; only the
 last epoch runs a forward pass of its own, and only when there is a
 validation split.
 
+An epoch allocates no large array. train keeps every parameter as a view
+into one flat vector and every gradient as a view into a second one, so an
+Adam step and the finite check are a few in-place operations on the whole
+vector. Activations, their gradients and the logit statistics are written
+into one _Workspace that each train call allocates for itself, and one
+pass over the logits (energy.logit_pass) gives the softmax, the raw energy
+and the cross-entropy. All of it is elementwise the same arithmetic as a
+per-array loop with fresh arrays, so results are bitwise equal to it.
+
 All math is float64 and full batch. Randomness comes from a Philox
 (counter-based) generator seeded by the run seed: weights are drawn
 Glorot-uniform in path order, then hidden, then output layer; biases start
@@ -34,9 +43,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import (
+    LogitPass,
     PropagationConfig,
-    energy_scores,
     fuse,
+    logit_pass,
     propagate,
     propagate_transpose,
 )
@@ -220,27 +230,73 @@ def feature_tables(graph: HeteroGraph, feature_paths) -> list[np.ndarray]:
     return [metapath_features(graph, p) for p in paths]
 
 
-def _encode(xs: list[np.ndarray], params: EncoderParams):
-    """Encoder forward: (z, pre_hidden, hidden, logits), where z is the
-    concatenated per-path projections; the backward pass reuses all four."""
-    if len(xs) != len(params.proj_weights):
-        raise ShapeMismatch(
-            f"{len(xs)} feature tables for {len(params.proj_weights)} projections")
-    cols = []
-    for x, w, b in zip(xs, params.proj_weights, params.proj_biases):
-        if x.shape[1] != w.shape[0]:
+def _param_views(like: EncoderParams, flat: np.ndarray) -> EncoderParams:
+    """Arrays shaped like like's, as consecutive views into flat in
+    param_list order."""
+    views, start = [], 0
+    for arr in like.param_list():
+        views.append(flat[start:start + arr.size].reshape(arr.shape))
+        start += arr.size
+    n = len(like.proj_weights)
+    return EncoderParams(like.paths, views[0:2 * n:2], views[1:2 * n:2],
+                         *views[2 * n:])
+
+
+class _Workspace:
+    """Every large array one forward/backward pass writes, allocated once.
+
+    train allocates one per call and reuses it every epoch; it is never
+    shared, because seeds may train concurrently in threads. gradients,
+    training_loss and forward_from_features make a fresh one per call. The
+    arrays a pass returns live here, valid until the next pass into the same
+    workspace.
+    """
+
+    def __init__(self, xs: list[np.ndarray], params: EncoderParams):
+        if len(xs) != len(params.proj_weights):
             raise ShapeMismatch(
-                f"feature dim {x.shape[1]} does not match projection {w.shape}")
-        cols.append(x @ w + b)
-    z = np.concatenate(cols, axis=1)
-    pre_hidden = z @ params.hidden_weight + params.hidden_bias
-    hidden = np.maximum(pre_hidden, 0.0)
-    return z, pre_hidden, hidden, hidden @ params.out_weight + params.out_bias
+                f"{len(xs)} feature tables for {len(params.proj_weights)} projections")
+        for x, w in zip(xs, params.proj_weights):
+            if x.shape[1] != w.shape[0]:
+                raise ShapeMismatch(
+                    f"feature dim {x.shape[1]} does not match projection {w.shape}")
+        n, h, k = xs[0].shape[0], params.d_hidden, params.n_classes
+        self.z = np.empty((n, h * len(xs)))
+        self.pre_hidden = np.empty((n, h))
+        self.hidden = np.empty((n, h))
+        self.logits = np.empty((n, k))
+        self.logit_pass = LogitPass.empty(n, k)
+        self.d_logits = np.empty((n, k))
+        self.d_hidden = np.empty((n, h))
+        self.active = np.empty((n, h), dtype=bool)
+        self.d_pre = np.empty((n, h))
+        self.d_z = np.empty((n, h * len(xs)))
+        self.grad_flat = np.empty(sum(p.size for p in params.param_list()))
+        self.grads = _param_views(params, self.grad_flat)
+
+
+def _encode(xs: list[np.ndarray], params: EncoderParams,
+            ws: _Workspace) -> np.ndarray:
+    """Encoder forward into ws: z (the concatenated per-path projections),
+    pre_hidden, hidden and the logits, which it returns; the backward pass
+    reads all four."""
+    h = params.d_hidden
+    for i, (x, w, b) in enumerate(zip(xs, params.proj_weights,
+                                      params.proj_biases)):
+        block = ws.z[:, i * h:(i + 1) * h]
+        np.matmul(x, w, out=block)
+        block += b
+    np.matmul(ws.z, params.hidden_weight, out=ws.pre_hidden)
+    ws.pre_hidden += params.hidden_bias
+    np.maximum(ws.pre_hidden, 0.0, out=ws.hidden)
+    np.matmul(ws.hidden, params.out_weight, out=ws.logits)
+    ws.logits += params.out_bias
+    return ws.logits
 
 
 def forward_from_features(xs: list[np.ndarray], params: EncoderParams) -> np.ndarray:
     """Logits from precomputed per-path feature tables."""
-    return _encode(xs, params)[3]
+    return _encode(xs, params, _Workspace(xs, params))
 
 
 def forward(graph: HeteroGraph, feature_paths, params: EncoderParams) -> np.ndarray:
@@ -250,15 +306,7 @@ def forward(graph: HeteroGraph, feature_paths, params: EncoderParams) -> np.ndar
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
     """Row softmax with max shift; rows sum to 1 within 1e-12."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return logit_pass(logits).probs
 
 
 def _check_head_labels(labels: np.ndarray, ids: np.ndarray, n_classes: int) -> None:
@@ -268,6 +316,10 @@ def _check_head_labels(labels: np.ndarray, ids: np.ndarray, n_classes: int) -> N
         raise LabelOutOfRange(f"label {bad} outside [0, {n_classes})")
 
 
+def _class_loss(lp: LogitPass, labels: np.ndarray, train_ids: np.ndarray) -> float:
+    return float(-lp.log_probs(train_ids, labels[train_ids]).mean())
+
+
 def loss_classification(logits: np.ndarray, labels: np.ndarray,
                         train_ids: np.ndarray) -> float:
     """Mean cross-entropy -log p(y_i) over the training nodes."""
@@ -275,8 +327,7 @@ def loss_classification(logits: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.int64)
     train_ids = np.asarray(train_ids, dtype=np.int64)
     _check_head_labels(labels, train_ids, logits.shape[1])
-    logp = _log_softmax(logits[train_ids])
-    return float(-logp[np.arange(train_ids.size), labels[train_ids]].mean())
+    return _class_loss(logit_pass(logits), labels, train_ids)
 
 
 def loss_energy(final_energies: np.ndarray, train_ids: np.ndarray,
@@ -294,12 +345,11 @@ def loss_total(l_c: float, l_e: float, alpha: float) -> float:
 
 @dataclass
 class _ForwardState:
-    """One full forward/backward pass over all target nodes."""
+    """One full forward/backward pass over all target nodes; its arrays live
+    in the workspace the pass wrote."""
 
     logits: np.ndarray
-    probs: np.ndarray
     energy_raw: np.ndarray
-    energy_final: np.ndarray
     class_loss: float
     energy_loss: float
     total_loss: float
@@ -337,27 +387,26 @@ def _forward_backward(xs: list[np.ndarray],
                       params: EncoderParams,
                       labels: np.ndarray,
                       train_ids: np.ndarray,
-                      config: TrainConfig) -> _ForwardState:
+                      config: TrainConfig,
+                      ws: _Workspace) -> _ForwardState:
+    """Losses and gradients, written into ws. labels must be int64 head
+    classes whose range the caller has checked on train_ids."""
     n = xs[0].shape[0]
-    labels = np.asarray(labels, dtype=np.int64)
-    train_ids = np.asarray(train_ids, dtype=np.int64)
     n_train = train_ids.size
     prop_cfg = config.propagation
 
-    # forward; loss_classification checks the labels before the backward
-    # pass indexes with them
-    z, pre_hidden, hidden, logits = _encode(xs, params)
-    probs = softmax_probs(logits)
-    e_raw = energy_scores(logits)
-    e_final = propagated_energies(e_raw, a_hats, prop_cfg)
-    l_c = loss_classification(logits, labels, train_ids)
+    logits = _encode(xs, params, ws)
+    lp = logit_pass(logits, ws.logit_pass)
+    e_final = propagated_energies(lp.energy, a_hats, prop_cfg)
+    l_c = _class_loss(lp, labels, train_ids)
     l_e = loss_energy(e_final, train_ids, config.m_in)
     total = loss_total(l_c, l_e, config.alpha)
 
     # backward: gradient of the total loss w.r.t. the logits
-    d_logits = np.zeros_like(logits)
+    d_logits = ws.d_logits
+    d_logits.fill(0.0)
     if config.alpha != 0.0:
-        d_ce = probs[train_ids].copy()
+        d_ce = lp.probs[train_ids]
         d_ce[np.arange(n_train), labels[train_ids]] -= 1.0
         d_logits[train_ids] += (config.alpha / n_train) * d_ce
     if config.alpha != 1.0:
@@ -370,34 +419,37 @@ def _forward_backward(xs: list[np.ndarray],
         else:
             d_e_raw = g
         # dE_raw/dlogits is -softmax rowwise
-        d_logits += (1.0 - config.alpha) * d_e_raw[:, None] * (-probs)
+        d_logits += (1.0 - config.alpha) * d_e_raw[:, None] * (-lp.probs)
 
-    d_out_w = hidden.T @ d_logits
-    d_out_b = d_logits.sum(axis=0)
-    d_hidden = d_logits @ params.out_weight.T
-    d_pre = d_hidden * (pre_hidden > 0.0)
-    d_hidden_w = z.T @ d_pre
-    d_hidden_b = d_pre.sum(axis=0)
-    d_z = d_pre @ params.hidden_weight.T
+    grads = ws.grads
+    np.matmul(ws.hidden.T, d_logits, out=grads.out_weight)
+    np.sum(d_logits, axis=0, out=grads.out_bias)
+    np.matmul(d_logits, params.out_weight.T, out=ws.d_hidden)
+    np.greater(ws.pre_hidden, 0.0, out=ws.active)
+    np.multiply(ws.d_hidden, ws.active, out=ws.d_pre)
+    np.matmul(ws.z.T, ws.d_pre, out=grads.hidden_weight)
+    np.sum(ws.d_pre, axis=0, out=grads.hidden_bias)
+    np.matmul(ws.d_pre, params.hidden_weight.T, out=ws.d_z)
     h = params.d_hidden
-    d_proj_w, d_proj_b = [], []
     for i, x in enumerate(xs):
-        chunk = d_z[:, i * h:(i + 1) * h]
-        d_proj_w.append(x.T @ chunk)
-        d_proj_b.append(chunk.sum(axis=0))
-
-    grads = EncoderParams(params.paths, d_proj_w, d_proj_b,
-                          d_hidden_w, d_hidden_b, d_out_w, d_out_b)
-    return _ForwardState(logits, probs, e_raw, e_final, l_c, l_e, total, grads)
+        chunk = ws.d_z[:, i * h:(i + 1) * h]
+        np.matmul(x.T, chunk, out=grads.proj_weights[i])
+        np.sum(chunk, axis=0, out=grads.proj_biases[i])
+    return _ForwardState(logits, lp.energy, l_c, l_e, total, grads)
 
 
 def _graph_pass(graph: HeteroGraph, feature_paths, prop_paths,
                 params: EncoderParams, labels: np.ndarray,
                 train_ids: np.ndarray, config: TrainConfig) -> _ForwardState:
-    """_forward_backward on feature tables and operators built from graph."""
+    """_forward_backward on feature tables and operators built from graph,
+    into a fresh workspace."""
+    labels = np.asarray(labels, dtype=np.int64)
+    train_ids = np.asarray(train_ids, dtype=np.int64)
+    _check_head_labels(labels, train_ids, params.n_classes)
     xs = feature_tables(graph, feature_paths)
     a_hats = propagation_operators(graph, prop_paths, config.steps)
-    return _forward_backward(xs, a_hats, params, labels, train_ids, config)
+    return _forward_backward(xs, a_hats, params, labels, train_ids, config,
+                             _Workspace(xs, params))
 
 
 def gradients(graph: HeteroGraph, feature_paths, prop_paths,
@@ -420,6 +472,35 @@ def training_loss(graph: HeteroGraph, feature_paths, prop_paths,
     state = _graph_pass(graph, feature_paths, prop_paths, params, labels,
                         train_ids, config)
     return state.total_loss, state.class_loss, state.energy_loss
+
+
+class _Adam:
+    """Adam moments of one flat parameter vector, plus scratch for a step."""
+
+    def __init__(self, size: int, learning_rate: float):
+        self.lr = learning_rate
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._step = np.empty(size)
+        self._denom = np.empty(size)
+
+    def update(self, params: np.ndarray, grads: np.ndarray, t: int) -> None:
+        """Step t >= 1, in place: params -= lr * m_hat / (sqrt(v_hat) + eps)."""
+        m, v, step, denom = self.m, self.v, self._step, self._denom
+        m *= ADAM_BETA1
+        np.multiply(grads, 1.0 - ADAM_BETA1, out=step)
+        m += step
+        v *= ADAM_BETA2
+        np.multiply(grads, 1.0 - ADAM_BETA2, out=step)
+        step *= grads
+        v += step
+        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)
+        step *= self.lr
+        step /= denom
+        params -= step
 
 
 def id_class_values(labels: np.ndarray, train_ids, val_ids) -> np.ndarray:
@@ -473,6 +554,8 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     y_head = map_to_head(labels, id_values)
     n_classes = id_values.size
 
+    _check_head_labels(y_head, train_ids, n_classes)
+
     xs = feature_tables(graph, feature_paths)
     for x in xs:
         if x.shape[0] != graph.target_count:
@@ -480,13 +563,13 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     a_hats = propagation_operators(graph, prop_paths, config.steps)
 
     rng = np.random.Generator(np.random.Philox(config.seed))
-    params = init_params(rng, feature_paths, [x.shape[1] for x in xs],
-                         config.d_hidden, n_classes)
-
-    flat = params.param_list()
-    m_state = [np.zeros_like(p) for p in flat]
-    v_state = [np.zeros_like(p) for p in flat]
-    lr = config.learning_rate
+    init = init_params(rng, feature_paths, [x.shape[1] for x in xs],
+                       config.d_hidden, n_classes)
+    flat = np.concatenate([p.ravel() for p in init.param_list()])
+    params = _param_views(init, flat)
+    ws = _Workspace(xs, params)
+    adam = _Adam(flat.size, config.learning_rate)
+    finite = np.empty(flat.size, dtype=bool)
 
     history = TrainHistory()
     best_params = None
@@ -494,50 +577,40 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     # The finite check below turns overflow and NaN into TrainingDiverged,
     # so numpy's warnings on the way there only add noise.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        state = _forward_backward(xs, a_hats, params, y_head,
-                                  train_ids, config)
+        state = _forward_backward(xs, a_hats, params, y_head, train_ids,
+                                  config, ws)
         for epoch in range(config.epochs):
-            t = epoch + 1
-            for p, g, m, v in zip(params.param_list(), state.grads.param_list(),
-                                  m_state, v_state):
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * g
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * g * g
-                m_hat = m / (1.0 - ADAM_BETA1 ** t)
-                v_hat = v / (1.0 - ADAM_BETA2 ** t)
-                p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            # the next pass overwrites ws, so read this epoch's losses first
+            losses = dict(total_loss=state.total_loss,
+                          class_loss=state.class_loss,
+                          energy_loss=state.energy_loss,
+                          train_energy_mean=float(
+                              state.energy_raw[train_ids].mean()))
+            adam.update(flat, ws.grad_flat, epoch + 1)
             if not (np.isfinite(state.total_loss)
-                    and all(np.isfinite(p).all() for p in params.param_list())):
+                    and np.isfinite(flat, out=finite).all()):
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}: loss "
                     f"{state.total_loss} or a parameter is not finite; "
                     f"lower the learning rate")
 
             # the next epoch's forward pass scores validation for this one
-            next_state = None
-            if t < config.epochs:
-                next_state = _forward_backward(xs, a_hats, params, y_head,
-                                               train_ids, config)
+            if epoch + 1 < config.epochs:
+                state = _forward_backward(xs, a_hats, params, y_head,
+                                          train_ids, config, ws)
+                logits = state.logits
+            elif val_ids.size:
+                logits = forward_from_features(xs, params)
             if val_ids.size:
-                logits = (forward_from_features(xs, params) if next_state is None
-                          else next_state.logits)
                 val_f1 = float(np.mean(
                     logits[val_ids].argmax(axis=1) == y_head[val_ids]))
             else:
                 val_f1 = 0.0
             history.records.append(EpochRecord(
-                epoch=epoch,
-                total_loss=state.total_loss,
-                class_loss=state.class_loss,
-                energy_loss=state.energy_loss,
-                val_micro_f1=val_f1,
-                train_energy_mean=float(state.energy_raw[train_ids].mean()),
-            ))
+                epoch=epoch, val_micro_f1=val_f1, **losses))
             if val_ids.size and val_f1 > best_f1:
                 best_f1 = val_f1
                 best_params = params.copy()
-            state = next_state
 
     if best_params is None:
         best_params = params.copy()

@@ -17,7 +17,7 @@ from .data import Splits
 # compose_metapath, propagate and sweep_threshold are not called here; they
 # stay importable as pipeline.<name> because perfbench/tracer.py patches
 # them by name
-from .energy import energy_scores, msp_score, propagate  # noqa: F401
+from .energy import logit_pass, msp_score, propagate  # noqa: F401
 from .errors import InvalidPath, LabelOutOfRange, ValidationError
 from .hetgraph import (
     HeteroGraph,
@@ -46,7 +46,6 @@ from .model import (
     map_to_head,
     propagated_energies,
     propagation_operators,
-    softmax_probs,
     train,
 )
 
@@ -124,9 +123,8 @@ def evaluate(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
     Final energies come from the same propagate-then-average step training
     uses, so the path checks of training apply here too.
     """
-    logits = forward(graph, feature_paths, params)
-    probs = softmax_probs(logits)
-    e_raw = energy_scores(logits)
+    lp = logit_pass(forward(graph, feature_paths, params))
+    probs, e_raw = lp.probs, lp.energy
     e_final = propagated_energies(
         e_raw, propagation_operators(graph, prop_paths, config.steps),
         config.propagation)

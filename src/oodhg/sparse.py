@@ -134,10 +134,9 @@ class SparseRowMatrix:
 
     def row_sums(self) -> np.ndarray:
         out = np.zeros(self.n_rows, np.float64)
-        starts = self.row_offsets[:-1]
-        nonempty = starts < self.row_offsets[1:]
         if self.nnz:
-            out[nonempty] = np.add.reduceat(self.values, starts[nonempty])
+            nonempty, starts = self._nonempty_starts()
+            out[nonempty] = np.add.reduceat(self.values, starts)
         return out
 
     def empty_rows(self) -> np.ndarray:
@@ -242,16 +241,25 @@ class SparseRowMatrix:
                 else np.zeros(0, np.float64))
         return SparseRowMatrix(self.n_rows, other.n_cols, out_offsets, cols, vals)
 
+    def _row_dots(self, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Sum of values * x[col] over each nonempty row, in stored order;
+        starts are the offsets of the nonempty rows. The kernel of matvec and
+        of every column of matmul_dense."""
+        return np.add.reduceat(self.values * x[self.col_indices], starts)
+
+    def _nonempty_starts(self) -> tuple[np.ndarray, np.ndarray]:
+        starts = self.row_offsets[:-1]
+        nonempty = starts < self.row_offsets[1:]
+        return nonempty, starts[nonempty]
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_cols,):
             raise ShapeMismatch(f"matvec expects shape ({self.n_cols},), got {x.shape}")
         out = np.zeros(self.n_rows, np.float64)
         if self.nnz:
-            prod = self.values * x[self.col_indices]
-            starts = self.row_offsets[:-1]
-            nonempty = starts < self.row_offsets[1:]
-            out[nonempty] = np.add.reduceat(prod, starts[nonempty])
+            nonempty, starts = self._nonempty_starts()
+            out[nonempty] = self._row_dots(x, starts)
         return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
@@ -260,17 +268,21 @@ class SparseRowMatrix:
         return self.transpose().matvec(y)
 
     def matmul_dense(self, x: np.ndarray) -> np.ndarray:
-        """Product self @ x for a dense (n_cols, d) matrix."""
+        """Product self @ x for a dense (n_cols, d) matrix.
+
+        Reduces one column at a time, so the temporaries are nnz long rather
+        than (nnz, d); every output entry is summed in the same order as by
+        matvec on that column.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.n_cols:
             raise ShapeMismatch(
                 f"matmul_dense expects shape ({self.n_cols}, d), got {x.shape}")
         out = np.zeros((self.n_rows, x.shape[1]), np.float64)
         if self.nnz:
-            prod = self.values[:, None] * x[self.col_indices]
-            starts = self.row_offsets[:-1]
-            nonempty = starts < self.row_offsets[1:]
-            out[nonempty] = np.add.reduceat(prod, starts[nonempty], axis=0)
+            nonempty, starts = self._nonempty_starts()
+            for j in range(x.shape[1]):
+                out[nonempty, j] = self._row_dots(x[:, j], starts)
         return out
 
     def with_unit_diagonal_on_empty_rows(self) -> "SparseRowMatrix":

@@ -1,4 +1,7 @@
 import json
+import shutil
+import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -306,6 +309,28 @@ class TestParallelSeeds:
             results[name] = (out / "ablation.json").read_bytes()
         assert results["seq"] == results["par"]
 
+    def test_oversubscribed_fast_switching_threads_match_sequential(
+            self, dataset, tmp_path, monkeypatch):
+        # four workers on fewer cores, and a thread switch every microsecond,
+        # so the seeds of the first arm interleave inside the graph's empty
+        # hop and feature-table caches
+        args = ["ablate", "--data", str(dataset), "--ood-class", "3",
+                "--seeds", "0,1,2,3"] + FAST
+        monkeypatch.setenv("OODHG_THREADS", "1")
+        assert main(args + ["--out", str(tmp_path / "seq")]) == 0
+        monkeypatch.setenv("OODHG_THREADS", "4")
+        interval = sys.getswitchinterval()
+        start = time.monotonic()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert main(args + ["--out", str(tmp_path / "par")]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        elapsed = time.monotonic() - start
+        assert ((tmp_path / "seq" / "ablation.json").read_bytes()
+                == (tmp_path / "par" / "ablation.json").read_bytes())
+        assert elapsed < 60.0, f"threaded ablate took {elapsed:.1f}s"
+
 
 class TestCheckpointFormat:
     def test_wrong_format_tag_rejected(self, dataset, tmp_path, capsys):
@@ -362,6 +387,17 @@ class TestErrors:
                      "--out", str(tmp_path / "o")] + FAST) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and f"{name}:" in err
+
+    def test_file_that_is_not_utf8_is_one_line_error(self, mini_dataset_dir,
+                                                     tmp_path, capsys):
+        dst = tmp_path / "mini"
+        shutil.copytree(mini_dataset_dir, dst)
+        path = dst / "edges" / "user_item.tsv"
+        path.write_bytes(b"0\t0\n\xff\t1\n")
+        assert main(["train", "--data", str(dst), "--ood-class", "2",
+                     "--out", str(tmp_path / "o")] + FAST) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: byte 4 is not valid UTF-8 (invalid start byte)"]
 
     def test_data_and_gen_mutually_exclusive(self, dataset, tmp_path, capsys):
         assert main(["train", "--data", str(dataset), "--gen", "classes=3",

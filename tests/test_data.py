@@ -204,6 +204,51 @@ class TestDatasetIO:
         with pytest.raises(ValidationError, match=rf"user_item\.tsv:{line}: endpoint"):
             load_dataset(dst)
 
+    def test_out_of_range_edge_message_prints_plain_integers(self, tmp_path,
+                                                             mini_dataset_dir):
+        dst = tmp_path / "bad"
+        shutil.copytree(mini_dataset_dir, dst)
+        path = dst / "edges" / "user_item.tsv"
+        path.write_text("0\t0\n9\t0\n")
+        with pytest.raises(ValidationError) as info:
+            load_dataset(dst)
+        assert str(info.value) == (
+            f"{path}:2: endpoint (9, 0) outside [0,5) x [0,3)")
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("0\t0\n\n9\t0\n", "node id 9 outside [0, 5)",
+                     id="out-of-range"),
+        pytest.param("0\t0\n\n0\t1\n", "duplicate label for node 0",
+                     id="duplicate"),
+    ])
+    def test_bad_label_names_file_line_after_blank_line(
+            self, tmp_path, mini_dataset_dir, text, message):
+        dst = tmp_path / "bad"
+        shutil.copytree(mini_dataset_dir, dst)
+        path = dst / "labels.tsv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            load_dataset(dst)
+        assert str(info.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("name", [
+        "edges/user_item.tsv", "features/user.csv", "labels.tsv",
+        "schema.json", "splits.json"])
+    def test_file_that_is_not_utf8_is_parse_error(self, tmp_path,
+                                                  mini_dataset_dir, name):
+        dst = tmp_path / "bad"
+        shutil.copytree(mini_dataset_dir, dst)
+        path = dst / name
+        if name == "splits.json":
+            path.write_text('{"train": [0], "val": [], "test": [1], '
+                            '"ood_class": 2}')
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + b"\xff" + raw[4:])
+        with pytest.raises(ParseError) as info:
+            load_dataset(dst)
+        assert str(info.value) == (
+            f"{path}: byte 4 is not valid UTF-8 (invalid start byte)")
+
     @pytest.mark.parametrize("name, text, line", [
         ("edges/user_item.tsv", "0\t0\n\n0\t99999999999999999999\n", 3),
         ("edges/user_item.tsv", "-9223372036854775809\t0\n", 1),
@@ -427,11 +472,15 @@ def _assign_labels_loop(path, pairs, n_target):
     return labels
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(n_target=st.integers(1, 5),
        rows=st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 2)), max_size=10))
-def test_label_assignment_matches_the_row_loop(n_target, rows):
+def test_label_assignment_matches_the_row_loop(tmp_path, n_target, rows):
     pairs = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    # errors name the file line; without blank lines it is the data row
+    path = tmp_path / "labels.tsv"
+    path.write_text(data._int_pair_text(pairs))
     _assert_same_outcome(
-        _outcome(data._assign_labels, Path("labels.tsv"), pairs, n_target),
-        _outcome(_assign_labels_loop, Path("labels.tsv"), pairs, n_target))
+        _outcome(data._assign_labels, path, pairs, n_target),
+        _outcome(_assign_labels_loop, path, pairs, n_target))

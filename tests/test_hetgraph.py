@@ -253,6 +253,23 @@ class TestMetapathFeatures:
         with pytest.raises(FeaturelessEndType):
             metapath_features(g, ["A", "P"])
 
+    def test_memoised_read_only_until_caches_clear(self):
+        rng = np.random.default_rng(201)
+        graph, _ = random_typed_graph(
+            rng, {"t": 6, "u": 4}, [("t", "u"), ("u", "t")], 0.5, "t",
+            feature_dims={"t": 3})
+        path = ["t", "u", "t"]
+        first = metapath_features(graph, path)
+        assert metapath_features(graph, path) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+        graph.clear_caches()
+        rebuilt = metapath_features(graph, path)
+        assert rebuilt is not first
+        assert rebuilt.tobytes() == first.tobytes()
+        assert not rebuilt.flags.writeable
+
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(200)
         for _ in range(10):

@@ -5,6 +5,7 @@ import pytest
 
 from oodhg import (
     EdgeTypeSchema,
+    PropagationConfig,
     NodeTypeSchema,
     SynthConfig,
     TrainConfig,
@@ -22,13 +23,19 @@ from oodhg import (
     train,
 )
 from oodhg.errors import EmptyTrainSet, LabelOutOfRange, OodLabelInTrainSet
-from oodhg.hetgraph import MetaPath
+from oodhg.energy import fuse, propagate, propagate_transpose
+from oodhg.hetgraph import MetaPath, candidate_metapaths
 from oodhg.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    EpochRecord,
     feature_tables,
     forward_from_features,
     id_class_values,
     init_params,
     map_to_head,
+    propagation_operators,
     training_loss,
 )
 
@@ -382,3 +389,125 @@ class TestTrain:
         _, history = train(graph, labels, splits, cfg)
         for rec in history.records:
             assert rec.total_loss == rec.class_loss
+
+
+# ----------------------------------------------------------------------
+# the epoch loop as a per-array program: fresh arrays for every activation
+# and gradient, one Adam update per parameter array, and separate softmax,
+# energy and cross-entropy passes. train must reproduce it bit for bit.
+
+def _ref_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _ref_energy(logits):
+    m = logits.max(axis=1)
+    return -(m + np.log(np.exp(logits - m[:, None]).sum(axis=1)))
+
+
+def _ref_cross_entropy(logits, y, ids):
+    shifted = logits[ids] - logits[ids].max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return float(-logp[np.arange(ids.size), y[ids]].mean())
+
+
+def _ref_encode(xs, p):
+    z = np.concatenate([x @ w + b for x, w, b in
+                        zip(xs, p.proj_weights, p.proj_biases)], axis=1)
+    pre = z @ p.hidden_weight + p.hidden_bias
+    hidden = np.maximum(pre, 0.0)
+    return z, pre, hidden, hidden @ p.out_weight + p.out_bias
+
+
+def _ref_forward_backward(xs, a_hats, p, y, ids, cfg):
+    prop = PropagationConfig(cfg.gamma, cfg.steps)
+    z, pre, hidden, logits = _ref_encode(xs, p)
+    probs = _ref_softmax(logits)
+    e_raw = _ref_energy(logits)
+    e_final = (fuse([propagate(e_raw, a, prop) for a in a_hats])
+               if a_hats else e_raw)
+    l_c = _ref_cross_entropy(logits, y, ids)
+    l_e = float(np.mean(np.maximum(e_final[ids] - cfg.m_in, 0.0) ** 2))
+    total = cfg.alpha * l_c + (1.0 - cfg.alpha) * l_e
+
+    d_logits = np.zeros_like(logits)
+    if cfg.alpha != 0.0:
+        d_ce = probs[ids].copy()
+        d_ce[np.arange(ids.size), y[ids]] -= 1.0
+        d_logits[ids] += (cfg.alpha / ids.size) * d_ce
+    if cfg.alpha != 1.0:
+        g = np.zeros(logits.shape[0])
+        g[ids] = 2.0 * np.maximum(e_final[ids] - cfg.m_in, 0.0) / ids.size
+        d_e_raw = (np.mean(np.stack([propagate_transpose(g, a, prop)
+                                     for a in a_hats]), axis=0)
+                   if a_hats else g)
+        d_logits += (1.0 - cfg.alpha) * d_e_raw[:, None] * (-probs)
+    d_pre = (d_logits @ p.out_weight.T) * (pre > 0.0)
+    d_z = d_pre @ p.hidden_weight.T
+    h = p.d_hidden
+    grads = []
+    for i, x in enumerate(xs):
+        chunk = d_z[:, i * h:(i + 1) * h]
+        grads.extend([x.T @ chunk, chunk.sum(axis=0)])
+    grads.extend([z.T @ d_pre, d_pre.sum(axis=0),
+                  hidden.T @ d_logits, d_logits.sum(axis=0)])
+    return (total, l_c, l_e, e_raw), grads
+
+
+def _ref_train(graph, labels, splits, cfg):
+    train_ids = np.asarray(splits.train_ids, dtype=np.int64)
+    val_ids = np.asarray(splits.val_ids, dtype=np.int64)
+    paths = candidate_metapaths(graph, 2)
+    y = map_to_head(labels, id_class_values(labels, train_ids, val_ids))
+    xs = feature_tables(graph, paths)
+    a_hats = propagation_operators(graph, paths, cfg.steps)
+    params = make_params(graph, paths, cfg.seed, cfg.d_hidden, int(y.max()) + 1)
+    m = [np.zeros_like(a) for a in params.param_list()]
+    v = [np.zeros_like(a) for a in params.param_list()]
+    records, best, best_f1 = [], None, -np.inf
+    for epoch in range(cfg.epochs):
+        (total, l_c, l_e, e_raw), grads = _ref_forward_backward(
+            xs, a_hats, params, y, train_ids, cfg)
+        t = epoch + 1
+        for a, g, m_a, v_a in zip(params.param_list(), grads, m, v):
+            m_a *= ADAM_BETA1
+            m_a += (1.0 - ADAM_BETA1) * g
+            v_a *= ADAM_BETA2
+            v_a += (1.0 - ADAM_BETA2) * g * g
+            m_hat = m_a / (1.0 - ADAM_BETA1 ** t)
+            v_hat = v_a / (1.0 - ADAM_BETA2 ** t)
+            a -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        val_f1 = 0.0
+        if val_ids.size:
+            logits = _ref_encode(xs, params)[3]
+            val_f1 = float(np.mean(logits[val_ids].argmax(axis=1) == y[val_ids]))
+        records.append(EpochRecord(epoch, total, l_c, l_e, val_f1,
+                                   float(e_raw[train_ids].mean())))
+        if val_ids.size and val_f1 > best_f1:
+            best_f1, best = val_f1, params.copy()
+    return (best or params.copy()), records
+
+
+@pytest.mark.parametrize("with_val", [True, False], ids=["val", "no-val"])
+@pytest.mark.parametrize("steps", [0, 2])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_train_is_bitwise_the_per_array_epoch_loop(alpha, steps, with_val):
+    graph, labels = small_instance(seed=1, nodes_per_class=20)
+    splits = make_splits(labels, ood_class=int(labels.max()), seed=0)
+    if not with_val:
+        splits = dataclasses.replace(splits,
+                                     val_ids=np.array([], dtype=np.int64))
+    cfg = TrainConfig(epochs=6, alpha=alpha, steps=steps, seed=4, d_hidden=5,
+                      learning_rate=0.05)
+    params, history = train(graph, labels, splits, cfg)
+    want_params, want_records = _ref_train(graph, labels, splits, cfg)
+    assert history.records == want_records
+    if with_val and alpha == 1.0:
+        # model selection matters: the best epoch is a later one
+        f1s = [r.val_micro_f1 for r in history.records]
+        assert f1s.index(max(f1s)) > 0
+    for got, want in zip(params.param_list(), want_params.param_list(),
+                         strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -161,6 +161,33 @@ class TestProducts:
         got = SparseRowMatrix.from_dense(a).matmul_dense(x)
         np.testing.assert_allclose(got, a @ x, atol=1e-13)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 6), n_cols=st.integers(1, 6),
+           d=st.integers(0, 4))
+    def test_matmul_dense_is_bitwise_the_gather_and_reduceat_form(
+            self, data, n_rows, n_cols, d):
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
+        mask = np.asarray(data.draw(st.lists(
+            st.lists(st.booleans(), min_size=n_cols, max_size=n_cols),
+            min_size=n_rows, max_size=n_rows)), dtype=bool)
+        dense = np.zeros((n_rows, n_cols))
+        dense[mask] = data.draw(st.lists(
+            finite.filter(lambda v: v != 0.0),
+            min_size=int(mask.sum()), max_size=int(mask.sum())))
+        x = np.asarray(data.draw(st.lists(finite, min_size=n_cols * d,
+                                          max_size=n_cols * d)),
+                       dtype=np.float64).reshape(n_cols, d)
+        m = SparseRowMatrix.from_dense(dense)
+        # the (nnz, d) form matmul_dense replaced
+        want = np.zeros((n_rows, d))
+        if m.nnz:
+            starts = m.row_offsets[:-1]
+            nonempty = starts < m.row_offsets[1:]
+            want[nonempty] = np.add.reduceat(m.values[:, None] * x[m.col_indices],
+                                             starts[nonempty], axis=0)
+        got = m.matmul_dense(x)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_transpose_matches_dense(self):
         rng = np.random.default_rng(10)
         a = _random_sparse(rng, 9, 13)

@@ -4,8 +4,8 @@ Subcommands: gen (synthetic dataset), train, eval, ablate, sweep, bench.
 Flag precedence is CLI flag > --config JSON file > built-in default, and
 every output embeds the resolved configuration under "config_echo" for
 provenance. Outputs are deterministic for fixed flags and seed; only the
-bench report contains wall-clock numbers. OODHG_THREADS caps how many
-seeds run in parallel (default 1).
+bench report contains wall-clock numbers. OODHG_THREADS, an integer >= 1
+(default 1), caps how many seeds run in parallel.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from .data import (
     SynthConfig,
+    _read_json,
     generate_synthetic,
     load_dataset,
     load_path_config,
@@ -39,7 +40,6 @@ from .pipeline import (
     evaluate,
     load_checkpoint,
     resolve_paths,
-    run_experiment,
     save_checkpoint,
     summarize_metric_rows,
 )
@@ -75,7 +75,7 @@ def _load_config_file(args) -> dict:
     that take --seeds."""
     if getattr(args, "config", None) is None:
         return {}
-    config = json.loads(Path(args.config).read_text())
+    config = _read_json(Path(args.config))
     if not isinstance(config, dict):
         raise ValidationError(f"{args.config}: config must be a JSON object")
     allowed = _TRAIN_KEYS + (("seeds",) if hasattr(args, "seeds") else ())
@@ -169,7 +169,10 @@ def _seed_list(args, config_file: dict) -> list[int]:
 
 
 def _map_seeds(fn, seeds: list[int]) -> list:
-    workers = int(os.environ.get("OODHG_THREADS", "1"))
+    raw = os.environ.get("OODHG_THREADS", "1")
+    workers = int(raw) if raw.isdecimal() else 0
+    if workers < 1:
+        raise ValueError(f"OODHG_THREADS must be an integer >= 1, got {raw!r}")
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, seeds))
@@ -250,9 +253,7 @@ def cmd_eval(args) -> int:
     report = evaluate(graph, labels, splits, ckpt.params, ckpt.config,
                       ckpt.feature_paths, ckpt.prop_paths, tau)
 
-    id_values = ckpt.id_class_values
-    k = id_values.size
-    to_label = np.append(id_values, ckpt.ood_class)
+    to_label = np.append(ckpt.id_class_values, ckpt.ood_class)
 
     out = _out_dir(args)
     echo = {"command": "eval", **source, "ckpt": str(args.ckpt),
@@ -296,15 +297,39 @@ def cmd_eval(args) -> int:
 _HEADLINE = ("auroc", "aupr", "fpr95", "micro_f1", "macro_f1", "auroc_msp")
 
 
-def _experiment_row(graph, labels, file_splits, args, cfg, feat, prop) -> dict:
-    splits = _splits_for_seed(args, labels, file_splits, cfg.seed)
-    _, _, report = run_experiment(graph, labels, splits, cfg, feat, prop)
-    return {k: report.metrics[k] for k in _HEADLINE} | {"tau": report.tau}
+def _grid(args, data, base: TrainConfig, seeds: list[int],
+          points: list[tuple[dict, list[float]]]) -> list[dict]:
+    """Per-seed headline rows and their summary for each (point, tau) pair,
+    point-major. A point is (TrainConfig overrides on base, taus).
+
+    Every point's TrainConfig and DetectorConfig are built before any
+    training, so a bad grid value fails at once. Each point trains and
+    evaluates each seed once, seeds in parallel under OODHG_THREADS, and
+    reads its taus off that one report with EvalReport.at.
+    """
+    graph, labels, file_splits, feat, prop = data
+    configs = [(dataclasses.replace(base, **overrides),
+                [DetectorConfig(t).tau for t in taus])
+               for overrides, taus in points]
+    cells = []
+    for cfg, taus in configs:
+        def one(seed):
+            run = dataclasses.replace(cfg, seed=seed)
+            splits = _splits_for_seed(args, labels, file_splits, seed)
+            params, _ = train(graph, labels, splits, run, feat, prop)
+            report = evaluate(graph, labels, splits, params, run, feat, prop,
+                              taus[0])
+            return [{k: r.metrics[k] for k in _HEADLINE} | {"tau": r.tau}
+                    for r in map(report.at, taus)]
+        cells += [{"per_seed": list(rows),
+                   "summary": summarize_metric_rows(rows)}
+                  for rows in zip(*_map_seeds(one, seeds))]
+    return cells
 
 
 def cmd_ablate(args) -> int:
     config_file = _load_config_file(args)
-    graph, labels, file_splits, feat, prop, source = _load_graph(args)
+    *data, source = _load_graph(args)
     base = _train_config(args, config_file)
     if base.alpha >= 1.0:
         raise ValueError("ablate needs alpha < 1 so the energy-loss arms differ")
@@ -317,16 +342,9 @@ def cmd_ablate(args) -> int:
         ("no_ep", {"alpha": base.alpha, "steps": 0}),
         ("full", {"alpha": base.alpha, "steps": base.steps}),
     ]
-    results = []
-    for name, overrides in arms:
-        def one(seed, overrides=overrides):
-            cfg = dataclasses.replace(base, seed=seed, **overrides)
-            return _experiment_row(graph, labels, file_splits, args, cfg,
-                                   feat, prop)
-        rows = _map_seeds(one, seeds)
-        results.append({"arm": name, **overrides,
-                        "per_seed": rows,
-                        "summary": summarize_metric_rows(rows)})
+    points = [(overrides, [DEFAULT_TAU]) for _, overrides in arms]
+    results = [{"arm": name, **overrides, **cell} for (name, overrides), cell
+               in zip(arms, _grid(args, data, base, seeds, points))]
 
     echo = {"command": "ablate", **source, "train_config": base.to_dict(),
             "seeds": seeds}
@@ -343,9 +361,16 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+def _sweep_value(param: str, value):
+    """A grid value as the TrainConfig field param holds it."""
+    if param == "steps" and not float(value).is_integer():
+        raise ValueError(f"steps must be an integer, got {value}")
+    return int(value) if param == "steps" else float(value)
+
+
 def cmd_sweep(args) -> int:
     config_file = _load_config_file(args)
-    graph, labels, file_splits, feat, prop, source = _load_graph(args)
+    *data, source = _load_graph(args)
     base = _train_config(args, config_file)
     seeds = _seed_list(args, config_file)
     param = args.param
@@ -355,37 +380,10 @@ def cmd_sweep(args) -> int:
             raise ValueError("--grid lists no value")
     else:
         grid = _SWEEP_DEFAULT_GRIDS[param]
-    rows_per_value = []
-    if param == "tau":
-        for value in grid:
-            DetectorConfig(value)  # a bad tau fails before any training
-
-        def one(seed):
-            cfg = dataclasses.replace(base, seed=seed)
-            splits = _splits_for_seed(args, labels, file_splits, seed)
-            params, _ = train(graph, labels, splits, cfg, feat, prop)
-            return [
-                {**{k: r.metrics[k] for k in _HEADLINE}, "tau": r.tau}
-                for r in (evaluate(graph, labels, splits, params, cfg,
-                                   feat, prop, tau=v) for v in grid)]
-        per_seed_tables = _map_seeds(one, seeds)
-        for i, value in enumerate(grid):
-            rows = [table[i] for table in per_seed_tables]
-            rows_per_value.append({"value": value, "per_seed": rows,
-                                   "summary": summarize_metric_rows(rows)})
-    else:
-        field = {"gamma": "gamma", "steps": "steps", "alpha": "alpha",
-                 "m_in": "m_in"}[param]
-        for value in grid:
-            cast = int(value) if field == "steps" else float(value)
-
-            def one(seed, cast=cast):
-                cfg = dataclasses.replace(base, seed=seed, **{field: cast})
-                return _experiment_row(graph, labels, file_splits, args,
-                                       cfg, feat, prop)
-            rows = _map_seeds(one, seeds)
-            rows_per_value.append({"value": value, "per_seed": rows,
-                                   "summary": summarize_metric_rows(rows)})
+    points = ([({}, grid)] if param == "tau" else
+              [({param: _sweep_value(param, v)}, [DEFAULT_TAU]) for v in grid])
+    rows_per_value = [{"value": value, **cell} for value, cell
+                      in zip(grid, _grid(args, data, base, seeds, points))]
 
     echo = {"command": "sweep", **source, "param": param, "grid": grid,
             "train_config": base.to_dict(), "seeds": seeds}
@@ -420,7 +418,11 @@ def _median_time(fn, repeats: int, min_sample_s: float = 0.015) -> float:
 def cmd_bench(args) -> int:
     graph, labels, _, feat, prop, source = _load_graph(args)
     k_list = [int(v) for v in args.k_list.split(",") if v.strip()]
+    if not k_list:
+        raise ValueError("--k-list lists no value")
     repeats = args.repeats
+    if repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {repeats}")
 
     def build_all():
         graph.clear_caches()

@@ -8,7 +8,7 @@ and the versioned parameter checkpoint format "oodhg-ckpt-v1".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,17 +60,32 @@ DEFAULT_TAU = 1.0
 
 @dataclass
 class EvalReport:
-    """Per-node detector outputs and aggregate metrics on the test split."""
+    """Per-node detector outputs and aggregate metrics on the test split.
+
+    Only predicted and the micro_f1/macro_f1 metrics depend on tau; at(t)
+    reads them off the same scores at another threshold, without a second
+    forward pass or propagation.
+    """
 
     tau: float
     metrics: dict
     test_ids: np.ndarray
     energy_raw: np.ndarray
     energy_final: np.ndarray
+    probs: np.ndarray
     max_softmax: np.ndarray
     predicted: np.ndarray
     gold: np.ndarray
-    ood_flags: np.ndarray
+
+    def at(self, tau: float) -> EvalReport:
+        """This report at threshold tau: -E <= tau is OOD. Raises ValueError
+        when tau is not finite."""
+        n = self.probs.shape[1] + 1
+        predicted = assemble_kplus1(self.probs[self.test_ids],
+                                    self.energy_final[self.test_ids], tau, n)
+        kp = KPlusOnePrediction(predicted, self.gold, n)
+        return replace(self, tau=float(tau), predicted=predicted, metrics={
+            **self.metrics, "micro_f1": micro_f1(kp), "macro_f1": macro_f1(kp)})
 
 
 def resolve_paths(graph: HeteroGraph, metapaths=None, max_hops: int | None = None):
@@ -130,29 +145,23 @@ def evaluate(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
         config.propagation)
 
     id_values = id_class_values(labels, splits.train_ids, splits.val_ids)
-    k = id_values.size
     test_ids = np.asarray(splits.test_ids, dtype=np.int64)
     gold = gold_kplus1(labels, test_ids, id_values, splits.ood_class)
-
-    predicted = assemble_kplus1(probs[test_ids], e_final[test_ids], tau, k + 1)
-    is_ood = gold == k
+    is_ood = gold == id_values.size
     scored = BinaryScoredSet(e_final[test_ids], is_ood)
-    kp = KPlusOnePrediction(predicted, gold, k + 1)
     max_soft = msp_score(probs)
     msp_scored = BinaryScoredSet(-max_soft[test_ids], is_ood)
     metrics = {
         "auroc": auroc(scored),
         "aupr": aupr(scored),
         "fpr95": fpr_at_95tpr(scored),
-        "micro_f1": micro_f1(kp),
-        "macro_f1": macro_f1(kp),
         "auroc_msp": auroc(msp_scored),
         "auroc_raw_energy": auroc(BinaryScoredSet(e_raw[test_ids], is_ood)),
     }
     return EvalReport(
-        tau=float(tau), metrics=metrics, test_ids=test_ids,
-        energy_raw=e_raw, energy_final=e_final, max_softmax=max_soft,
-        predicted=predicted, gold=gold, ood_flags=predicted == k)
+        tau=float(tau), metrics=metrics, test_ids=test_ids, energy_raw=e_raw,
+        energy_final=e_final, probs=probs, max_softmax=max_soft,
+        predicted=None, gold=gold).at(tau)
 
 
 def run_experiment(graph: HeteroGraph, labels: np.ndarray, splits: Splits,

@@ -104,11 +104,16 @@ class TestTrain:
         ({"epochs": 2.5}, "'epochs'"),
         ([1, 2], "JSON object"),
         ({"seeds": [3, 4]}, "'seeds'"),
+        (b"{", "cfg.json: invalid JSON"),
+        (b"\xff", "cfg.json: byte 0 is not valid UTF-8"),
     ])
     def test_bad_config_file_is_one_line_error(self, dataset, tmp_path,
                                                capsys, content, needle):
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps(content))
+        if isinstance(content, bytes):
+            cfg_file.write_bytes(content)
+        else:
+            cfg_file.write_text(json.dumps(content))
         assert main(["train", "--data", str(dataset), "--ood-class", "3",
                      "--config", str(cfg_file),
                      "--out", str(tmp_path / "run")]) == 2
@@ -239,15 +244,46 @@ class TestSweep:
         assert _SWEEP_DEFAULT_GRIDS["gamma"] == [
             0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 
-    def test_tau_sweep_trains_once_per_seed(self, dataset, tmp_path):
+    def test_tau_sweep_trains_once_per_seed(self, dataset, tmp_path,
+                                            monkeypatch):
+        from oodhg import TrainConfig, load_dataset, make_splits
+        from oodhg.pipeline import resolve_paths, summarize_metric_rows
+        calls = {"train": 0, "evaluate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(cli, "train", counted("train", cli.train))
+        monkeypatch.setattr(cli, "evaluate", counted("evaluate", cli.evaluate))
         out = tmp_path / "sw"
+        taus = [1.0, 1.5, 2.0]
         assert main(["sweep", "--data", str(dataset), "--ood-class", "3",
                      "--param", "tau", "--grid", "1.0,1.5,2.0",
-                     "--seeds", "0", "--out", str(out)] + FAST) == 0
-        payload = json.loads((out / "sweep.json").read_text())
-        taus = [v["per_seed"][0]["tau"] for v in payload["values"]]
-        assert taus == [1.0, 1.5, 2.0]
+                     "--seeds", "0,1", "--out", str(out)] + FAST) == 0
+        assert calls == {"train": 2, "evaluate": 2}
 
+        # reference: one evaluate per tau, as the sweep once ran
+        monkeypatch.undo()
+        graph, labels, _ = load_dataset(dataset)
+        feat, prop = resolve_paths(graph)
+        tables = []
+        for seed in (0, 1):
+            cfg = TrainConfig(epochs=5, d_hidden=8, seed=seed)
+            splits = make_splits(labels, 3, seed=seed)
+            params, _ = cli.train(graph, labels, splits, cfg, feat, prop)
+            reports = [cli.evaluate(graph, labels, splits, params, cfg, feat,
+                                    prop, tau) for tau in taus]
+            tables.append([{k: r.metrics[k] for k in cli._HEADLINE}
+                           | {"tau": r.tau} for r in reports])
+        reference = []
+        for i, tau in enumerate(taus):
+            rows = [table[i] for table in tables]
+            reference.append({"value": tau, "per_seed": rows,
+                              "summary": summarize_metric_rows(rows)})
+        payload = json.loads((out / "sweep.json").read_text())
+        assert payload["values"] == json.loads(json.dumps(reference))
 
     @pytest.mark.parametrize("flags, needle", [
         (["--param", "gamma", "--seeds", ","], "seed list is empty"),
@@ -261,16 +297,24 @@ class TestSweep:
         assert len(err.splitlines()) == 1 and needle in err
 
 
-    def test_non_finite_tau_grid_fails_before_training(self, dataset,
-                                                       monkeypatch, capsys):
+    @pytest.mark.parametrize("param, grid, needle", [
+        ("tau", "1.0,nan", "tau must be finite"),
+        ("gamma", "0.5,0", "gamma must be in (0, 1], got 0.0"),
+        ("steps", "2,-1", "steps must be >= 0, got -1"),
+        ("steps", "1.5", "steps must be an integer, got 1.5"),
+        ("alpha", "0.5,2", "alpha must be in [0, 1], got 2.0"),
+        ("m_in", "0,nan", "m_in must be finite, got nan"),
+    ], ids=["tau", "gamma", "steps", "steps-fraction", "alpha", "m_in"])
+    def test_non_finite_tau_grid_fails_before_training(
+            self, dataset, monkeypatch, capsys, param, grid, needle):
         def no_training(*args, **kwargs):
             raise AssertionError("sweep trained before checking its grid")
         monkeypatch.setattr(cli, "train", no_training)
         assert main(["sweep", "--data", str(dataset), "--ood-class", "3",
-                     "--param", "tau", "--grid", "1.0,nan",
+                     "--param", param, "--grid", grid,
                      "--seeds", "0"] + FAST) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "tau must be finite" in err
+        assert len(err.splitlines()) == 1 and needle in err
 
 
 class TestBench:
@@ -282,6 +326,18 @@ class TestBench:
         assert report["n_target"] == 100
         assert set(report["propagate_warm_s"]) == {"1", "2"}
         assert report["compose_cold_s"] >= report["propagate_warm_s"]["1"]
+
+    @pytest.mark.parametrize("flags, needle", [
+        (["--repeats", "0"], "--repeats must be >= 1, got 0"),
+        (["--k-list", ""], "--k-list lists no value"),
+    ])
+    def test_bad_flag_is_one_line_error(self, dataset, tmp_path, capsys,
+                                        flags, needle):
+        out = tmp_path / "bench"
+        assert main(["bench", "--data", str(dataset), "--out", str(out)]
+                    + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {needle}"]
+        assert not (out / "bench.json").exists()
 
 
 class TestInlineGeneration:
@@ -330,6 +386,18 @@ class TestParallelSeeds:
         assert ((tmp_path / "seq" / "ablation.json").read_bytes()
                 == (tmp_path / "par" / "ablation.json").read_bytes())
         assert elapsed < 60.0, f"threaded ablate took {elapsed:.1f}s"
+
+    @pytest.mark.parametrize("workers", ["abc", "0", "-2", "1.5", ""])
+    def test_bad_thread_count_is_one_line_error(self, dataset, monkeypatch,
+                                                capsys, workers):
+        def no_training(*args, **kwargs):
+            raise AssertionError("ablate trained with a bad OODHG_THREADS")
+        monkeypatch.setattr(cli, "train", no_training)
+        monkeypatch.setenv("OODHG_THREADS", workers)
+        assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
+                     "--seeds", "0,1"] + FAST) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: OODHG_THREADS must be an integer >= 1, got {workers!r}"]
 
 
 class TestCheckpointFormat:

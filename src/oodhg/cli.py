@@ -32,14 +32,13 @@ from .data import (
 )
 from .energy import DetectorConfig, PropagationConfig, propagate
 from .errors import OodhgError, ValidationError
-from .hetgraph import metapath_operator
+from .hetgraph import DEFAULT_MAX_HOPS, metapath_operator, resolve_paths
 from .metrics import ENERGY_TAU_GRID
 from .model import TrainConfig, id_class_values, train
 from .pipeline import (
     DEFAULT_TAU,
     evaluate,
     load_checkpoint,
-    resolve_paths,
     save_checkpoint,
     summarize_metric_rows,
 )
@@ -95,18 +94,41 @@ def _train_config(args, config_file: dict) -> TrainConfig:
     return TrainConfig.from_dict(values)
 
 
+def _number(text: str, kind: type, what: str):
+    """text read as int() or float() reads it; a ValueError naming what
+    when it is not one."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(
+            f"{what} must be {noun}, got {text.strip()!r}") from None
+
+
+def _number_list(flag: str, text: str, kind: type) -> list:
+    """The comma-separated values of a list flag such as --seeds, --grid or
+    --k-list; blank entries are skipped."""
+    return [_number(v, kind, f"{flag} entry") for v in text.split(",")
+            if v.strip()]
+
+
+# --gen key (and gen flag, with "-" for "_") -> SynthConfig field; each
+# value takes the type and default of its field
+_GEN_KEYS = {
+    "classes": "n_id_classes",
+    "per_class": "nodes_per_class",
+    "aux_types": "n_aux_types",
+    "feature_dim": "feature_dim",
+    "intra": "intra_edge_prob",
+    "inter": "inter_edge_prob",
+    "shift": "ood_shift",
+    "seed": "seed",
+}
+_SYNTH_DEFAULTS = SynthConfig()
+
+
 def _parse_gen_spec(spec: str) -> SynthConfig:
     """Parse "classes=3,per_class=60,seed=7,..." into a SynthConfig."""
-    mapping = {
-        "classes": ("n_id_classes", int),
-        "per_class": ("nodes_per_class", int),
-        "aux_types": ("n_aux_types", int),
-        "feature_dim": ("feature_dim", int),
-        "intra": ("intra_edge_prob", float),
-        "inter": ("inter_edge_prob", float),
-        "shift": ("ood_shift", float),
-        "seed": ("seed", int),
-    }
     kwargs = {}
     for item in spec.split(","):
         item = item.strip()
@@ -116,11 +138,12 @@ def _parse_gen_spec(spec: str) -> SynthConfig:
             raise ValueError(f"--gen entry {item!r} is not key=value")
         key, value = item.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in mapping:
+        if key not in _GEN_KEYS:
             raise ValueError(f"--gen has unknown key {key!r}; "
-                             f"choose from {sorted(mapping)}")
-        field, cast = mapping[key]
-        kwargs[field] = cast(value)
+                             f"choose from {sorted(_GEN_KEYS)}")
+        field = _GEN_KEYS[key]
+        kwargs[field] = _number(value, type(getattr(_SYNTH_DEFAULTS, field)),
+                                f"--gen key {key!r}")
     return SynthConfig(**kwargs)
 
 
@@ -136,7 +159,7 @@ def _load_graph(args):
         source = {"data": str(data)}
     else:
         graph, labels = generate_synthetic(_parse_gen_spec(gen))
-        splits, metapaths, max_hops = None, None, 2
+        splits, metapaths, max_hops = None, None, None
         source = {"gen": gen}
     feat, prop = resolve_paths(graph, metapaths, max_hops)
     return graph, labels, splits, feat, prop, source
@@ -158,14 +181,14 @@ def _seed_list(args, config_file: dict) -> list[int]:
     if seeds is None:
         return [int(_resolve(args, config_file, "seed", 0))]
     if isinstance(seeds, str):
-        seeds = [s for s in seeds.split(",") if s.strip()]
+        seeds = _number_list("--seeds", seeds, int)
     elif not (isinstance(seeds, list) and all(
             isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
         raise ValidationError(f"{args.config}: config key 'seeds' must be a "
                               f"list of integers, got {seeds!r}")
     if not seeds:
         raise ValueError("the seed list is empty")
-    return [int(s) for s in seeds]
+    return seeds
 
 
 def _map_seeds(fn, seeds: list[int]) -> list:
@@ -194,18 +217,15 @@ def cmd_gen(args) -> int:
     out = Path(args.out)
     if out.exists() and any(out.iterdir()):
         raise ValueError(f"output directory {out} is not empty")
-    cfg = SynthConfig(
-        n_id_classes=args.classes, nodes_per_class=args.per_class,
-        n_aux_types=args.aux_types, feature_dim=args.feature_dim,
-        intra_edge_prob=args.intra, inter_edge_prob=args.inter,
-        ood_shift=args.shift, seed=args.seed)
+    cfg = SynthConfig(**{field: getattr(args, key)
+                         for key, field in _GEN_KEYS.items()})
     graph, labels = generate_synthetic(cfg)
     save_dataset(out, graph, labels, feature_format=args.feature_format,
-                 schema_extra={"max_hops": 2})
+                 schema_extra={"max_hops": DEFAULT_MAX_HOPS})
     n_edges = sum(len(v) for v in graph.edges.values())
     print(f"wrote {out}: {graph.target_count} target nodes, "
-          f"{args.aux_types} aux types, {n_edges} edges, "
-          f"held-out class {args.classes}")
+          f"{cfg.n_aux_types} aux types, {n_edges} edges, "
+          f"held-out class {cfg.n_id_classes}")
     return 0
 
 
@@ -219,9 +239,9 @@ def cmd_train(args) -> int:
 
     out = _out_dir(args)
     save_checkpoint(out / "checkpoint.json", params, cfg, id_values,
-                    splits.ood_class, feat, prop)
+                    splits.ood_class, prop)
     echo = {"command": "train", **source, "train_config": cfg.to_dict(),
-            "feature_paths": [list(p.types) for p in feat],
+            "feature_paths": [list(p.types) for p in params.paths],
             "prop_paths": [list(p.types) for p in prop]}
     _write_json(out / "history.json",
                 {"config_echo": echo, "epochs": history.as_dicts()})
@@ -251,7 +271,7 @@ def cmd_eval(args) -> int:
             f"match the dataset's train/val classes {seen.tolist()}")
     tau = DEFAULT_TAU if args.tau is None else args.tau
     report = evaluate(graph, labels, splits, ckpt.params, ckpt.config,
-                      ckpt.feature_paths, ckpt.prop_paths, tau)
+                      ckpt.prop_paths, tau)
 
     to_label = np.append(ckpt.id_class_values, ckpt.ood_class)
 
@@ -317,7 +337,7 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
             run = dataclasses.replace(cfg, seed=seed)
             splits = _splits_for_seed(args, labels, file_splits, seed)
             params, _ = train(graph, labels, splits, run, feat, prop)
-            report = evaluate(graph, labels, splits, params, run, feat, prop,
+            report = evaluate(graph, labels, splits, params, run, prop,
                               taus[0])
             return [{k: r.metrics[k] for k in _HEADLINE} | {"tau": r.tau}
                     for r in map(report.at, taus)]
@@ -375,7 +395,7 @@ def cmd_sweep(args) -> int:
     seeds = _seed_list(args, config_file)
     param = args.param
     if args.grid is not None:
-        grid = [float(v) for v in args.grid.split(",") if v.strip()]
+        grid = _number_list("--grid", args.grid, float)
         if not grid:
             raise ValueError("--grid lists no value")
     else:
@@ -417,12 +437,14 @@ def _median_time(fn, repeats: int, min_sample_s: float = 0.015) -> float:
 
 def cmd_bench(args) -> int:
     graph, labels, _, feat, prop, source = _load_graph(args)
-    k_list = [int(v) for v in args.k_list.split(",") if v.strip()]
+    k_list = _number_list("--k-list", args.k_list, int)
     if not k_list:
         raise ValueError("--k-list lists no value")
     repeats = args.repeats
     if repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {repeats}")
+    gamma = args.gamma if args.gamma is not None else 0.5
+    configs = [PropagationConfig(gamma=gamma, steps=k) for k in k_list]
 
     def build_all():
         graph.clear_caches()
@@ -436,10 +458,7 @@ def cmd_bench(args) -> int:
     # deterministic stand-in energies; the cost model does not depend on values
     e0 = np.linspace(-5.0, 5.0, graph.target_count)
     warm = {}
-    for k in k_list:
-        cfg = PropagationConfig(gamma=args.gamma if args.gamma is not None else 0.5,
-                                steps=k)
-
+    for k, cfg in zip(k_list, configs):
         def run_all(cfg=cfg):
             for a in a_hats:
                 propagate(e0, a, cfg)
@@ -466,13 +485,14 @@ def cmd_bench(args) -> int:
 # ----------------------------------------------------------------------
 # parser
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
+def _add_data_flags(p: argparse.ArgumentParser, splits: bool = True) -> None:
     p.add_argument("--data", help="dataset directory")
     p.add_argument("--gen", help="inline synthetic spec, e.g. "
                    "classes=3,per_class=60,seed=7")
-    p.add_argument("--ood-class", dest="ood_class", type=int,
-                   help="label value of the held-out class (required when "
-                   "the dataset has no splits.json)")
+    if splits:
+        p.add_argument("--ood-class", dest="ood_class", type=int,
+                       help="label value of the held-out class (required "
+                       "when the dataset has no splits.json)")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -494,14 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a synthetic dataset directory")
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--per-class", dest="per_class", type=int, default=150)
-    p.add_argument("--aux-types", dest="aux_types", type=int, default=2)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int, default=16)
-    p.add_argument("--intra", type=float, default=0.07)
-    p.add_argument("--inter", type=float, default=0.0035)
-    p.add_argument("--shift", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    for key, field in _GEN_KEYS.items():
+        default = getattr(_SYNTH_DEFAULTS, field)
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       type=type(default), default=default)
     p.add_argument("--feature-format", dest="feature_format",
                    choices=("csv", "f32"), default="csv")
     p.add_argument("-o", "--out", required=True)
@@ -540,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bench", help="time operator build vs warm propagation")
-    _add_data_flags(p)
+    _add_data_flags(p, splits=False)
     p.add_argument("--k-list", dest="k_list", default="1,2,4,8")
     p.add_argument("--gamma", type=float)
     p.add_argument("--repeats", type=int, default=9)

@@ -543,10 +543,21 @@ def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
 
 
 def load_path_config(dir_path) -> tuple[list[tuple[str, ...]] | None, int | None]:
-    """Optional meta-path settings from schema.json: (metapaths, max_hops)."""
-    schema = _read_json(Path(dir_path) / "schema.json")
+    """Optional meta-path settings from schema.json: (metapaths, max_hops),
+    None where absent.
+
+    Raises ValidationError naming schema.json when max_hops is not an
+    integer >= 2.
+    """
+    path = Path(dir_path) / "schema.json"
+    schema = _read_json(path)
     metapaths = schema.get("metapaths")
     if metapaths is not None:
         metapaths = [tuple(str(t) for t in seq) for seq in metapaths]
     max_hops = schema.get("max_hops")
-    return metapaths, None if max_hops is None else int(max_hops)
+    if max_hops is not None and (not isinstance(max_hops, int)
+                                 or isinstance(max_hops, bool)
+                                 or max_hops < 2):
+        raise ValidationError(
+            f"{path}: max_hops must be an integer >= 2, got {max_hops!r}")
+    return metapaths, max_hops

@@ -4,6 +4,7 @@ A graph holds typed node sets, one directed edge list per declared edge type,
 and optional per-type feature matrices. Meta-paths are node-type sequences;
 the adjacency of one is the product of the row-normalized per-hop
 adjacencies, a row-stochastic matrix between the endpoint types.
+resolve_paths alone decides which meta-paths a model uses.
 
 Propagation never forms that product: metapath_operator applies the cached
 hop matrices right to left (and their transposes for the adjoint), which
@@ -64,6 +65,8 @@ class MetaPath:
     types: tuple[str, ...]
 
     def __init__(self, types):
+        if isinstance(types, MetaPath):
+            types = types.types
         object.__setattr__(self, "types", tuple(types))
         if len(self.types) < 2:
             raise InvalidPath(f"meta-path needs at least 2 types, got {self.types}")
@@ -271,13 +274,9 @@ def hop_matrix(graph: HeteroGraph, src: str, dst: str) -> SparseRowMatrix:
     return normalized
 
 
-def _as_metapath(path) -> MetaPath:
-    return path if isinstance(path, MetaPath) else MetaPath(path)
-
-
 def validate_metapath(graph: HeteroGraph, path) -> MetaPath:
     """Check every node type exists and every hop has a declared edge type."""
-    path = _as_metapath(path)
+    path = MetaPath(path)
     for t in path.types:
         graph.node_schema(t)
     for src, dst in path.hops():
@@ -431,6 +430,37 @@ def candidate_metapaths(graph: HeteroGraph, max_hops: int) -> list[MetaPath]:
 
     extend((target,))
     return [MetaPath(seq) for seq in sorted(found)]
+
+
+# hop limit of the candidate enumeration when a dataset sets none
+DEFAULT_MAX_HOPS = 2
+
+
+def resolve_paths(graph: HeteroGraph, metapaths=None, max_hops: int | None = None):
+    """The meta-paths a model uses: (feature paths, propagation paths).
+
+    Explicit metapaths win; otherwise the target-to-target candidates within
+    max_hops hops are enumerated, DEFAULT_MAX_HOPS when max_hops is None.
+    Propagation keeps only paths with both endpoints at the target type;
+    feature paths must start at the target and end at a featured type.
+    """
+    if metapaths:
+        paths = [validate_metapath(graph, seq) for seq in metapaths]
+    else:
+        paths = candidate_metapaths(
+            graph, DEFAULT_MAX_HOPS if max_hops is None else max_hops)
+    target = graph.target_type
+    prop = [p for p in paths
+            if p.types[0] == target and p.types[-1] == target]
+    feat = [p for p in paths
+            if p.types[0] == target and graph.feature_dim(p.types[-1]) > 0]
+    if not feat:
+        raise InvalidPath("no meta-path starts at the target type and ends "
+                          "at a featured type")
+    if not prop:
+        raise InvalidPath("no target-to-target meta-path available for "
+                          "energy propagation")
+    return feat, prop
 
 
 def metapath_features(graph: HeteroGraph, path) -> np.ndarray:

@@ -65,10 +65,10 @@ from .hetgraph import (
     HeteroGraph,
     MetaPath,
     MetaPathOperator,
-    candidate_metapaths,
     compose_metapath,  # noqa: F401
     metapath_features,
     metapath_operator,
+    resolve_paths,
 )
 
 ADAM_BETA1 = 0.9
@@ -207,7 +207,7 @@ def _glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.n
 def init_params(rng: np.random.Generator, paths, in_dims, d_hidden: int,
                 n_classes: int) -> EncoderParams:
     """Glorot-uniform weights, zero biases; draws in a fixed order."""
-    paths = tuple(p if isinstance(p, MetaPath) else MetaPath(p) for p in paths)
+    paths = tuple(MetaPath(p) for p in paths)
     proj_w = [_glorot_uniform(rng, d, d_hidden) for d in in_dims]
     proj_b = [np.zeros(d_hidden) for _ in in_dims]
     hidden_w = _glorot_uniform(rng, d_hidden * len(paths), d_hidden)
@@ -219,7 +219,7 @@ def init_params(rng: np.random.Generator, paths, in_dims, d_hidden: int,
 
 def feature_tables(graph: HeteroGraph, feature_paths) -> list[np.ndarray]:
     """Aggregated features per path; every path must start at the target type."""
-    paths = [p if isinstance(p, MetaPath) else MetaPath(p) for p in feature_paths]
+    paths = [MetaPath(p) for p in feature_paths]
     if not paths:
         raise InvalidPath("at least one feature meta-path is required")
     for p in paths:
@@ -299,9 +299,9 @@ def forward_from_features(xs: list[np.ndarray], params: EncoderParams) -> np.nda
     return _encode(xs, params, _Workspace(xs, params))
 
 
-def forward(graph: HeteroGraph, feature_paths, params: EncoderParams) -> np.ndarray:
-    """Logits for every target node, shape (n_target, n_classes)."""
-    return forward_from_features(feature_tables(graph, feature_paths), params)
+def forward(graph: HeteroGraph, params: EncoderParams) -> np.ndarray:
+    """Logits (n_target, n_classes) from the feature tables of params.paths."""
+    return forward_from_features(feature_tables(graph, params.paths), params)
 
 
 def softmax_probs(logits: np.ndarray) -> np.ndarray:
@@ -362,7 +362,7 @@ def propagation_operators(graph: HeteroGraph, prop_paths,
     none when steps is 0."""
     if steps == 0:
         return []
-    paths = [p if isinstance(p, MetaPath) else MetaPath(p) for p in prop_paths or []]
+    paths = [MetaPath(p) for p in prop_paths or []]
     if not paths:
         raise InvalidPath("propagation steps > 0 but no target-to-target meta-path given")
     for p in paths:
@@ -525,10 +525,10 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     """Full-batch Adam training; returns the best-validation parameters.
 
     Labels are raw dataset values; head classes are the sorted distinct
-    labels seen in train plus val. Both path lists default to the
-    target-to-target candidates within 2 hops. Model selection keeps the
-    parameters with the highest validation micro-F1 (earliest epoch wins
-    ties); with an empty validation split the final parameters are returned.
+    labels seen in train plus val. A path list left None comes from
+    resolve_paths(graph). Model selection keeps the parameters with the
+    highest validation micro-F1 (earliest epoch wins ties); with an empty
+    validation split the final parameters are returned.
     The encoder runs once per epoch, plus once after the last epoch when the
     validation split is non-empty.
 
@@ -546,20 +546,15 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
             f"held-out class {ood} occurs in the train or val split")
 
     if feature_paths is None or prop_paths is None:
-        default_paths = candidate_metapaths(graph, 2)
-        feature_paths = default_paths if feature_paths is None else feature_paths
-        prop_paths = default_paths if prop_paths is None else prop_paths
+        feat, prop = resolve_paths(graph)
+        feature_paths = feat if feature_paths is None else feature_paths
+        prop_paths = prop if prop_paths is None else prop_paths
 
     id_values = id_class_values(labels, train_ids, val_ids)
     y_head = map_to_head(labels, id_values)
     n_classes = id_values.size
 
-    _check_head_labels(y_head, train_ids, n_classes)
-
     xs = feature_tables(graph, feature_paths)
-    for x in xs:
-        if x.shape[0] != graph.target_count:
-            raise ShapeMismatch("feature tables must cover every target node")
     a_hats = propagation_operators(graph, prop_paths, config.steps)
 
     rng = np.random.Generator(np.random.Philox(config.seed))

@@ -1,8 +1,9 @@
 """End-to-end experiment plumbing shared by the CLI and the test suite.
 
-Covers meta-path resolution from dataset schema settings, post-training
-evaluation (detection metrics and K+1 classification at a threshold tau),
-and the versioned parameter checkpoint format "oodhg-ckpt-v1".
+Covers post-training evaluation (detection metrics and K+1 classification
+at a threshold tau) and the versioned parameter checkpoint format
+"oodhg-ckpt-v1". A model's feature paths are its EncoderParams.paths; the
+path policy, resolve_paths, is hetgraph's and is re-exported here.
 """
 
 from __future__ import annotations
@@ -13,18 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Splits
+from .data import Splits, _read_json
 # compose_metapath, propagate and sweep_threshold are not called here; they
 # stay importable as pipeline.<name> because perfbench/tracer.py patches
 # them by name
 from .energy import logit_pass, msp_score, propagate  # noqa: F401
-from .errors import InvalidPath, LabelOutOfRange, ValidationError
+from .errors import LabelOutOfRange, ValidationError
 from .hetgraph import (
     HeteroGraph,
     MetaPath,
-    candidate_metapaths,
     compose_metapath,  # noqa: F401
-    validate_metapath,
+    resolve_paths,
 )
 from .metrics import (
     BinaryScoredSet,
@@ -88,32 +88,6 @@ class EvalReport:
             **self.metrics, "micro_f1": micro_f1(kp), "macro_f1": macro_f1(kp)})
 
 
-def resolve_paths(graph: HeteroGraph, metapaths=None, max_hops: int | None = None):
-    """Feature and propagation path lists from schema-level settings.
-
-    Explicit metapaths win; otherwise target-to-target candidates within
-    max_hops (default 2) are enumerated. Propagation keeps only paths with
-    both endpoints at the target type; feature paths must start at the
-    target and end at a featured type.
-    """
-    if metapaths:
-        paths = [validate_metapath(graph, MetaPath(seq)) for seq in metapaths]
-    else:
-        paths = candidate_metapaths(graph, max_hops if max_hops else 2)
-    target = graph.target_type
-    prop = [p for p in paths
-            if p.types[0] == target and p.types[-1] == target]
-    feat = [p for p in paths
-            if p.types[0] == target and graph.feature_dim(p.types[-1]) > 0]
-    if not feat:
-        raise InvalidPath("no meta-path starts at the target type and ends "
-                          "at a featured type")
-    if not prop:
-        raise InvalidPath("no target-to-target meta-path available for "
-                          "energy propagation")
-    return feat, prop
-
-
 def gold_kplus1(labels: np.ndarray, ids: np.ndarray, id_values: np.ndarray,
                 ood_class: int) -> np.ndarray:
     """Gold classes in [0, K]: head index for ID labels, K for the held-out
@@ -130,15 +104,16 @@ def gold_kplus1(labels: np.ndarray, ids: np.ndarray, id_values: np.ndarray,
 
 
 def evaluate(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
-             params: EncoderParams, config: TrainConfig, feature_paths,
-             prop_paths, tau: float = DEFAULT_TAU) -> EvalReport:
+             params: EncoderParams, config: TrainConfig, prop_paths,
+             tau: float = DEFAULT_TAU) -> EvalReport:
     """Score every node with the training head, flag -E <= tau as OOD, and
     compute the test-split metric suite.
 
-    Final energies come from the same propagate-then-average step training
-    uses, so the path checks of training apply here too.
+    Logits come from the feature tables of params.paths. Final energies come
+    from the same propagate-then-average step training uses along
+    prop_paths, so the path checks of training apply here too.
     """
-    lp = logit_pass(forward(graph, feature_paths, params))
+    lp = logit_pass(forward(graph, params))
     probs, e_raw = lp.probs, lp.energy
     e_final = propagated_energies(
         e_raw, propagation_operators(graph, prop_paths, config.steps),
@@ -169,14 +144,11 @@ def run_experiment(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
                    tau: float = DEFAULT_TAU
                    ) -> tuple[EncoderParams, TrainHistory, EvalReport]:
     """Train, then evaluate on the test split; one seed, fully deterministic."""
-    if feature_paths is None or prop_paths is None:
-        feat, prop = resolve_paths(graph)
-        feature_paths = feat if feature_paths is None else feature_paths
-        prop_paths = prop if prop_paths is None else prop_paths
+    if prop_paths is None:
+        prop_paths = resolve_paths(graph)[1]
     params, history = train(graph, labels, splits, config,
                             feature_paths, prop_paths)
-    report = evaluate(graph, labels, splits, params, config,
-                      feature_paths, prop_paths, tau)
+    report = evaluate(graph, labels, splits, params, config, prop_paths, tau)
     return params, history, report
 
 
@@ -184,19 +156,18 @@ def run_experiment(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
 # checkpoints
 
 def save_checkpoint(path, params: EncoderParams, config: TrainConfig,
-                    id_values: np.ndarray, ood_class: int, feature_paths,
-                    prop_paths) -> Path:
+                    id_values: np.ndarray, ood_class: int, prop_paths) -> Path:
     """Self-describing JSON checkpoint, format tag "oodhg-ckpt-v1".
 
-    All arrays are stored as nested float lists; json round-trips Python
-    floats exactly, so reloading reproduces the parameters bit for bit.
+    Feature paths come from params.paths. All arrays are stored as nested
+    float lists; json round-trips Python floats exactly, so reloading
+    reproduces the parameters bit for bit.
     """
     payload = {
         "format": CHECKPOINT_FORMAT,
         "train_config": config.to_dict(),
         "feature_paths": [list(p.types) for p in params.paths],
-        "prop_paths": [list(p.types) if isinstance(p, MetaPath) else list(p)
-                       for p in prop_paths],
+        "prop_paths": [list(MetaPath(p).types) for p in prop_paths],
         "id_class_values": [int(v) for v in id_values],
         "ood_class": int(ood_class),
         "params": {
@@ -219,7 +190,6 @@ def save_checkpoint(path, params: EncoderParams, config: TrainConfig,
 class Checkpoint:
     params: EncoderParams
     config: TrainConfig
-    feature_paths: list[MetaPath]
     prop_paths: list[MetaPath]
     id_class_values: np.ndarray
     ood_class: int
@@ -312,7 +282,6 @@ def _parse_checkpoint(payload) -> Checkpoint:
     return Checkpoint(
         params=params,
         config=config,
-        feature_paths=feature_paths,
         prop_paths=prop_paths,
         id_class_values=np.asarray(id_values, dtype=np.int64),
         ood_class=ood_class)
@@ -321,13 +290,15 @@ def _parse_checkpoint(payload) -> Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     """Checkpoint written by save_checkpoint.
 
-    Raises ValidationError naming the first field that is missing, of the
-    wrong type, or whose array shape disagrees with the training config, the
-    feature paths or the class values.
+    Raises MissingFile, or ParseError naming the path when the file is not
+    UTF-8 JSON. Raises ValidationError naming the first field that is
+    missing, of the wrong type, or whose array shape disagrees with the
+    training config, the feature paths or the class values.
     """
     path = Path(path)
+    payload = _read_json(path)
     try:
-        return _parse_checkpoint(json.loads(path.read_text()))
+        return _parse_checkpoint(payload)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

@@ -60,12 +60,12 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path_factory, config, feature_paths
         _array(rng, (h, n_classes)), _array(rng, (n_classes,)))
     id_values = np.sort(rng.choice(50, size=n_classes, replace=False))
     path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
-    save_checkpoint(path, params, config, id_values, 50, feature_paths,
+    save_checkpoint(path, params, config, id_values, 50,
                     [MetaPath(p) for p in prop_paths])
 
     ckpt = load_checkpoint(path)
     assert ckpt.config == config
-    assert ckpt.feature_paths == [MetaPath(p) for p in feature_paths]
+    assert ckpt.params.paths == tuple(MetaPath(p) for p in feature_paths)
     assert ckpt.prop_paths == [MetaPath(p) for p in prop_paths]
     assert ckpt.id_class_values.tolist() == id_values.tolist()
     assert ckpt.ood_class == 50
@@ -74,6 +74,21 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path_factory, config, feature_paths
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def test_loaded_feature_paths_keep_their_order(tmp_path):
+    feature_paths = (MetaPath(("t", "b", "t")), MetaPath(("t", "a")),
+                     MetaPath(("t", "a", "b", "t")))
+    h, rng = 2, np.random.default_rng(0)
+    params = EncoderParams(
+        feature_paths, [rng.standard_normal((3, h)) for _ in feature_paths],
+        [rng.standard_normal(h) for _ in feature_paths],
+        rng.standard_normal((3 * h, h)), rng.standard_normal(h),
+        rng.standard_normal((h, 2)), rng.standard_normal(2))
+    path = save_checkpoint(tmp_path / "checkpoint.json", params,
+                           TrainConfig(d_hidden=h), np.array([0, 1]), 2,
+                           [("t", "b", "t")])
+    assert load_checkpoint(path).params.paths == feature_paths
 
 
 @property_settings

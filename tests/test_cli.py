@@ -273,8 +273,8 @@ class TestSweep:
             cfg = TrainConfig(epochs=5, d_hidden=8, seed=seed)
             splits = make_splits(labels, 3, seed=seed)
             params, _ = cli.train(graph, labels, splits, cfg, feat, prop)
-            reports = [cli.evaluate(graph, labels, splits, params, cfg, feat,
-                                    prop, tau) for tau in taus]
+            reports = [cli.evaluate(graph, labels, splits, params, cfg, prop,
+                                    tau) for tau in taus]
             tables.append([{k: r.metrics[k] for k in cli._HEADLINE}
                            | {"tau": r.tau} for r in reports])
         reference = []
@@ -288,6 +288,8 @@ class TestSweep:
     @pytest.mark.parametrize("flags, needle", [
         (["--param", "gamma", "--seeds", ","], "seed list is empty"),
         (["--param", "steps", "--grid", ""], "--grid lists no value"),
+        (["--param", "gamma", "--seeds", "0,abc"],
+         "--seeds entry must be an integer, got 'abc'"),
     ])
     def test_empty_list_is_one_line_error(self, dataset, capsys, flags,
                                           needle):
@@ -304,7 +306,9 @@ class TestSweep:
         ("steps", "1.5", "steps must be an integer, got 1.5"),
         ("alpha", "0.5,2", "alpha must be in [0, 1], got 2.0"),
         ("m_in", "0,nan", "m_in must be finite, got nan"),
-    ], ids=["tau", "gamma", "steps", "steps-fraction", "alpha", "m_in"])
+        ("gamma", "0.3,abc", "--grid entry must be a number, got 'abc'"),
+    ], ids=["tau", "gamma", "steps", "steps-fraction", "alpha", "m_in",
+            "not-a-number"])
     def test_non_finite_tau_grid_fails_before_training(
             self, dataset, monkeypatch, capsys, param, grid, needle):
         def no_training(*args, **kwargs):
@@ -330,14 +334,25 @@ class TestBench:
     @pytest.mark.parametrize("flags, needle", [
         (["--repeats", "0"], "--repeats must be >= 1, got 0"),
         (["--k-list", ""], "--k-list lists no value"),
+        (["--k-list", "1,x"], "--k-list entry must be an integer, got 'x'"),
+        (["--k-list", "1,-1"], "steps must be >= 0, got -1"),
+        (["--gamma", "0"], "gamma must be in (0, 1], got 0.0"),
     ])
-    def test_bad_flag_is_one_line_error(self, dataset, tmp_path, capsys,
-                                        flags, needle):
+    def test_bad_flag_is_one_line_error(self, dataset, tmp_path, monkeypatch,
+                                        capsys, flags, needle):
+        def no_timing(*args, **kwargs):
+            raise AssertionError("bench timed before checking its flags")
+        monkeypatch.setattr(cli, "_median_time", no_timing)
         out = tmp_path / "bench"
         assert main(["bench", "--data", str(dataset), "--out", str(out)]
                     + flags) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {needle}"]
         assert not (out / "bench.json").exists()
+
+    def test_takes_no_ood_class(self, dataset):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--data", str(dataset), "--ood-class", "99"])
+        assert exc.value.code == 2
 
 
 class TestInlineGeneration:
@@ -352,6 +367,17 @@ class TestInlineGeneration:
         assert main(["train", "--gen", "bogus=1", "--ood-class", "3",
                      "--out", str(tmp_path / "o")] + FAST) == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, needle", [
+        ("per_class=abc", "--gen key 'per_class' must be an integer, got 'abc'"),
+        ("seed=1.5", "--gen key 'seed' must be an integer, got '1.5'"),
+        ("shift=x", "--gen key 'shift' must be a number, got 'x'"),
+    ])
+    def test_bad_gen_value_is_one_line_error(self, tmp_path, capsys, spec,
+                                             needle):
+        assert main(["train", "--gen", spec, "--ood-class", "3",
+                     "--out", str(tmp_path / "o")] + FAST) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {needle}"]
 
 
 class TestParallelSeeds:
@@ -438,6 +464,23 @@ class TestCheckpointFormat:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and needle in err
+
+
+    @pytest.mark.parametrize("content, needle", [
+        (None, "not found"),
+        (b"{", "invalid JSON (Expecting property name"),
+        (b"\xff\xfe", "byte 0 is not valid UTF-8"),
+    ], ids=["missing", "not-json", "not-utf8"])
+    def test_unreadable_checkpoint_is_one_line_error(self, dataset, tmp_path,
+                                                     capsys, content, needle):
+        ckpt = tmp_path / "checkpoint.json"
+        if content is not None:
+            ckpt.write_bytes(content)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(dataset),
+                     "--ood-class", "3", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {ckpt}") and needle in err
 
 
 class TestErrors:

@@ -321,6 +321,16 @@ class TestDatasetIO:
         assert len(graph.node_types) == 4
         assert np.unique(labels).size == 4
 
+    @pytest.mark.parametrize("max_hops", [0, 1, 2.0, True, "2"])
+    def test_schema_max_hops_must_be_an_integer_of_two_or_more(
+            self, tmp_path, max_hops):
+        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=10, seed=1))
+        save_dataset(tmp_path / "d", graph, labels,
+                     schema_extra={"max_hops": max_hops})
+        with pytest.raises(ValidationError, match=r"schema\.json: max_hops "
+                           r"must be an integer >= 2, got "):
+            load_path_config(tmp_path / "d")
+
     def test_explicit_metapaths_override_enumeration(self, tmp_path):
         from oodhg.pipeline import resolve_paths
         graph, labels = generate_synthetic(SynthConfig(nodes_per_class=10, seed=1))

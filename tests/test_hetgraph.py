@@ -3,6 +3,7 @@ import pytest
 
 from oodhg import (
     EdgeTypeSchema,
+    MetaPath,
     NodeTypeSchema,
     adjacency,
     build_graph,
@@ -10,6 +11,7 @@ from oodhg import (
     compose_metapath,
     metapath_features,
 )
+from oodhg.hetgraph import resolve_paths
 from oodhg.errors import (
     DimensionMismatch,
     FeaturelessEndType,
@@ -225,6 +227,15 @@ class TestCandidateMetapaths:
     def test_max_hops_below_two_rejected(self):
         with pytest.raises(ValueError):
             candidate_metapaths(self._dblp_schema(), 1)
+
+    def test_metapath_of_a_metapath_is_equal(self):
+        p = MetaPath(("A", "P", "A"))
+        assert MetaPath(p) == p and MetaPath(p).types == ("A", "P", "A")
+
+    @pytest.mark.parametrize("max_hops", [0, 1])
+    def test_resolve_paths_never_replaces_a_given_max_hops(self, max_hops):
+        with pytest.raises(ValueError, match="max_hops must be >= 2"):
+            resolve_paths(self._dblp_schema(), None, max_hops)
 
 
 class TestMetapathFeatures:

@@ -24,7 +24,7 @@ from oodhg import (
 )
 from oodhg.errors import EmptyTrainSet, LabelOutOfRange, OodLabelInTrainSet
 from oodhg.energy import fuse, propagate, propagate_transpose
-from oodhg.hetgraph import MetaPath, candidate_metapaths
+from oodhg.hetgraph import MetaPath, candidate_metapaths, resolve_paths
 from oodhg.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -107,7 +107,7 @@ class TestForward:
         params = make_params(graph, paths, 0, 4, 3)
         for arr in params.param_list():
             arr[...] = 0.0
-        assert np.all(forward(graph, paths, params) == 0.0)
+        assert np.all(forward(graph, params) == 0.0)
 
     def test_identity_composition_single_feature(self):
         # one path, 1x1 identity projections, identity head, non-negative
@@ -125,14 +125,14 @@ class TestForward:
         params.hidden_bias[...] = 0.0
         params.out_weight[...] = 1.0
         params.out_bias[...] = 0.0
-        logits = forward(graph, paths, params)
+        logits = forward(graph, params)
         np.testing.assert_allclose(logits, [[3.0], [3.0]], atol=1e-15)
 
     def test_matches_straight_line_dense_oracle(self):
         graph, _ = small_instance(seed=3)
         paths = [MetaPath(("target", "aux0", "target"))]
         params = make_params(graph, paths, 7, 5, 3)
-        got = forward(graph, paths, params)
+        got = forward(graph, params)
 
         # independent recomputation from the raw edge lists
         n_t = graph.target_count
@@ -284,6 +284,12 @@ class TestTrain:
     def test_epoch_count_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+    def test_default_feature_paths_are_resolve_paths(self):
+        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=10))
+        splits = self._splits(labels)
+        params, _ = train(graph, labels, splits, TrainConfig(epochs=1))
+        assert params.paths == tuple(resolve_paths(graph)[0])
 
     def test_bitwise_deterministic(self):
         graph, labels = small_instance(nodes_per_class=10)

@@ -34,8 +34,7 @@ def scored():
     feat, prop = resolve_paths(graph)
     cfg = TrainConfig(epochs=5, d_hidden=8)
     params, _ = train(graph, labels, splits, cfg, feat, prop)
-    return lambda tau: evaluate(graph, labels, splits, params, cfg, feat,
-                                prop, tau)
+    return lambda tau: evaluate(graph, labels, splits, params, cfg, prop, tau)
 
 
 def test_at_matches_a_fresh_evaluate_bitwise(scored):

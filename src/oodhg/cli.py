@@ -24,6 +24,7 @@ import numpy as np
 from .data import (
     SynthConfig,
     _read_json,
+    _write_json,
     generate_synthetic,
     load_dataset,
     load_path_config,
@@ -34,7 +35,7 @@ from .energy import DetectorConfig, PropagationConfig, propagate
 from .errors import OodhgError, ValidationError
 from .hetgraph import DEFAULT_MAX_HOPS, metapath_operator, resolve_paths
 from .metrics import ENERGY_TAU_GRID
-from .model import TrainConfig, id_class_values, train
+from .model import TrainConfig, train
 from .pipeline import (
     DEFAULT_TAU,
     evaluate,
@@ -50,10 +51,6 @@ _SWEEP_DEFAULT_GRIDS = {
     "m_in": [-5.0, -4.0, -3.0, -2.0, -1.0, 0.0],
     "tau": [float(t) for t in ENERGY_TAU_GRID],
 }
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _resolve(args, config_file: dict, key: str, default):
@@ -235,21 +232,15 @@ def cmd_train(args) -> int:
     cfg = _train_config(args, config_file)
     splits = _splits_for_seed(args, labels, file_splits, cfg.seed)
     params, history = train(graph, labels, splits, cfg, feat, prop)
-    id_values = id_class_values(labels, splits.train_ids, splits.val_ids)
 
     out = _out_dir(args)
-    save_checkpoint(out / "checkpoint.json", params, cfg, id_values,
-                    splits.ood_class, prop)
+    save_checkpoint(out / "checkpoint.json", params, cfg, splits.ood_class)
     echo = {"command": "train", **source, "train_config": cfg.to_dict(),
             "feature_paths": [list(p.types) for p in params.paths],
-            "prop_paths": [list(p.types) for p in prop]}
+            "prop_paths": [list(p.types) for p in params.prop_paths]}
     _write_json(out / "history.json",
                 {"config_echo": echo, "epochs": history.as_dicts()})
-    _write_json(out / "splits.json", {
-        "train": [int(i) for i in splits.train_ids],
-        "val": [int(i) for i in splits.val_ids],
-        "test": [int(i) for i in splits.test_ids],
-        "ood_class": int(splits.ood_class)})
+    _write_json(out / "splits.json", splits.to_dict())
     last = history.records[-1]
     print(f"trained {cfg.epochs} epochs: loss {last.total_loss:.4f}, "
           f"val micro-F1 {last.val_micro_f1:.4f}; wrote {out}/checkpoint.json")
@@ -264,16 +255,10 @@ def cmd_eval(args) -> int:
         raise ValueError(
             f"checkpoint was trained with held-out class {ckpt.ood_class} "
             f"but the dataset splits designate {splits.ood_class}")
-    seen = id_class_values(labels, splits.train_ids, splits.val_ids)
-    if not np.array_equal(seen, ckpt.id_class_values):
-        raise ValueError(
-            f"checkpoint class set {ckpt.id_class_values.tolist()} does not "
-            f"match the dataset's train/val classes {seen.tolist()}")
     tau = DEFAULT_TAU if args.tau is None else args.tau
-    report = evaluate(graph, labels, splits, ckpt.params, ckpt.config,
-                      ckpt.prop_paths, tau)
+    report = evaluate(graph, labels, splits, ckpt.params, ckpt.config, tau)
 
-    to_label = np.append(ckpt.id_class_values, ckpt.ood_class)
+    to_label = np.append(ckpt.params.classes, ckpt.ood_class)
 
     out = _out_dir(args)
     echo = {"command": "eval", **source, "ckpt": str(args.ckpt),
@@ -337,8 +322,7 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
             run = dataclasses.replace(cfg, seed=seed)
             splits = _splits_for_seed(args, labels, file_splits, seed)
             params, _ = train(graph, labels, splits, run, feat, prop)
-            report = evaluate(graph, labels, splits, params, run, prop,
-                              taus[0])
+            report = evaluate(graph, labels, splits, params, run, taus[0])
             return [{k: r.metrics[k] for k in _HEADLINE} | {"tau": r.tau}
                     for r in map(report.at, taus)]
         cells += [{"per_seed": list(rows),

@@ -68,6 +68,11 @@ class Splits:
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=np.int64))
 
+    def to_dict(self) -> dict:
+        """The splits.json payload."""
+        return {"train": self.train_ids.tolist(), "val": self.val_ids.tolist(),
+                "test": self.test_ids.tolist(), "ood_class": int(self.ood_class)}
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -246,8 +251,7 @@ def save_dataset(dir_path, graph: HeteroGraph, labels=None, splits=None,
     }
     if schema_extra:
         schema.update(schema_extra)
-    (root / "schema.json").write_text(
-        json.dumps(schema, indent=2, sort_keys=True) + "\n")
+    _write_json(root / "schema.json", schema)
 
     edge_dir = root / "edges"
     edge_dir.mkdir(exist_ok=True)
@@ -274,14 +278,7 @@ def save_dataset(dir_path, graph: HeteroGraph, labels=None, splits=None,
         (root / "labels.tsv").write_text(_int_pair_text(
             np.column_stack([np.arange(labels.size, dtype=np.int64), labels])))
     if splits is not None:
-        payload = {
-            "train": [int(i) for i in splits.train_ids],
-            "val": [int(i) for i in splits.val_ids],
-            "test": [int(i) for i in splits.test_ids],
-            "ood_class": int(splits.ood_class),
-        }
-        (root / "splits.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(root / "splits.json", splits.to_dict())
     return root
 
 
@@ -304,6 +301,12 @@ def _read_json(path: Path) -> dict:
         raise _not_utf8(path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
+
+
+def _write_json(path: Path, payload) -> None:
+    """The one JSON artifact format: sorted keys, two-space indent, final
+    newline."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # the bytes on which numpy's C reader parses a field exactly as Python's
@@ -546,14 +549,21 @@ def load_path_config(dir_path) -> tuple[list[tuple[str, ...]] | None, int | None
     """Optional meta-path settings from schema.json: (metapaths, max_hops),
     None where absent.
 
-    Raises ValidationError naming schema.json when max_hops is not an
-    integer >= 2.
+    Raises ValidationError naming schema.json when metapaths is not a
+    non-empty list of lists of type names, or max_hops is not an integer
+    >= 2.
     """
     path = Path(dir_path) / "schema.json"
     schema = _read_json(path)
     metapaths = schema.get("metapaths")
     if metapaths is not None:
-        metapaths = [tuple(str(t) for t in seq) for seq in metapaths]
+        if not (isinstance(metapaths, list) and metapaths and all(
+                isinstance(seq, list) and all(isinstance(t, str) for t in seq)
+                for seq in metapaths)):
+            raise ValidationError(
+                f"{path}: metapaths must be a non-empty list of lists of "
+                f"type names, got {metapaths!r}")
+        metapaths = [tuple(seq) for seq in metapaths]
     max_hops = schema.get("max_hops")
     if max_hops is not None and (not isinstance(max_hops, int)
                                  or isinstance(max_hops, bool)

@@ -262,14 +262,10 @@ def hop_matrix(graph: HeteroGraph, src: str, dst: str) -> SparseRowMatrix:
     names = graph.edge_type_names_between(src, dst)
     if not names:
         raise InvalidPath(f"no declared edge type from {src!r} to {dst!r}")
-    if len(names) == 1:
-        binary = adjacency(graph, names[0])
-    else:
-        pairs = np.concatenate([graph.edges[n].reshape(-1, 2) for n in names])
-        binary = SparseRowMatrix.from_edge_pairs(
-            graph.node_count(src), graph.node_count(dst), pairs,
-            duplicates="union")
-    normalized = binary.row_normalize()
+    pairs = np.concatenate([graph.edges[n].reshape(-1, 2) for n in names])
+    normalized = SparseRowMatrix.from_edge_pairs(
+        graph.node_count(src), graph.node_count(dst), pairs,
+        duplicates="union").row_normalize()
     graph._hop_cache[key] = normalized
     return normalized
 
@@ -439,12 +435,13 @@ DEFAULT_MAX_HOPS = 2
 def resolve_paths(graph: HeteroGraph, metapaths=None, max_hops: int | None = None):
     """The meta-paths a model uses: (feature paths, propagation paths).
 
-    Explicit metapaths win; otherwise the target-to-target candidates within
-    max_hops hops are enumerated, DEFAULT_MAX_HOPS when max_hops is None.
+    metapaths, unless None, are used as given; otherwise the
+    target-to-target candidates within max_hops hops are enumerated,
+    DEFAULT_MAX_HOPS when max_hops is None.
     Propagation keeps only paths with both endpoints at the target type;
     feature paths must start at the target and end at a featured type.
     """
-    if metapaths:
+    if metapaths is not None:
         paths = [validate_metapath(graph, seq) for seq in metapaths]
     else:
         paths = candidate_metapaths(

@@ -137,9 +137,17 @@ class TrainConfig:
 
 @dataclass
 class EncoderParams:
-    """All learnable arrays: one projection per feature path plus the head."""
+    """A trained model: the meta-paths it reads and the classes it predicts,
+    then all learnable arrays, one projection per feature path plus the head.
+
+    paths are the feature paths, one per projection; prop_paths are the
+    target-to-target paths its energies propagate along; classes[j] is the
+    label value of output column j (int64, sorted).
+    """
 
     paths: tuple[MetaPath, ...]
+    prop_paths: tuple[MetaPath, ...]
+    classes: np.ndarray
     proj_weights: list[np.ndarray]
     proj_biases: list[np.ndarray]
     hidden_weight: np.ndarray
@@ -167,7 +175,7 @@ class EncoderParams:
 
     def copy(self) -> "EncoderParams":
         return EncoderParams(
-            self.paths,
+            self.paths, self.prop_paths, self.classes,
             [w.copy() for w in self.proj_weights],
             [b.copy() for b in self.proj_biases],
             self.hidden_weight.copy(), self.hidden_bias.copy(),
@@ -205,16 +213,18 @@ def _glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.n
 
 
 def init_params(rng: np.random.Generator, paths, in_dims, d_hidden: int,
-                n_classes: int) -> EncoderParams:
-    """Glorot-uniform weights, zero biases; draws in a fixed order."""
+                classes, prop_paths) -> EncoderParams:
+    """Glorot-uniform weights, zero biases; draws in a fixed order. The head
+    has one column per value of classes."""
     paths = tuple(MetaPath(p) for p in paths)
+    classes = np.asarray(classes, dtype=np.int64)
     proj_w = [_glorot_uniform(rng, d, d_hidden) for d in in_dims]
     proj_b = [np.zeros(d_hidden) for _ in in_dims]
     hidden_w = _glorot_uniform(rng, d_hidden * len(paths), d_hidden)
-    out_w = _glorot_uniform(rng, d_hidden, n_classes)
-    return EncoderParams(paths, proj_w, proj_b,
-                         hidden_w, np.zeros(d_hidden),
-                         out_w, np.zeros(n_classes))
+    out_w = _glorot_uniform(rng, d_hidden, classes.size)
+    return EncoderParams(paths, tuple(MetaPath(p) for p in prop_paths),
+                         classes, proj_w, proj_b, hidden_w,
+                         np.zeros(d_hidden), out_w, np.zeros(classes.size))
 
 
 def feature_tables(graph: HeteroGraph, feature_paths) -> list[np.ndarray]:
@@ -238,8 +248,8 @@ def _param_views(like: EncoderParams, flat: np.ndarray) -> EncoderParams:
         views.append(flat[start:start + arr.size].reshape(arr.shape))
         start += arr.size
     n = len(like.proj_weights)
-    return EncoderParams(like.paths, views[0:2 * n:2], views[1:2 * n:2],
-                         *views[2 * n:])
+    return EncoderParams(like.paths, like.prop_paths, like.classes,
+                         views[0:2 * n:2], views[1:2 * n:2], *views[2 * n:])
 
 
 class _Workspace:
@@ -414,8 +424,7 @@ def _forward_backward(xs: list[np.ndarray],
         g = np.zeros(n)
         g[train_ids] = 2.0 * hinge / n_train
         if a_hats:
-            back = [propagate_transpose(g, a, prop_cfg) for a in a_hats]
-            d_e_raw = np.mean(np.stack(back), axis=0)
+            d_e_raw = fuse([propagate_transpose(g, a, prop_cfg) for a in a_hats])
         else:
             d_e_raw = g
         # dE_raw/dlogits is -softmax rowwise
@@ -522,7 +531,8 @@ def map_to_head(labels: np.ndarray, id_values: np.ndarray) -> np.ndarray:
 
 def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
           feature_paths=None, prop_paths=None) -> tuple[EncoderParams, TrainHistory]:
-    """Full-batch Adam training; returns the best-validation parameters.
+    """Full-batch Adam training; returns the best-validation parameters,
+    which record the paths they were trained with and their classes.
 
     Labels are raw dataset values; head classes are the sorted distinct
     labels seen in train plus val. A path list left None comes from
@@ -552,14 +562,13 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
 
     id_values = id_class_values(labels, train_ids, val_ids)
     y_head = map_to_head(labels, id_values)
-    n_classes = id_values.size
 
     xs = feature_tables(graph, feature_paths)
     a_hats = propagation_operators(graph, prop_paths, config.steps)
 
     rng = np.random.Generator(np.random.Philox(config.seed))
     init = init_params(rng, feature_paths, [x.shape[1] for x in xs],
-                       config.d_hidden, n_classes)
+                       config.d_hidden, id_values, prop_paths)
     flat = np.concatenate([p.ravel() for p in init.param_list()])
     params = _param_views(init, flat)
     ws = _Workspace(xs, params)

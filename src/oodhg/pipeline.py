@@ -2,29 +2,29 @@
 
 Covers post-training evaluation (detection metrics and K+1 classification
 at a threshold tau) and the versioned parameter checkpoint format
-"oodhg-ckpt-v1". A model's feature paths are its EncoderParams.paths; the
-path policy, resolve_paths, is hetgraph's and is re-exported here.
+"oodhg-ckpt-v1". A trained model is one EncoderParams: its arrays, its
+feature and propagation paths, and the class value of each output column.
+The path policy, resolve_paths, is hetgraph's and is re-exported here.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import Splits, _read_json
-# compose_metapath, propagate and sweep_threshold are not called here; they
-# stay importable as pipeline.<name> because perfbench/tracer.py patches
-# them by name
+from .data import Splits, _read_json, _write_json
+# not called here, kept importable as pipeline.<name>: perfbench/tracer.py
+# patches compose_metapath, propagate and sweep_threshold by name, and
+# perfbench/setup_probe.py imports resolve_paths
 from .energy import logit_pass, msp_score, propagate  # noqa: F401
 from .errors import LabelOutOfRange, ValidationError
 from .hetgraph import (
     HeteroGraph,
     MetaPath,
     compose_metapath,  # noqa: F401
-    resolve_paths,
+    resolve_paths,  # noqa: F401
 )
 from .metrics import (
     BinaryScoredSet,
@@ -104,25 +104,31 @@ def gold_kplus1(labels: np.ndarray, ids: np.ndarray, id_values: np.ndarray,
 
 
 def evaluate(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
-             params: EncoderParams, config: TrainConfig, prop_paths,
+             params: EncoderParams, config: TrainConfig,
              tau: float = DEFAULT_TAU) -> EvalReport:
-    """Score every node with the training head, flag -E <= tau as OOD, and
+    """Score every node with the trained model, flag -E <= tau as OOD, and
     compute the test-split metric suite.
 
     Logits come from the feature tables of params.paths. Final energies come
     from the same propagate-then-average step training uses along
-    prop_paths, so the path checks of training apply here too.
+    params.prop_paths, so the path checks of training apply here too. Output
+    column j predicts class params.classes[j]; raises ValidationError when
+    the train/val classes of splits are not those classes.
     """
+    seen = id_class_values(labels, splits.train_ids, splits.val_ids)
+    if not np.array_equal(seen, params.classes):
+        raise ValidationError(
+            f"model class set {params.classes.tolist()} does not match the "
+            f"splits' train/val classes {seen.tolist()}")
     lp = logit_pass(forward(graph, params))
     probs, e_raw = lp.probs, lp.energy
     e_final = propagated_energies(
-        e_raw, propagation_operators(graph, prop_paths, config.steps),
+        e_raw, propagation_operators(graph, params.prop_paths, config.steps),
         config.propagation)
 
-    id_values = id_class_values(labels, splits.train_ids, splits.val_ids)
     test_ids = np.asarray(splits.test_ids, dtype=np.int64)
-    gold = gold_kplus1(labels, test_ids, id_values, splits.ood_class)
-    is_ood = gold == id_values.size
+    gold = gold_kplus1(labels, test_ids, params.classes, splits.ood_class)
+    is_ood = gold == params.classes.size
     scored = BinaryScoredSet(e_final[test_ids], is_ood)
     max_soft = msp_score(probs)
     msp_scored = BinaryScoredSet(-max_soft[test_ids], is_ood)
@@ -144,11 +150,9 @@ def run_experiment(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
                    tau: float = DEFAULT_TAU
                    ) -> tuple[EncoderParams, TrainHistory, EvalReport]:
     """Train, then evaluate on the test split; one seed, fully deterministic."""
-    if prop_paths is None:
-        prop_paths = resolve_paths(graph)[1]
     params, history = train(graph, labels, splits, config,
                             feature_paths, prop_paths)
-    report = evaluate(graph, labels, splits, params, config, prop_paths, tau)
+    report = evaluate(graph, labels, splits, params, config, tau)
     return params, history, report
 
 
@@ -156,10 +160,10 @@ def run_experiment(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
 # checkpoints
 
 def save_checkpoint(path, params: EncoderParams, config: TrainConfig,
-                    id_values: np.ndarray, ood_class: int, prop_paths) -> Path:
+                    ood_class: int) -> Path:
     """Self-describing JSON checkpoint, format tag "oodhg-ckpt-v1".
 
-    Feature paths come from params.paths. All arrays are stored as nested
+    Paths and class values come from params. All arrays are stored as nested
     float lists; json round-trips Python floats exactly, so reloading
     reproduces the parameters bit for bit.
     """
@@ -167,8 +171,8 @@ def save_checkpoint(path, params: EncoderParams, config: TrainConfig,
         "format": CHECKPOINT_FORMAT,
         "train_config": config.to_dict(),
         "feature_paths": [list(p.types) for p in params.paths],
-        "prop_paths": [list(MetaPath(p).types) for p in prop_paths],
-        "id_class_values": [int(v) for v in id_values],
+        "prop_paths": [list(p.types) for p in params.prop_paths],
+        "id_class_values": [int(v) for v in params.classes],
         "ood_class": int(ood_class),
         "params": {
             "projections": [
@@ -182,7 +186,7 @@ def save_checkpoint(path, params: EncoderParams, config: TrainConfig,
         },
     }
     path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_json(path, payload)
     return path
 
 
@@ -190,8 +194,6 @@ def save_checkpoint(path, params: EncoderParams, config: TrainConfig,
 class Checkpoint:
     params: EncoderParams
     config: TrainConfig
-    prop_paths: list[MetaPath]
-    id_class_values: np.ndarray
     ood_class: int
 
 
@@ -274,17 +276,13 @@ def _parse_checkpoint(payload) -> Checkpoint:
         weights.append(_array(proj, name + ".weight", (None, h)))
         biases.append(_array(proj, name + ".bias", (h,)))
     params = EncoderParams(
-        tuple(feature_paths), weights, biases,
+        tuple(feature_paths), tuple(prop_paths),
+        np.asarray(id_values, dtype=np.int64), weights, biases,
         _array(raw, "params.hidden_weight", (h * len(feature_paths), h)),
         _array(raw, "params.hidden_bias", (h,)),
         _array(raw, "params.out_weight", (h, k)),
         _array(raw, "params.out_bias", (k,)))
-    return Checkpoint(
-        params=params,
-        config=config,
-        prop_paths=prop_paths,
-        id_class_values=np.asarray(id_values, dtype=np.int64),
-        ood_class=ood_class)
+    return Checkpoint(params=params, config=config, ood_class=ood_class)
 
 
 def load_checkpoint(path) -> Checkpoint:

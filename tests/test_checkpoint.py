@@ -52,22 +52,23 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path_factory, config, feature_paths
     rng = np.random.default_rng(seed)
     h = config.d_hidden
     n = len(feature_paths)
+    id_values = np.sort(rng.choice(50, size=n_classes, replace=False))
     params = EncoderParams(
         tuple(MetaPath(p) for p in feature_paths),
+        tuple(MetaPath(p) for p in prop_paths), id_values,
         [_array(rng, (d, h)) for d in in_dims[:n]],
         [_array(rng, (h,)) for _ in range(n)],
         _array(rng, (h * n, h)), _array(rng, (h,)),
         _array(rng, (h, n_classes)), _array(rng, (n_classes,)))
-    id_values = np.sort(rng.choice(50, size=n_classes, replace=False))
     path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
-    save_checkpoint(path, params, config, id_values, 50,
-                    [MetaPath(p) for p in prop_paths])
+    save_checkpoint(path, params, config, 50)
 
     ckpt = load_checkpoint(path)
     assert ckpt.config == config
     assert ckpt.params.paths == tuple(MetaPath(p) for p in feature_paths)
-    assert ckpt.prop_paths == [MetaPath(p) for p in prop_paths]
-    assert ckpt.id_class_values.tolist() == id_values.tolist()
+    assert ckpt.params.prop_paths == tuple(MetaPath(p) for p in prop_paths)
+    assert ckpt.params.classes.dtype == np.int64
+    assert ckpt.params.classes.tolist() == id_values.tolist()
     assert ckpt.ood_class == 50
     got, want = ckpt.params.param_list(), params.param_list()
     assert len(got) == len(want)
@@ -81,13 +82,13 @@ def test_loaded_feature_paths_keep_their_order(tmp_path):
                      MetaPath(("t", "a", "b", "t")))
     h, rng = 2, np.random.default_rng(0)
     params = EncoderParams(
-        feature_paths, [rng.standard_normal((3, h)) for _ in feature_paths],
+        feature_paths, (MetaPath(("t", "b", "t")),), np.array([0, 1]),
+        [rng.standard_normal((3, h)) for _ in feature_paths],
         [rng.standard_normal(h) for _ in feature_paths],
         rng.standard_normal((3 * h, h)), rng.standard_normal(h),
         rng.standard_normal((h, 2)), rng.standard_normal(2))
     path = save_checkpoint(tmp_path / "checkpoint.json", params,
-                           TrainConfig(d_hidden=h), np.array([0, 1]), 2,
-                           [("t", "b", "t")])
+                           TrainConfig(d_hidden=h), 2)
     assert load_checkpoint(path).params.paths == feature_paths
 
 

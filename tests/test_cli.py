@@ -71,7 +71,7 @@ class TestTrain:
             assert (out / name).is_file()
         ckpt = load_checkpoint(out / "checkpoint.json")
         assert ckpt.params.n_classes == 3
-        assert [p.types for p in ckpt.prop_paths] == [
+        assert [p.types for p in ckpt.params.prop_paths] == [
             ("target", "aux0", "target"), ("target", "aux1", "target")]
 
     def test_config_file_and_flag_precedence(self, dataset, tmp_path):
@@ -273,8 +273,8 @@ class TestSweep:
             cfg = TrainConfig(epochs=5, d_hidden=8, seed=seed)
             splits = make_splits(labels, 3, seed=seed)
             params, _ = cli.train(graph, labels, splits, cfg, feat, prop)
-            reports = [cli.evaluate(graph, labels, splits, params, cfg, prop,
-                                    tau) for tau in taus]
+            reports = [cli.evaluate(graph, labels, splits, params, cfg, tau)
+                       for tau in taus]
             tables.append([{k: r.metrics[k] for k in cli._HEADLINE}
                            | {"tau": r.tau} for r in reports])
         reference = []

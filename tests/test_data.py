@@ -331,6 +331,18 @@ class TestDatasetIO:
                            r"must be an integer >= 2, got "):
             load_path_config(tmp_path / "d")
 
+    @pytest.mark.parametrize("metapaths", [
+        5, "target", [], [["target", 3]], [("target", "aux0", "target"), 7]],
+        ids=["number", "string", "empty", "non-string-type", "non-list-path"])
+    def test_schema_metapaths_must_be_lists_of_type_names(self, tmp_path,
+                                                          metapaths):
+        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=10, seed=1))
+        save_dataset(tmp_path / "d", graph, labels,
+                     schema_extra={"metapaths": metapaths})
+        with pytest.raises(ValidationError, match=r"schema\.json: metapaths "
+                           r"must be a non-empty list of lists of type names"):
+            load_path_config(tmp_path / "d")
+
     def test_explicit_metapaths_override_enumeration(self, tmp_path):
         from oodhg.pipeline import resolve_paths
         graph, labels = generate_synthetic(SynthConfig(nodes_per_class=10, seed=1))

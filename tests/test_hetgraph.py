@@ -237,6 +237,10 @@ class TestCandidateMetapaths:
         with pytest.raises(ValueError, match="max_hops must be >= 2"):
             resolve_paths(self._dblp_schema(), None, max_hops)
 
+    def test_resolve_paths_never_replaces_a_given_empty_path_list(self):
+        with pytest.raises(InvalidPath, match="no meta-path starts at the target"):
+            resolve_paths(self._dblp_schema(), [])
+
 
 class TestMetapathFeatures:
     def test_constant_feature_single_hop(self):

@@ -76,7 +76,8 @@ def gradcheck_instance(seed, n_target=12, n_aux=5, feature_dim=3):
 def make_params(graph, feature_paths, seed, d_hidden, n_classes):
     rng = np.random.Generator(np.random.Philox(seed))
     dims = [x.shape[1] for x in feature_tables(graph, feature_paths)]
-    return init_params(rng, feature_paths, dims, d_hidden, n_classes)
+    return init_params(rng, feature_paths, dims, d_hidden,
+                       np.arange(n_classes), ())
 
 
 GRAD_CFG = TrainConfig(alpha=0.5, m_in=-2.0, gamma=0.6, steps=2, d_hidden=3)
@@ -290,6 +291,16 @@ class TestTrain:
         splits = self._splits(labels)
         params, _ = train(graph, labels, splits, TrainConfig(epochs=1))
         assert params.paths == tuple(resolve_paths(graph)[0])
+
+    def test_params_record_prop_paths_and_classes(self):
+        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=10))
+        splits = self._splits(labels)
+        params, _ = train(graph, labels, splits, TrainConfig(epochs=2))
+        assert params.prop_paths == tuple(resolve_paths(graph)[1])
+        assert params.classes.dtype == np.int64
+        np.testing.assert_array_equal(params.classes, id_class_values(
+            labels, splits.train_ids, splits.val_ids))
+        assert params.classes.size == params.n_classes
 
     def test_bitwise_deterministic(self):
         graph, labels = small_instance(nodes_per_class=10)

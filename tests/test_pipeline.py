@@ -14,6 +14,7 @@ from oodhg import (
     make_splits,
     train,
 )
+from oodhg.errors import ValidationError
 from oodhg.pipeline import resolve_paths
 
 
@@ -34,7 +35,7 @@ def scored():
     feat, prop = resolve_paths(graph)
     cfg = TrainConfig(epochs=5, d_hidden=8)
     params, _ = train(graph, labels, splits, cfg, feat, prop)
-    return lambda tau: evaluate(graph, labels, splits, params, cfg, prop, tau)
+    return lambda tau: evaluate(graph, labels, splits, params, cfg, tau)
 
 
 def test_at_matches_a_fresh_evaluate_bitwise(scored):
@@ -55,3 +56,16 @@ def test_at_matches_a_fresh_evaluate_bitwise(scored):
 def test_at_rejects_non_finite_tau(scored):
     with pytest.raises(ValueError, match="tau must be finite"):
         scored(1.0).at(float("nan"))
+
+
+def test_evaluate_rejects_splits_with_other_classes():
+    # splits holding out class 2 instead of 3 once made evaluate relabel
+    # output column 2 as class 3 and report AUROC 0.335
+    graph, labels = generate_synthetic(SynthConfig(nodes_per_class=150, seed=3))
+    cfg = TrainConfig(epochs=10)
+    params, _ = train(graph, labels, make_splits(labels, 3, seed=0), cfg)
+    np.testing.assert_array_equal(params.classes, [0, 1, 2])
+    with pytest.raises(ValidationError, match=r"model class set \[0, 1, 2\] "
+                       r"does not match the splits' train/val classes "
+                       r"\[0, 1, 3\]"):
+        evaluate(graph, labels, make_splits(labels, 2, seed=0), params, cfg)

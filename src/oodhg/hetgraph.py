@@ -7,8 +7,9 @@ adjacencies, a row-stochastic matrix between the endpoint types.
 resolve_paths alone decides which meta-paths a model uses.
 
 Propagation never forms that product: metapath_operator applies the cached
-hop matrices right to left (and their transposes for the adjoint), which
-costs the hops' nnz per product instead of the far denser composed matrix.
+hop matrices right to left (and their memoised transposes for the adjoint),
+which costs the hops' nnz per product instead of the far denser composed
+matrix.
 compose_metapath materializes the product and is kept as the reference the
 operator is tested against.
 
@@ -21,7 +22,6 @@ value. Memoised feature tables are read-only arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -358,11 +358,6 @@ class MetaPathOperator:
             x = hop.matvec(x)
         return x
 
-    @cached_property
-    def _hops_t(self) -> tuple[SparseRowMatrix, ...]:
-        # built on first use: evaluation never needs the adjoint
-        return tuple(h.transpose() for h in self.hops)
-
     def stochastic_stats(self) -> tuple[float, float]:
         """(max |row sum - 1| over nonempty rows, min entry), as
         SparseRowMatrix.stochastic_stats; taken from A_hat 1 at build time."""
@@ -378,13 +373,15 @@ class MetaPathOperator:
         return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """A_hat.T @ y: the transposed hops applied in reverse order."""
+        """A_hat.T @ y: the transposed hops applied in reverse order. Each
+        hop's transpose is built on first use, once per hop matrix, and
+        evaluation never needs it."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.n_rows,):
             raise ShapeMismatch(f"rmatvec expects shape ({self.n_rows},), got {y.shape}")
         g = y * self._scale
-        for hop_t in self._hops_t:
-            g = hop_t.matvec(g)
+        for hop in self.hops:
+            g = hop.transposed().matvec(g)
         g[self._loops] += y[self._loops]
         return g
 

@@ -2,7 +2,24 @@
 
 The encoder projects each meta-path feature table into a shared hidden
 space, concatenates them, and maps through a two-layer ReLU perceptron to
-K class logits. Training minimizes
+K class logits. With X_i the table of path i, (W_i, b_i) its projection,
+Wh_i the rows of the hidden weight that projection feeds, (bh, Wo, bo) the
+rest of the head:
+
+    logits = relu(sum_i (X_i W_i + b_i) Wh_i + bh) Wo + bo.
+
+No nonlinearity separates a projection from the hidden layer, so the
+encoder computes the pre-activation as one product X F + c, where
+X = [X_1 | ... | X_P], F stacks the blocks W_i Wh_i and
+c = bh + sum_i b_i Wh_i. Per row the forward pass then costs sum d_i * h
+multiply-adds instead of sum d_i * h + P * h * h up to the hidden layer,
+and the backward pass sum d_i * h instead of sum d_i * h + 2 * P * h * h.
+The parameters are still the per-path projections and the hidden layer,
+so initialisation, the gradients' shapes and checkpoints are unchanged;
+only the float summation order differs from the textbook sums, by about
+1e-15.
+
+Training minimizes
 
     loss = alpha * classification + (1 - alpha) * energy hinge,
 
@@ -26,7 +43,8 @@ vector. Activations, their gradients and the logit statistics are written
 into one _Workspace that each train call allocates for itself, and one
 pass over the logits (energy.logit_pass) gives the softmax, the raw energy
 and the cross-entropy. All of it is elementwise the same arithmetic as a
-per-array loop with fresh arrays, so results are bitwise equal to it.
+per-array loop with fresh arrays that computes the folded products above,
+so results are bitwise equal to that loop.
 
 All math is float64 and full batch. Randomness comes from a Philox
 (counter-based) generator seeded by the run seed: weights are drawn
@@ -255,6 +273,13 @@ def _param_views(like: EncoderParams, flat: np.ndarray) -> EncoderParams:
 class _Workspace:
     """Every large array one forward/backward pass writes, allocated once.
 
+    x is the feature tables side by side, [X_1 | ... | X_P] (n, sum d_i),
+    copied once from the memoised tables; rows[i] selects the rows of
+    path i's block in every (sum d_i, h) array. The encoder never forms the
+    per-path projections: folded_weight F and folded_bias c are the
+    projections composed with the hidden layer, rebuilt from the parameters
+    each pass, and d_folded is the gradient of F.
+
     train allocates one per call and reuses it every epoch; it is never
     shared, because seeds may train concurrently in threads. gradients,
     training_loss and forward_from_features make a fresh one per call. The
@@ -271,7 +296,12 @@ class _Workspace:
                 raise ShapeMismatch(
                     f"feature dim {x.shape[1]} does not match projection {w.shape}")
         n, h, k = xs[0].shape[0], params.d_hidden, params.n_classes
-        self.z = np.empty((n, h * len(xs)))
+        ends = np.cumsum([x.shape[1] for x in xs])
+        self.rows = [slice(end - x.shape[1], end) for x, end in zip(xs, ends)]
+        self.x = np.concatenate(xs, axis=1)
+        self.folded_weight = np.empty((self.x.shape[1], h))
+        self.folded_bias = np.empty(h)
+        self.d_folded = np.empty((self.x.shape[1], h))
         self.pre_hidden = np.empty((n, h))
         self.hidden = np.empty((n, h))
         self.logits = np.empty((n, k))
@@ -280,24 +310,33 @@ class _Workspace:
         self.d_hidden = np.empty((n, h))
         self.active = np.empty((n, h), dtype=bool)
         self.d_pre = np.empty((n, h))
-        self.d_z = np.empty((n, h * len(xs)))
         self.grad_flat = np.empty(sum(p.size for p in params.param_list()))
         self.grads = _param_views(params, self.grad_flat)
 
 
-def _encode(xs: list[np.ndarray], params: EncoderParams,
-            ws: _Workspace) -> np.ndarray:
-    """Encoder forward into ws: z (the concatenated per-path projections),
-    pre_hidden, hidden and the logits, which it returns; the backward pass
-    reads all four."""
+def _hidden_blocks(params: EncoderParams) -> list[np.ndarray]:
+    """Row block i of hidden_weight: the rows path i's projection feeds."""
     h = params.d_hidden
-    for i, (x, w, b) in enumerate(zip(xs, params.proj_weights,
-                                      params.proj_biases)):
-        block = ws.z[:, i * h:(i + 1) * h]
-        np.matmul(x, w, out=block)
-        block += b
-    np.matmul(ws.z, params.hidden_weight, out=ws.pre_hidden)
-    ws.pre_hidden += params.hidden_bias
+    return [params.hidden_weight[i * h:(i + 1) * h]
+            for i in range(len(params.proj_weights))]
+
+
+def _encode(params: EncoderParams, ws: _Workspace) -> np.ndarray:
+    """Encoder forward into ws: folded_weight, folded_bias, pre_hidden,
+    hidden and the logits, which it returns; the backward pass reads all
+    but the logits.
+
+    No nonlinearity separates a projection from the hidden layer, so
+    sum_i (X_i W_i + b_i) Wh_i + bh = X F + c with F_i = W_i Wh_i and
+    c = bh + sum_i b_i Wh_i, one (n, sum d_i) x (sum d_i, h) product.
+    """
+    np.copyto(ws.folded_bias, params.hidden_bias)
+    for w, b, wh, rows in zip(params.proj_weights, params.proj_biases,
+                              _hidden_blocks(params), ws.rows):
+        np.matmul(w, wh, out=ws.folded_weight[rows])
+        ws.folded_bias += b @ wh
+    np.matmul(ws.x, ws.folded_weight, out=ws.pre_hidden)
+    ws.pre_hidden += ws.folded_bias
     np.maximum(ws.pre_hidden, 0.0, out=ws.hidden)
     np.matmul(ws.hidden, params.out_weight, out=ws.logits)
     ws.logits += params.out_bias
@@ -306,7 +345,7 @@ def _encode(xs: list[np.ndarray], params: EncoderParams,
 
 def forward_from_features(xs: list[np.ndarray], params: EncoderParams) -> np.ndarray:
     """Logits from precomputed per-path feature tables."""
-    return _encode(xs, params, _Workspace(xs, params))
+    return _encode(params, _Workspace(xs, params))
 
 
 def forward(graph: HeteroGraph, params: EncoderParams) -> np.ndarray:
@@ -392,8 +431,7 @@ def propagated_energies(e_raw: np.ndarray, a_hats: list[MetaPathOperator],
     return fuse([propagate(e_raw, a, prop_cfg) for a in a_hats])
 
 
-def _forward_backward(xs: list[np.ndarray],
-                      a_hats: list[MetaPathOperator],
+def _forward_backward(a_hats: list[MetaPathOperator],
                       params: EncoderParams,
                       labels: np.ndarray,
                       train_ids: np.ndarray,
@@ -401,11 +439,11 @@ def _forward_backward(xs: list[np.ndarray],
                       ws: _Workspace) -> _ForwardState:
     """Losses and gradients, written into ws. labels must be int64 head
     classes whose range the caller has checked on train_ids."""
-    n = xs[0].shape[0]
+    n = ws.x.shape[0]
     n_train = train_ids.size
     prop_cfg = config.propagation
 
-    logits = _encode(xs, params, ws)
+    logits = _encode(params, ws)
     lp = logit_pass(logits, ws.logit_pass)
     e_final = propagated_energies(lp.energy, a_hats, prop_cfg)
     l_c = _class_loss(lp, labels, train_ids)
@@ -436,14 +474,19 @@ def _forward_backward(xs: list[np.ndarray],
     np.matmul(d_logits, params.out_weight.T, out=ws.d_hidden)
     np.greater(ws.pre_hidden, 0.0, out=ws.active)
     np.multiply(ws.d_hidden, ws.active, out=ws.d_pre)
-    np.matmul(ws.z.T, ws.d_pre, out=grads.hidden_weight)
-    np.sum(ws.d_pre, axis=0, out=grads.hidden_bias)
-    np.matmul(ws.d_pre, params.hidden_weight.T, out=ws.d_z)
-    h = params.d_hidden
-    for i, x in enumerate(xs):
-        chunk = ws.d_z[:, i * h:(i + 1) * h]
-        np.matmul(x.T, chunk, out=grads.proj_weights[i])
-        np.sum(chunk, axis=0, out=grads.proj_biases[i])
+    # back through pre_hidden = X F + c, then F_i = W_i Wh_i and
+    # c = bh + sum_i b_i Wh_i; s = d c = d bh
+    np.matmul(ws.x.T, ws.d_pre, out=ws.d_folded)
+    s = np.sum(ws.d_pre, axis=0, out=grads.hidden_bias)
+    for w, b, wh, rows, d_w, d_b, d_wh in zip(
+            params.proj_weights, params.proj_biases, _hidden_blocks(params),
+            ws.rows, grads.proj_weights, grads.proj_biases,
+            _hidden_blocks(grads)):
+        d_f = ws.d_folded[rows]
+        np.matmul(w.T, d_f, out=d_wh)
+        d_wh += np.outer(b, s)
+        np.matmul(d_f, wh.T, out=d_w)
+        np.matmul(s, wh.T, out=d_b)
     return _ForwardState(logits, lp.energy, l_c, l_e, total, grads)
 
 
@@ -457,7 +500,7 @@ def _graph_pass(graph: HeteroGraph, feature_paths, prop_paths,
     _check_head_labels(labels, train_ids, params.n_classes)
     xs = feature_tables(graph, feature_paths)
     a_hats = propagation_operators(graph, prop_paths, config.steps)
-    return _forward_backward(xs, a_hats, params, labels, train_ids, config,
+    return _forward_backward(a_hats, params, labels, train_ids, config,
                              _Workspace(xs, params))
 
 
@@ -581,7 +624,7 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     # The finite check below turns overflow and NaN into TrainingDiverged,
     # so numpy's warnings on the way there only add noise.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        state = _forward_backward(xs, a_hats, params, y_head, train_ids,
+        state = _forward_backward(a_hats, params, y_head, train_ids,
                                   config, ws)
         for epoch in range(config.epochs):
             # the next pass overwrites ws, so read this epoch's losses first
@@ -600,7 +643,7 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
 
             # the next epoch's forward pass scores validation for this one
             if epoch + 1 < config.epochs:
-                state = _forward_backward(xs, a_hats, params, y_head,
+                state = _forward_backward(a_hats, params, y_head,
                                           train_ids, config, ws)
                 logits = state.logits
             elif val_ids.size:

@@ -158,6 +158,15 @@ class SparseRowMatrix:
             object.__setattr__(self, "_stochastic_stats", cached)
         return cached
 
+    def transposed(self) -> "SparseRowMatrix":
+        """self.transpose(), memoized like stochastic_stats, so every
+        adjoint product with this matrix shares one transpose."""
+        cached = getattr(self, "_transposed", None)
+        if cached is None:
+            cached = self.transpose()
+            object.__setattr__(self, "_transposed", cached)
+        return cached
+
     def is_row_stochastic(self, tol: float = 1e-12) -> bool:
         """Non-negative with every nonempty row summing to 1 within tol."""
         dev, low = self.stochastic_stats()
@@ -263,9 +272,8 @@ class SparseRowMatrix:
         return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """Product self.T @ y. Forms the transpose on every call; repeated
-        adjoints should transpose once and call matvec."""
-        return self.transpose().matvec(y)
+        """Product self.T @ y."""
+        return self.transposed().matvec(y)
 
     def matmul_dense(self, x: np.ndarray) -> np.ndarray:
         """Product self @ x for a dense (n_cols, d) matrix.

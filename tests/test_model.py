@@ -24,7 +24,7 @@ from oodhg import (
 )
 from oodhg.errors import EmptyTrainSet, LabelOutOfRange, OodLabelInTrainSet
 from oodhg.energy import fuse, propagate, propagate_transpose
-from oodhg.hetgraph import MetaPath, candidate_metapaths, resolve_paths
+from oodhg.hetgraph import MetaPath, resolve_paths
 from oodhg.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -51,8 +51,9 @@ def small_instance(seed=0, nodes_per_class=4):
     return graph, labels
 
 
-def gradcheck_instance(seed, n_target=12, n_aux=5, feature_dim=3):
-    """Mirrored random bipartite graph with no isolated target node.
+def gradcheck_instance(seed, n_target=12, n_aux=5, feature_dim=3, aux_dim=0):
+    """Mirrored random bipartite graph with no isolated target node; aux0
+    nodes carry aux_dim features.
 
     Isolation would put a zero feature row through the zero-initialized
     biases, parking a pre-activation exactly on the ReLU kink where the
@@ -63,11 +64,13 @@ def gradcheck_instance(seed, n_target=12, n_aux=5, feature_dim=3):
     mask[np.arange(n_target), rng.integers(0, n_aux, n_target)] = True
     pairs = np.argwhere(mask)
     node_types = [NodeTypeSchema("target", n_target, feature_dim),
-                  NodeTypeSchema("aux0", n_aux)]
+                  NodeTypeSchema("aux0", n_aux, aux_dim)]
     edge_types = [EdgeTypeSchema("target_aux0", "target", "aux0"),
                   EdgeTypeSchema("aux0_target", "aux0", "target")]
     edges = {"target_aux0": pairs, "aux0_target": pairs[:, ::-1]}
     features = {"target": rng.standard_normal((n_target, feature_dim))}
+    if aux_dim:
+        features["aux0"] = rng.standard_normal((n_aux, aux_dim))
     graph = build_graph(node_types, edge_types, edges, features, "target")
     labels = rng.integers(0, 2, n_target)
     return graph, labels
@@ -229,25 +232,62 @@ class TestLosses:
         assert loss_total(2.0, 4.0, 0.5) == 3.0
 
 
+PROP_PATH = MetaPath(("target", "aux0", "target"))
+
+
+def assert_close_to_oracle(got, want, tol=1e-12):
+    """|got - want| <= tol times the largest magnitude of either array."""
+    scale = max(np.abs(got).max(initial=0.0), np.abs(want).max(initial=0.0))
+    assert np.abs(got - want).max(initial=0.0) <= tol * scale
+
+
 class TestGradients:
     def _setup(self, seed):
         graph, labels = gradcheck_instance(seed)
-        paths = [MetaPath(("target", "aux0", "target"))]
+        paths = [PROP_PATH]
         params = make_params(graph, paths, seed + 100, GRAD_CFG.d_hidden, 2)
         y_head = map_to_head(labels, np.array([0, 1]))
         train_ids = np.array([0, 1, 2, 4, 5, 6])
         return graph, paths, params, y_head, train_ids
 
+    def _two_path_setup(self, seed):
+        """Feature paths of widths 2 and 3 and random non-zero biases, so
+        the bias terms of the folded hidden layer carry weight."""
+        graph, labels = gradcheck_instance(seed, aux_dim=2)
+        paths = [MetaPath(("target", "aux0")), PROP_PATH]
+        params = make_params(graph, paths, seed + 100, GRAD_CFG.d_hidden, 2)
+        rng = np.random.default_rng(seed)
+        for b in params.proj_biases + [params.hidden_bias, params.out_bias]:
+            b[...] = rng.uniform(-0.5, 0.5, b.shape)
+        y_head = map_to_head(labels, np.array([0, 1]))
+        train_ids = np.array([0, 1, 2, 4, 5, 6])
+        return graph, paths, params, y_head, train_ids
+
+    def _inputs(self):
+        """(graph, feature paths, params, head labels, train ids)."""
+        return [self._setup(seed) for seed in range(3)] + [
+            self._two_path_setup(3)]
+
     def test_matches_finite_differences(self):
-        for seed in range(3):
-            graph, paths, params, y_head, train_ids = self._setup(seed)
-            got = gradients(graph, paths, paths, params, y_head, train_ids,
-                            GRAD_CFG)
-            fd = fd_gradients(graph, paths, paths, params, y_head, train_ids,
-                              GRAD_CFG)
-            for a, f in zip(got.param_list(), fd):
+        for graph, paths, params, y_head, train_ids in self._inputs():
+            got = gradients(graph, paths, [PROP_PATH], params, y_head,
+                            train_ids, GRAD_CFG)
+            fd = fd_gradients(graph, paths, [PROP_PATH], params, y_head,
+                              train_ids, GRAD_CFG)
+            for a, f in zip(got.param_list(), fd, strict=True):
                 denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-3)
                 assert np.all(np.abs(a - f) <= np.maximum(1e-7, 1e-4 * denom))
+
+    def test_matches_the_textbook_encoder(self):
+        for graph, paths, params, y_head, train_ids in self._inputs():
+            got = gradients(graph, paths, [PROP_PATH], params, y_head,
+                            train_ids, GRAD_CFG)
+            xs = feature_tables(graph, paths)
+            a_hats = propagation_operators(graph, [PROP_PATH], GRAD_CFG.steps)
+            _, want = _ref_forward_backward(xs, a_hats, params, y_head,
+                                            train_ids, GRAD_CFG)
+            for a, w in zip(got.param_list(), want, strict=True):
+                assert_close_to_oracle(a, w)
 
     def test_inactive_hinge_pure_energy_gradient_is_zero(self):
         graph, paths, params, y_head, train_ids = self._setup(0)
@@ -411,7 +451,15 @@ class TestTrain:
 # ----------------------------------------------------------------------
 # the epoch loop as a per-array program: fresh arrays for every activation
 # and gradient, one Adam update per parameter array, and separate softmax,
-# energy and cross-entropy passes. train must reproduce it bit for bit.
+# energy and cross-entropy passes. It runs either encoder below.
+#
+# _ref_encode/_ref_forward_backward are the textbook encoder: each path's
+# projection z_i = X_i W_i + b_i formed, then the hidden layer on their
+# concatenation. train must agree with it within 1e-12.
+#
+# _ref_folded_encode/_ref_folded_forward_backward compute the same map with
+# each projection folded into the hidden layer, pre_hidden = X F + c, in the
+# order model.py sums it; train must reproduce that loop bit for bit.
 
 def _ref_softmax(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -438,9 +486,26 @@ def _ref_encode(xs, p):
     return z, pre, hidden, hidden @ p.out_weight + p.out_bias
 
 
-def _ref_forward_backward(xs, a_hats, p, y, ids, cfg):
+def _ref_hidden_blocks(p):
+    h = p.d_hidden
+    return [p.hidden_weight[i * h:(i + 1) * h]
+            for i in range(len(p.proj_weights))]
+
+
+def _ref_folded_encode(xs, p):
+    x = np.concatenate(xs, axis=1)
+    whs = _ref_hidden_blocks(p)
+    f = np.concatenate([w @ wh for w, wh in zip(p.proj_weights, whs)])
+    c = p.hidden_bias.copy()
+    for b, wh in zip(p.proj_biases, whs):
+        c = c + b @ wh
+    pre = x @ f + c
+    hidden = np.maximum(pre, 0.0)
+    return x, pre, hidden, hidden @ p.out_weight + p.out_bias
+
+
+def _ref_losses_and_d_logits(logits, a_hats, y, ids, cfg):
     prop = PropagationConfig(cfg.gamma, cfg.steps)
-    z, pre, hidden, logits = _ref_encode(xs, p)
     probs = _ref_softmax(logits)
     e_raw = _ref_energy(logits)
     e_final = (fuse([propagate(e_raw, a, prop) for a in a_hats])
@@ -461,6 +526,12 @@ def _ref_forward_backward(xs, a_hats, p, y, ids, cfg):
                                      for a in a_hats]), axis=0)
                    if a_hats else g)
         d_logits += (1.0 - cfg.alpha) * d_e_raw[:, None] * (-probs)
+    return (total, l_c, l_e, e_raw), d_logits
+
+
+def _ref_forward_backward(xs, a_hats, p, y, ids, cfg):
+    z, pre, hidden, logits = _ref_encode(xs, p)
+    losses, d_logits = _ref_losses_and_d_logits(logits, a_hats, y, ids, cfg)
     d_pre = (d_logits @ p.out_weight.T) * (pre > 0.0)
     d_z = d_pre @ p.hidden_weight.T
     h = p.d_hidden
@@ -470,25 +541,48 @@ def _ref_forward_backward(xs, a_hats, p, y, ids, cfg):
         grads.extend([x.T @ chunk, chunk.sum(axis=0)])
     grads.extend([z.T @ d_pre, d_pre.sum(axis=0),
                   hidden.T @ d_logits, d_logits.sum(axis=0)])
-    return (total, l_c, l_e, e_raw), grads
+    return losses, grads
 
 
-def _ref_train(graph, labels, splits, cfg):
+def _ref_folded_forward_backward(xs, a_hats, p, y, ids, cfg):
+    x, pre, hidden, logits = _ref_folded_encode(xs, p)
+    losses, d_logits = _ref_losses_and_d_logits(logits, a_hats, y, ids, cfg)
+    d_pre = (d_logits @ p.out_weight.T) * (pre > 0.0)
+    d_f = x.T @ d_pre
+    s = d_pre.sum(axis=0)
+    ends = np.cumsum([x_i.shape[1] for x_i in xs])
+    grads, d_whs = [], []
+    for w, b, wh, x_i, end in zip(p.proj_weights, p.proj_biases,
+                                  _ref_hidden_blocks(p), xs, ends):
+        d_f_i = d_f[end - x_i.shape[1]:end]
+        grads.extend([d_f_i @ wh.T, s @ wh.T])
+        d_whs.append(w.T @ d_f_i + np.outer(b, s))
+    grads.extend([np.concatenate(d_whs), s,
+                  hidden.T @ d_logits, d_logits.sum(axis=0)])
+    return losses, grads
+
+
+def _ref_train(graph, labels, splits, cfg, folded):
+    encode, forward_backward = (
+        (_ref_folded_encode, _ref_folded_forward_backward) if folded
+        else (_ref_encode, _ref_forward_backward))
     train_ids = np.asarray(splits.train_ids, dtype=np.int64)
     val_ids = np.asarray(splits.val_ids, dtype=np.int64)
-    paths = candidate_metapaths(graph, 2)
+    feature_paths, prop_paths = resolve_paths(graph)
     y = map_to_head(labels, id_class_values(labels, train_ids, val_ids))
-    xs = feature_tables(graph, paths)
-    a_hats = propagation_operators(graph, paths, cfg.steps)
-    params = make_params(graph, paths, cfg.seed, cfg.d_hidden, int(y.max()) + 1)
+    xs = feature_tables(graph, feature_paths)
+    a_hats = propagation_operators(graph, prop_paths, cfg.steps)
+    params = make_params(graph, feature_paths, cfg.seed, cfg.d_hidden,
+                         int(y.max()) + 1)
     m = [np.zeros_like(a) for a in params.param_list()]
     v = [np.zeros_like(a) for a in params.param_list()]
     records, best, best_f1 = [], None, -np.inf
     for epoch in range(cfg.epochs):
-        (total, l_c, l_e, e_raw), grads = _ref_forward_backward(
+        (total, l_c, l_e, e_raw), grads = forward_backward(
             xs, a_hats, params, y, train_ids, cfg)
         t = epoch + 1
-        for a, g, m_a, v_a in zip(params.param_list(), grads, m, v):
+        for a, g, m_a, v_a in zip(params.param_list(), grads, m, v,
+                                  strict=True):
             m_a *= ADAM_BETA1
             m_a += (1.0 - ADAM_BETA1) * g
             v_a *= ADAM_BETA2
@@ -498,7 +592,7 @@ def _ref_train(graph, labels, splits, cfg):
             a -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         val_f1 = 0.0
         if val_ids.size:
-            logits = _ref_encode(xs, params)[3]
+            logits = encode(xs, params)[3]
             val_f1 = float(np.mean(logits[val_ids].argmax(axis=1) == y[val_ids]))
         records.append(EpochRecord(epoch, total, l_c, l_e, val_f1,
                                    float(e_raw[train_ids].mean())))
@@ -507,10 +601,7 @@ def _ref_train(graph, labels, splits, cfg):
     return (best or params.copy()), records
 
 
-@pytest.mark.parametrize("with_val", [True, False], ids=["val", "no-val"])
-@pytest.mark.parametrize("steps", [0, 2])
-@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
-def test_train_is_bitwise_the_per_array_epoch_loop(alpha, steps, with_val):
+def _epoch_loop_case(alpha, steps, with_val):
     graph, labels = small_instance(seed=1, nodes_per_class=20)
     splits = make_splits(labels, ood_class=int(labels.max()), seed=0)
     if not with_val:
@@ -518,13 +609,71 @@ def test_train_is_bitwise_the_per_array_epoch_loop(alpha, steps, with_val):
                                      val_ids=np.array([], dtype=np.int64))
     cfg = TrainConfig(epochs=6, alpha=alpha, steps=steps, seed=4, d_hidden=5,
                       learning_rate=0.05)
+    return graph, labels, splits, cfg
+
+
+def _assert_bitwise_the_folded_loop(graph, labels, splits, cfg):
     params, history = train(graph, labels, splits, cfg)
-    want_params, want_records = _ref_train(graph, labels, splits, cfg)
+    want_params, want_records = _ref_train(graph, labels, splits, cfg,
+                                           folded=True)
     assert history.records == want_records
+    for got, want in zip(params.param_list(), want_params.param_list(),
+                         strict=True):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return history
+
+
+def _assert_close_to_the_textbook_loop(graph, labels, splits, cfg):
+    params, history = train(graph, labels, splits, cfg)
+    want_params, want_records = _ref_train(graph, labels, splits, cfg,
+                                           folded=False)
+    assert len(history.records) == len(want_records)
+    for got, want in zip(history.records, want_records):
+        assert (got.epoch, got.val_micro_f1) == (want.epoch, want.val_micro_f1)
+        assert_close_to_oracle(
+            np.array([got.total_loss, got.class_loss, got.energy_loss,
+                      got.train_energy_mean]),
+            np.array([want.total_loss, want.class_loss, want.energy_loss,
+                      want.train_energy_mean]))
+    for got, want in zip(params.param_list(), want_params.param_list(),
+                         strict=True):
+        assert_close_to_oracle(got, want)
+
+
+epoch_loop_grid = pytest.mark.parametrize(
+    "alpha, steps, with_val",
+    [pytest.param(alpha, steps, with_val,
+                  id=f"{alpha}-{steps}-{'val' if with_val else 'no-val'}")
+     for alpha in (0.0, 0.5, 1.0) for steps in (0, 2)
+     for with_val in (True, False)])
+
+
+@epoch_loop_grid
+def test_train_is_bitwise_the_per_array_epoch_loop(alpha, steps, with_val):
+    history = _assert_bitwise_the_folded_loop(
+        *_epoch_loop_case(alpha, steps, with_val))
     if with_val and alpha == 1.0:
         # model selection matters: the best epoch is a later one
         f1s = [r.val_micro_f1 for r in history.records]
         assert f1s.index(max(f1s)) > 0
-    for got, want in zip(params.param_list(), want_params.param_list(),
-                         strict=True):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@epoch_loop_grid
+def test_train_agrees_with_the_textbook_encoder(alpha, steps, with_val):
+    _assert_close_to_the_textbook_loop(
+        *_epoch_loop_case(alpha, steps, with_val))
+
+
+@pytest.mark.parametrize("check", [_assert_bitwise_the_folded_loop,
+                                   _assert_close_to_the_textbook_loop],
+                         ids=["bitwise-folded", "textbook"])
+def test_two_path_train_matches_the_epoch_loops(check):
+    # the instance above has one feature path; this one has two, so the
+    # per-path sums of the folded layer have more than one term
+    graph, labels = generate_synthetic(
+        SynthConfig(nodes_per_class=10, feature_dim=4, seed=1))
+    assert len(resolve_paths(graph)[0]) == 2
+    splits = make_splits(labels, ood_class=int(labels.max()), seed=0)
+    check(graph, labels, splits,
+          TrainConfig(epochs=6, steps=2, seed=4, d_hidden=5,
+                      learning_rate=0.05))

@@ -428,23 +428,23 @@ def _load_features(feat_dir: Path, name: str, count: int, dim: int) -> np.ndarra
 
 
 def _assign_labels(path: Path, pairs: np.ndarray, n_target: int) -> np.ndarray:
-    """labels[node_id] = value for each (node_id, value) row, -1 where none.
+    """labels[node_id] = value for each (node_id, value) row of path.
 
     Rows apply in file order, so the error raised is the one at the first
-    bad row, named by its line in path: a node id outside [0, n_target), or
-    a node that already holds a label other than -1.
+    bad row, named by its line in path: a node id outside [0, n_target), a
+    negative label, or a node that an earlier row already labelled. Then
+    every target node must hold a label.
     """
     ids, values = pairs[:, 0], pairs[:, 1]
     outside = (ids < 0) | (ids >= n_target)
-    # a row is a duplicate when the previous row naming its node set a
-    # label; rows after the first error never apply, so only rows before
-    # the first outside id matter and outside ids can be left out here
+    # a row is a duplicate when an earlier row names its node; rows after
+    # the first error never apply, so only rows before the first outside id
+    # matter and outside ids can be left out here
     inside = np.flatnonzero(~outside)
     order = inside[np.argsort(ids[inside], kind="stable")]
-    repeat = ids[order[1:]] == ids[order[:-1]]
     duplicate = np.zeros(ids.size, dtype=bool)
-    duplicate[order[1:][repeat & (values[order[:-1]] != -1)]] = True
-    bad = np.flatnonzero(outside | duplicate)
+    duplicate[order[1:][ids[order[1:]] == ids[order[:-1]]]] = True
+    bad = np.flatnonzero(outside | (values < 0) | duplicate)
     if bad.size:
         row = int(bad[0])
         node_id = int(ids[row])
@@ -452,12 +452,17 @@ def _assign_labels(path: Path, pairs: np.ndarray, n_target: int) -> np.ndarray:
         if outside[row]:
             raise ValidationError(f"{where}: node id {node_id} "
                                   f"outside [0, {n_target})")
+        if values[row] < 0:
+            raise ValidationError(f"{where}: negative label {int(values[row])} "
+                                  f"for node {node_id}")
         raise ValidationError(f"{where}: duplicate label for node {node_id}")
-    # every earlier row of a repeated node holds -1, so at most one row per
-    # node sets a value other than -1, and it is the last
-    labels = np.full(n_target, -1, dtype=np.int64)
-    keep = values != -1
-    labels[ids[keep]] = values[keep]
+    seen = np.zeros(n_target, dtype=bool)
+    seen[ids] = True
+    if not seen.all():
+        missing = int(np.flatnonzero(~seen)[0])
+        raise ValidationError(f"{path}: no label for target node {missing}")
+    labels = np.empty(n_target, dtype=np.int64)
+    labels[ids] = values
     return labels
 
 
@@ -522,9 +527,6 @@ def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
     pairs = _parse_int_pair_file(labels_path)
     n_target = graph.target_count
     labels = _assign_labels(labels_path, pairs, n_target)
-    if np.any(labels == -1):
-        missing = int(np.flatnonzero(labels == -1)[0])
-        raise ValidationError(f"{labels_path}: no label for target node {missing}")
 
     splits = None
     splits_path = root / "splits.json"

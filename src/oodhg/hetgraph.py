@@ -7,16 +7,23 @@ adjacencies, a row-stochastic matrix between the endpoint types.
 resolve_paths alone decides which meta-paths a model uses.
 
 Propagation never forms that product: metapath_operator applies the cached
-hop matrices right to left (and their memoised transposes for the adjoint),
-which costs the hops' nnz per product instead of the far denser composed
-matrix.
+hops right to left (and their adjoints left to right), which costs the hops'
+nnz per product instead of the far denser composed matrix.
 compose_metapath materializes the product and is kept as the reference the
 operator is tested against.
 
+Every hop matrix is a row-normalised 0/1 adjacency, H = diag(1/deg) B, with
+each stored value exactly 1.0 / deg of its row. So both the operator and
+metapath_features apply a hop through its HopKernel: a segment sum over the
+pattern B and one scale per row, with no multiply per nonzero and no valued
+transpose. The adjoint is bitwise H.transpose().matvec; the forward and
+feature-table products sum before they scale and so round differently from
+the valued SparseRowMatrix products, within a few ulps.
+
 A graph's nodes, edges and features do not change after construction. Hop
-matrices and meta-path feature tables are memoised lazily on the graph;
-threads that fill the same entry at once each build and store an equal
-value. Memoised feature tables are read-only arrays.
+matrices, their kernels and meta-path feature tables are memoised lazily on
+the graph; threads that fill the same entry at once each build and store an
+equal value. Memoised feature tables are read-only arrays.
 """
 
 from __future__ import annotations
@@ -71,10 +78,6 @@ class MetaPath:
         if len(self.types) < 2:
             raise InvalidPath(f"meta-path needs at least 2 types, got {self.types}")
 
-    @property
-    def n_hops(self) -> int:
-        return len(self.types) - 1
-
     def hops(self) -> list[tuple[str, str]]:
         return list(zip(self.types[:-1], self.types[1:]))
 
@@ -105,6 +108,7 @@ class HeteroGraph:
             pair_index.setdefault((s.src_type, s.dst_type), []).append(s.name)
         self._pair_index = pair_index
         self._hop_cache: dict[tuple[str, str], SparseRowMatrix] = {}
+        self._kernel_cache: dict[tuple[str, str], HopKernel] = {}
         self._feature_cache: dict[tuple[str, ...], np.ndarray] = {}
 
     # -- schema lookups -------------------------------------------------
@@ -135,9 +139,11 @@ class HeteroGraph:
         return self._pair_index.get((src, dst), [])
 
     def clear_caches(self) -> None:
-        """Drop the memoised hop matrices and feature tables, so the next use
-        builds them again (the propagation benchmark times that build)."""
+        """Drop the memoised hop matrices, hop kernels and feature tables,
+        so the next use builds them again (the propagation benchmark times
+        that build)."""
         self._hop_cache.clear()
+        self._kernel_cache.clear()
         self._feature_cache.clear()
 
 
@@ -270,6 +276,121 @@ def hop_matrix(graph: HeteroGraph, src: str, dst: str) -> SparseRowMatrix:
     return normalized
 
 
+class HopKernel:
+    """Products with one hop matrix H = diag(1/deg) B, applied through its
+    0/1 pattern B and the diagonal scale instead of its stored values.
+
+    hop_matrix row-normalises a 0/1 union, so every stored value of row r
+    is exactly 1.0 / deg[r]; the constructor checks this. The products are
+    then:
+
+        H x   = (1/deg) * rowsum(x[cols])        (forward)
+        H^T y = rowsum((y * (1/deg))[rows^T])    (adjoint)
+        H X   = the forward, one column of X at a time
+
+    with rowsum a segment sum over the nonempty rows. The adjoint multiplies
+    the same two factors per nonzero and sums them in the same order as
+    H.transpose().matvec(y), so it is bitwise that product. The forward and
+    dense products sum before they scale, so they round differently from
+    H.matvec, within a few ulps. The adjoint pattern is built on the first
+    rmatvec: evaluation never applies an adjoint and never pays for it.
+    Build with hop_kernel, which memoises one kernel per cached hop matrix.
+    """
+
+    def __init__(self, hop: SparseRowMatrix):
+        self.matrix = hop
+        self.n_rows, self.n_cols = hop.shape
+        counts = hop.row_counts()
+        nonempty = counts > 0
+        self._inv_deg = np.zeros(self.n_rows)
+        self._inv_deg[nonempty] = 1.0 / counts[nonempty]
+        if not np.array_equal(hop.values, np.repeat(self._inv_deg, counts)):
+            raise ValidationError("a hop kernel needs a row-normalised 0/1 "
+                                  "pattern: every value of row r is 1/deg(r)")
+        self._cols = hop.col_indices
+        self._starts = hop.row_offsets[:-1][nonempty]
+        # None when no row is empty: the products skip the zero-fill and
+        # the scatter
+        self._nonempty = None if nonempty.all() else nonempty
+        self._row_scale = self._inv_deg[nonempty]
+        self._adjoint = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n_rows, self.n_cols)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """H @ x."""
+        if x.shape != (self.n_cols,):
+            raise ShapeMismatch(f"matvec expects shape ({self.n_cols},), got {x.shape}")
+        sums = np.add.reduceat(x[self._cols], self._starts)
+        sums *= self._row_scale
+        if self._nonempty is None:
+            return sums
+        out = np.zeros(self.n_rows)
+        out[self._nonempty] = sums
+        return out
+
+    def _adjoint_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(row index per nonzero of H^T, starts of its nonempty rows,
+        nonempty mask or None), built once. The pair keys col * n_rows + row
+        are unique, so one sort orders the nonzeros by column and then by
+        row, as SparseRowMatrix.transpose's stable argsort does."""
+        if self._adjoint is None:
+            rows = np.repeat(np.arange(self.n_rows, dtype=np.int64),
+                             self.matrix.row_counts())
+            rows_t = np.sort(self._cols * self.n_rows + rows) % self.n_rows
+            counts_t = np.bincount(self._cols, minlength=self.n_cols)
+            nonempty_t = counts_t > 0
+            starts_t = (np.cumsum(counts_t) - counts_t)[nonempty_t]
+            self._adjoint = (rows_t, starts_t,
+                             None if nonempty_t.all() else nonempty_t)
+        return self._adjoint
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """H.T @ y, bitwise H.transpose().matvec(y)."""
+        if y.shape != (self.n_rows,):
+            raise ShapeMismatch(f"rmatvec expects shape ({self.n_rows},), got {y.shape}")
+        rows_t, starts_t, nonempty_t = self._adjoint_pattern()
+        sums = np.add.reduceat((y * self._inv_deg)[rows_t], starts_t)
+        if nonempty_t is None:
+            return sums
+        out = np.zeros(self.n_cols)
+        out[nonempty_t] = sums
+        return out
+
+    def matmul_dense(self, x: np.ndarray) -> np.ndarray:
+        """H @ x for a dense (n_cols, d) matrix. Each column of x is read from
+        one contiguous copy of x.T and summed per row, and the (d, n_rows)
+        sums are scaled once; the result is their transpose, so a following
+        hop reads its x.T without a copy."""
+        if np.ndim(x) != 2 or np.shape(x)[0] != self.n_cols:
+            raise ShapeMismatch(
+                f"matmul_dense expects shape ({self.n_cols}, d), got {np.shape(x)}")
+        x = np.asarray(x, dtype=np.float64)
+        xt = np.ascontiguousarray(x.T)
+        out = np.zeros((x.shape[1], self.n_rows))
+        for j, col in enumerate(xt):
+            sums = np.add.reduceat(col[self._cols], self._starts)
+            if self._nonempty is None:
+                out[j] = sums
+            else:
+                out[j, self._nonempty] = sums
+        out *= self._inv_deg
+        return out.T
+
+
+def hop_kernel(graph: HeteroGraph, src: str, dst: str) -> HopKernel:
+    """The HopKernel of hop_matrix(graph, src, dst), memoised on the graph
+    next to that matrix."""
+    key = (src, dst)
+    cached = graph._kernel_cache.get(key)
+    if cached is None:
+        cached = HopKernel(hop_matrix(graph, src, dst))
+        graph._kernel_cache[key] = cached
+    return cached
+
+
 def validate_metapath(graph: HeteroGraph, path) -> MetaPath:
     """Check every node type exists and every hop has a declared edge type."""
     path = MetaPath(path)
@@ -328,10 +449,11 @@ class MetaPathOperator:
     time from the chain applied to a ones vector: scale is 1 / (row sum) on
     rows that lost mass and 1 elsewhere, and loop is 1 on rows that are
     empty when the path starts and ends at the same type (such rows of the
-    chain give 0, so A_hat x copies x there). Build with metapath_operator.
+    chain give 0, so A_hat x copies x there). Each H_i is applied through
+    its HopKernel. Build with metapath_operator.
     """
 
-    def __init__(self, path: MetaPath, hops: list[SparseRowMatrix]):
+    def __init__(self, path: MetaPath, hops: list[HopKernel]):
         self.hops = tuple(hops)
         self.n_rows = self.hops[0].n_rows
         self.n_cols = self.hops[-1].n_cols
@@ -346,7 +468,8 @@ class MetaPathOperator:
         sums[self._loops] = 1.0
         nonempty = sums > 0
         dev = float(np.abs(sums[nonempty] - 1.0).max()) if nonempty.any() else 0.0
-        low = min((float(h.values.min()) for h in self.hops if h.nnz), default=0.0)
+        low = min((float(h.matrix.values.min()) for h in self.hops
+                   if h.matrix.nnz), default=0.0)
         self._stochastic_stats = (dev, low)
 
     @property
@@ -373,15 +496,15 @@ class MetaPathOperator:
         return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """A_hat.T @ y: the transposed hops applied in reverse order. Each
-        hop's transpose is built on first use, once per hop matrix, and
-        evaluation never needs it."""
+        """A_hat.T @ y: the hops' adjoints applied in reverse order, each
+        bitwise H_i.transpose().matvec. A hop kernel builds its adjoint
+        pattern on the first call, and evaluation never makes one."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.n_rows,):
             raise ShapeMismatch(f"rmatvec expects shape ({self.n_rows},), got {y.shape}")
         g = y * self._scale
         for hop in self.hops:
-            g = hop.transposed().matvec(g)
+            g = hop.rmatvec(g)
         g[self._loops] += y[self._loops]
         return g
 
@@ -391,10 +514,10 @@ def metapath_operator(graph: HeteroGraph, path) -> MetaPathOperator:
 
     Equal to compose_metapath(graph, path) up to float summation order,
     without ever forming the product. Reuses the graph's cached hop
-    matrices; the operator itself is not cached.
+    kernels; the operator itself is not cached.
     """
     path = validate_metapath(graph, path)
-    return MetaPathOperator(path, [hop_matrix(graph, *hop) for hop in path.hops()])
+    return MetaPathOperator(path, [hop_kernel(graph, *hop) for hop in path.hops()])
 
 
 def candidate_metapaths(graph: HeteroGraph, max_hops: int) -> list[MetaPath]:
@@ -462,8 +585,9 @@ def metapath_features(graph: HeteroGraph, path) -> np.ndarray:
 
     Computes (product of row-normalized hop adjacencies) @ features(end).
     Zero rows are left as zeros here, not self-loop repaired: a node with no
-    path instances simply aggregates nothing. Evaluated right to left so only
-    sparse-by-dense products are formed. The table is memoised on the graph
+    path instances simply aggregates nothing. Evaluated right to left with
+    HopKernel.matmul_dense, so only sparse-by-dense products are formed. The
+    table is memoised on the graph
     and returned read-only; every call for one path returns equal values.
     """
     path = validate_metapath(graph, path)
@@ -476,7 +600,7 @@ def metapath_features(graph: HeteroGraph, path) -> np.ndarray:
             f"meta-path {path} ends at featureless type {end!r}")
     out = graph.features[end]
     for src, dst in reversed(path.hops()):
-        out = hop_matrix(graph, src, dst).matmul_dense(out)
+        out = hop_kernel(graph, src, dst).matmul_dense(out)
     out.flags.writeable = False
     graph._feature_cache[path.types] = out
     return out

@@ -1,7 +1,10 @@
 """Compressed sparse row matrices for adjacency chains.
 
-Implements just what the propagation pipeline needs: construction from edge
-pairs, row normalization, CSR*CSR and CSR*dense products, and transposition.
+Implements construction from edge pairs, row normalization, CSR*CSR and
+CSR*vector products, and transposition. These are the general, valued
+products: compose_metapath and the tests use them as the reference, while
+propagation and feature tables apply the row-normalised 0/1 hop matrices
+through hetgraph.HopKernel.
 All values are 64-bit floats. Products are accumulated row by row with a
 sparse (concatenate, sort, segment-reduce) accumulator, never through a dense
 intermediate, and the summation order inside every output row is fixed, so
@@ -158,15 +161,6 @@ class SparseRowMatrix:
             object.__setattr__(self, "_stochastic_stats", cached)
         return cached
 
-    def transposed(self) -> "SparseRowMatrix":
-        """self.transpose(), memoized like stochastic_stats, so every
-        adjoint product with this matrix shares one transpose."""
-        cached = getattr(self, "_transposed", None)
-        if cached is None:
-            cached = self.transpose()
-            object.__setattr__(self, "_transposed", cached)
-        return cached
-
     def is_row_stochastic(self, tol: float = 1e-12) -> bool:
         """Non-negative with every nonempty row summing to 1 within tol."""
         dev, low = self.stochastic_stats()
@@ -250,12 +244,6 @@ class SparseRowMatrix:
                 else np.zeros(0, np.float64))
         return SparseRowMatrix(self.n_rows, other.n_cols, out_offsets, cols, vals)
 
-    def _row_dots(self, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Sum of values * x[col] over each nonempty row, in stored order;
-        starts are the offsets of the nonempty rows. The kernel of matvec and
-        of every column of matmul_dense."""
-        return np.add.reduceat(self.values * x[self.col_indices], starts)
-
     def _nonempty_starts(self) -> tuple[np.ndarray, np.ndarray]:
         starts = self.row_offsets[:-1]
         nonempty = starts < self.row_offsets[1:]
@@ -268,30 +256,13 @@ class SparseRowMatrix:
         out = np.zeros(self.n_rows, np.float64)
         if self.nnz:
             nonempty, starts = self._nonempty_starts()
-            out[nonempty] = self._row_dots(x, starts)
+            out[nonempty] = np.add.reduceat(self.values * x[self.col_indices],
+                                            starts)
         return out
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """Product self.T @ y."""
-        return self.transposed().matvec(y)
-
-    def matmul_dense(self, x: np.ndarray) -> np.ndarray:
-        """Product self @ x for a dense (n_cols, d) matrix.
-
-        Reduces one column at a time, so the temporaries are nnz long rather
-        than (nnz, d); every output entry is summed in the same order as by
-        matvec on that column.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.n_cols:
-            raise ShapeMismatch(
-                f"matmul_dense expects shape ({self.n_cols}, d), got {x.shape}")
-        out = np.zeros((self.n_rows, x.shape[1]), np.float64)
-        if self.nnz:
-            nonempty, starts = self._nonempty_starts()
-            for j in range(x.shape[1]):
-                out[nonempty, j] = self._row_dots(x[:, j], starts)
-        return out
+        return self.transpose().matvec(y)
 
     def with_unit_diagonal_on_empty_rows(self) -> "SparseRowMatrix":
         """Square matrices only: put a lone 1.0 at (i, i) for every empty row i."""

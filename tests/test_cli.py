@@ -74,6 +74,21 @@ class TestTrain:
         assert [p.types for p in ckpt.params.prop_paths] == [
             ("target", "aux0", "target"), ("target", "aux1", "target")]
 
+    @pytest.mark.parametrize("label", [-1, -2])
+    def test_negative_label_is_one_line_error(self, dataset, tmp_path, capsys,
+                                              label):
+        path = dataset / "labels.tsv"
+        lines = path.read_text().splitlines()
+        node = lines[4].split("\t")[0]
+        lines[4] = f"{node}\t{label}"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(dataset), "--ood-class", "3",
+                     "--out", str(out)] + FAST) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}:5: negative label {label} for node {node}"]
+        assert not out.exists()
+
     def test_config_file_and_flag_precedence(self, dataset, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"epochs": 3, "alpha": 0.25}))

@@ -482,15 +482,23 @@ class TestTableReaders:
 
 def _assign_labels_loop(path, pairs, n_target):
     """The row-by-row label assignment the vectorised one must reproduce."""
-    labels = np.full(n_target, -1, dtype=np.int64)
+    labels = np.zeros(n_target, dtype=np.int64)
+    seen = np.zeros(n_target, dtype=bool)
     for row, (node_id, value) in enumerate(pairs, start=1):
         if not (0 <= node_id < n_target):
             raise ValidationError(f"{path}:{row}: node id {node_id} "
                                   f"outside [0, {n_target})")
-        if labels[node_id] != -1:
+        if value < 0:
+            raise ValidationError(f"{path}:{row}: negative label {value} "
+                                  f"for node {node_id}")
+        if seen[node_id]:
             raise ValidationError(f"{path}:{row}: duplicate label for "
                                   f"node {node_id}")
         labels[node_id] = value
+        seen[node_id] = True
+    if not seen.all():
+        raise ValidationError(f"{path}: no label for target node "
+                              f"{int(np.flatnonzero(~seen)[0])}")
     return labels
 
 

@@ -66,3 +66,18 @@ def test_pairs_run_the_declared_seeds_alternating_sides(path):
         firsts = [p["first"] for p in pairs]
         assert set(firsts) <= set(SIDES), workload
         assert all(a != b for a, b in zip(firsts, firsts[1:])), workload
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=[p.name for p in RECORDS])
+def test_every_run_is_a_correct_untraced_run_of_the_gated_length(path):
+    record = json.loads(path.read_text())
+    assert record["seconds"] == _spec()["run_seconds"]
+    assert record["trace"] == 0
+    for workload, entry in record["workloads"].items():
+        for pair in entry["pairs"]:
+            for side in SIDES:
+                run = pair[side]
+                where = f"{workload} seed {pair['seed']} {side}"
+                assert run["correct"] is True, where
+                assert run["failed"] == 0, where
+                assert run["attempted"] > 0, where

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodhg.errors import NegativeValue, ShapeMismatch, ValidationError
+from oodhg.hetgraph import HopKernel
 from oodhg.sparse import SparseRowMatrix, pair_keys, row_normalize
 
 from conftest import dense_row_normalize
@@ -155,10 +156,12 @@ class TestProducts:
             np.testing.assert_allclose(got, a @ x, atol=1e-13)
 
     def test_matmul_dense_matches(self):
+        # the dense product moved to the hop kernel, which takes the
+        # row-normalised 0/1 matrices hop_matrix builds
         rng = np.random.default_rng(9)
-        a = _random_sparse(rng, 10, 6)
+        a = dense_row_normalize((rng.random((10, 6)) < 0.4).astype(float))
         x = rng.standard_normal((6, 4))
-        got = SparseRowMatrix.from_dense(a).matmul_dense(x)
+        got = HopKernel(SparseRowMatrix.from_dense(a)).matmul_dense(x)
         np.testing.assert_allclose(got, a @ x, atol=1e-13)
 
     @settings(max_examples=300, deadline=None)
@@ -170,22 +173,22 @@ class TestProducts:
         mask = np.asarray(data.draw(st.lists(
             st.lists(st.booleans(), min_size=n_cols, max_size=n_cols),
             min_size=n_rows, max_size=n_rows)), dtype=bool)
-        dense = np.zeros((n_rows, n_cols))
-        dense[mask] = data.draw(st.lists(
-            finite.filter(lambda v: v != 0.0),
-            min_size=int(mask.sum()), max_size=int(mask.sum())))
         x = np.asarray(data.draw(st.lists(finite, min_size=n_cols * d,
                                           max_size=n_cols * d)),
                        dtype=np.float64).reshape(n_cols, d)
-        m = SparseRowMatrix.from_dense(dense)
-        # the (nnz, d) form matmul_dense replaced
+        m = SparseRowMatrix.from_edge_pairs(n_rows, n_cols,
+                                            np.argwhere(mask)).row_normalize()
+        # the (nnz, d) form: gather x's rows, sum each matrix row, then scale
+        # it by 1 / its nonzero count
         want = np.zeros((n_rows, d))
         if m.nnz:
             starts = m.row_offsets[:-1]
-            nonempty = starts < m.row_offsets[1:]
-            want[nonempty] = np.add.reduceat(m.values[:, None] * x[m.col_indices],
-                                             starts[nonempty], axis=0)
-        got = m.matmul_dense(x)
+            counts = m.row_counts()
+            nonempty = counts > 0
+            want[nonempty] = (np.add.reduceat(x[m.col_indices],
+                                              starts[nonempty], axis=0)
+                              * (1.0 / counts[nonempty])[:, None])
+        got = HopKernel(m).matmul_dense(x)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_transpose_matches_dense(self):

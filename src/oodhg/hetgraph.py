@@ -280,9 +280,8 @@ class HopKernel:
     """Products with one hop matrix H = diag(1/deg) B, applied through its
     0/1 pattern B and the diagonal scale instead of its stored values.
 
-    hop_matrix row-normalises a 0/1 union: it divides each 1.0 of row r by
-    the row's sum, which is deg[r] exactly, so every stored value of row r
-    is exactly 1.0 / deg[r]. The constructor checks this. The products are
+    hop_matrix row-normalises a 0/1 union, so every stored value of row r
+    is exactly 1.0 / deg[r]; the constructor checks this. The products are
     then:
 
         H x   = (1/deg) * rowsum(x[cols])        (forward)
@@ -315,6 +314,10 @@ class HopKernel:
         self._nonempty = None if nonempty.all() else nonempty
         self._row_scale = self._inv_deg[nonempty]
         self._adjoint = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n_rows, self.n_cols)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """H @ x."""
@@ -361,10 +364,10 @@ class HopKernel:
         one contiguous copy of x.T and summed per row, and the (d, n_rows)
         sums are scaled once; the result is their transpose, so a following
         hop reads its x.T without a copy."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.n_cols:
+        if np.ndim(x) != 2 or np.shape(x)[0] != self.n_cols:
             raise ShapeMismatch(
-                f"matmul_dense expects shape ({self.n_cols}, d), got {x.shape}")
+                f"matmul_dense expects shape ({self.n_cols}, d), got {np.shape(x)}")
+        x = np.asarray(x, dtype=np.float64)
         xt = np.ascontiguousarray(x.T)
         out = np.zeros((x.shape[1], self.n_rows))
         for j, col in enumerate(xt):

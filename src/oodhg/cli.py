@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    OptionalKey,
     SynthConfig,
     _read_json,
     _write_json,
@@ -35,7 +36,7 @@ from .energy import DetectorConfig, PropagationConfig, propagate
 from .errors import OodhgError, ValidationError
 from .hetgraph import DEFAULT_MAX_HOPS, metapath_operator, resolve_paths
 from .metrics import ENERGY_TAU_GRID
-from .model import TrainConfig, train
+from .model import TRAIN_CONFIG_KINDS, TrainConfig, train
 from .pipeline import (
     DEFAULT_TAU,
     evaluate,
@@ -53,39 +54,27 @@ _SWEEP_DEFAULT_GRIDS = {
 }
 
 
-def _resolve(args, config_file: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config_file:
-        return config_file[key]
-    return default
-
-
-_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
-
-
 def _load_config_file(args) -> dict:
     """The --config JSON object; its keys are TrainConfig field names, the
     vocabulary of config_echo.train_config, plus "seeds" for the commands
-    that take --seeds."""
+    that take --seeds. Every key is optional."""
     if getattr(args, "config", None) is None:
         return {}
-    config = _read_json(Path(args.config))
-    if not isinstance(config, dict):
-        raise ValidationError(f"{args.config}: config must be a JSON object")
-    allowed = _TRAIN_KEYS + (("seeds",) if hasattr(args, "seeds") else ())
+    kinds = TRAIN_CONFIG_KINDS | ({"seeds": [int]} if hasattr(args, "seeds")
+                                  else {})
+    config = _read_json(Path(args.config),
+                        {key: OptionalKey(kind) for key, kind in kinds.items()})
     for key in config:
-        if key not in allowed:
+        if key not in kinds:
             raise ValidationError(
                 f"{args.config}: unknown config key {key!r}; expected one "
-                f"of {sorted(allowed)}")
+                f"of {sorted(kinds)}")
     return config
 
 
 def _train_config(args, config_file: dict) -> TrainConfig:
-    values = {k: v for k, v in config_file.items() if k in _TRAIN_KEYS}
-    for key in _TRAIN_KEYS:
+    values = {k: v for k, v in config_file.items() if k in TRAIN_CONFIG_KINDS}
+    for key in TRAIN_CONFIG_KINDS:
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
     return TrainConfig.from_dict(values)
@@ -162,27 +151,22 @@ def _load_graph(args):
     return graph, labels, splits, feat, prop, source
 
 
-def _splits_for_seed(args, labels, file_splits, seed: int):
-    """File splits when present; otherwise derived from --ood-class and seed."""
+def _splits_for_seed(ood_class, labels, file_splits, seed: int):
+    """File splits when present; otherwise made for ood_class and seed."""
     if file_splits is not None:
         return file_splits
-    ood = getattr(args, "ood_class", None)
-    if ood is None:
+    if ood_class is None:
         raise ValueError("--ood-class is required when the dataset has no "
                          "splits.json; it has no default")
-    return make_splits(labels, int(ood), seed=seed)
+    return make_splits(labels, ood_class, seed=seed)
 
 
 def _seed_list(args, config_file: dict) -> list[int]:
-    seeds = _resolve(args, config_file, "seeds", None)
-    if seeds is None:
-        return [int(_resolve(args, config_file, "seed", 0))]
-    if isinstance(seeds, str):
-        seeds = _number_list("--seeds", seeds, int)
-    elif not (isinstance(seeds, list) and all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
-        raise ValidationError(f"{args.config}: config key 'seeds' must be a "
-                              f"list of integers, got {seeds!r}")
+    if args.seeds is not None:
+        seeds = _number_list("--seeds", args.seeds, int)
+    else:
+        seed = config_file.get("seed", 0) if args.seed is None else args.seed
+        seeds = config_file.get("seeds", [seed])
     if not seeds:
         raise ValueError("the seed list is empty")
     return seeds
@@ -230,7 +214,7 @@ def cmd_train(args) -> int:
     config_file = _load_config_file(args)
     graph, labels, file_splits, feat, prop, source = _load_graph(args)
     cfg = _train_config(args, config_file)
-    splits = _splits_for_seed(args, labels, file_splits, cfg.seed)
+    splits = _splits_for_seed(args.ood_class, labels, file_splits, cfg.seed)
     params, history = train(graph, labels, splits, cfg, feat, prop)
 
     out = _out_dir(args)
@@ -250,7 +234,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     graph, labels, file_splits, _, _, source = _load_graph(args)
-    splits = _splits_for_seed(args, labels, file_splits, ckpt.config.seed)
+    ood_class = ckpt.ood_class if args.ood_class is None else args.ood_class
+    splits = _splits_for_seed(ood_class, labels, file_splits, ckpt.config.seed)
     if splits.ood_class != ckpt.ood_class:
         raise ValueError(
             f"checkpoint was trained with held-out class {ckpt.ood_class} "
@@ -320,7 +305,7 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
     for cfg, taus in configs:
         def one(seed):
             run = dataclasses.replace(cfg, seed=seed)
-            splits = _splits_for_seed(args, labels, file_splits, seed)
+            splits = _splits_for_seed(args.ood_class, labels, file_splits, seed)
             params, _ = train(graph, labels, splits, run, feat, prop)
             report = evaluate(graph, labels, splits, params, run, taus[0])
             return [{k: r.metrics[k] for k in _HEADLINE} | {"tau": r.tau}
@@ -475,8 +460,8 @@ def _add_data_flags(p: argparse.ArgumentParser, splits: bool = True) -> None:
                    "classes=3,per_class=60,seed=7")
     if splits:
         p.add_argument("--ood-class", dest="ood_class", type=int,
-                       help="label value of the held-out class (required "
-                       "when the dataset has no splits.json)")
+                       help="label value of the held-out class (required without "
+                       "splits.json; eval defaults to the checkpoint's)")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:

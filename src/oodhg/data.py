@@ -11,6 +11,10 @@ Directory format:
     labels.tsv                 one "node_id<TAB>label" per target node.
     splits.json (optional)     {train, val, test, ood_class}.
 
+Every JSON file, here or elsewhere, is read by _read_json under one type
+policy (see _typed); a value of another type is a ValidationError naming
+the file and key path, never truncated or coerced.
+
 Text files are read as Python's int() and float() read each field, and
 blank lines are skipped; ids and labels must fit int64. numpy's C reader
 parses them, and a line-by-line reference parser takes over for any file
@@ -29,6 +33,8 @@ count.
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -292,15 +298,87 @@ def _not_utf8(path: Path) -> ParseError:
     return ParseError(f"{path}: not valid UTF-8")
 
 
-def _read_json(path: Path) -> dict:
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def _require_file(path: Path) -> None:
+    """MissingFile unless path is a regular file (or a link to one)."""
     if not path.is_file():
-        raise MissingFile(f"{path} not found")
+        raise MissingFile(f"{path} is not a file" if path.exists()
+                          else f"{path} not found")
+
+
+@dataclass(frozen=True)
+class OptionalKey:
+    """Spec of an object key that may be absent; null counts as absent."""
+
+    kind: object
+
+
+def _typed(value, spec, file: Path, at: tuple = ()):
+    """value, at key path at of file, checked against spec and converted:
+
+        int          an integer that fits int64, never a bool
+        float        a finite integer or float, read as a float
+        str          a string; a str instance: exactly that string
+        [spec]       a list whose every element matches spec
+        {key: spec}  an object holding every key, save that an OptionalKey
+                     may be absent or null (and is then left out); keys
+                     spec does not name pass through unchecked
+
+    A mismatch is a ValidationError naming file and the key path, e.g.
+    "splits.json: 'train[0]' must be an integer, got 0.9".
+    """
+    if spec is int:
+        if type(value) is int and _INT64_MIN <= value <= _INT64_MAX:
+            return value
+        noun = "an integer" + (" that fits int64" if type(value) is int else "")
+    elif spec is float:
+        if (type(value) is float and math.isfinite(value)
+                or type(value) is int and abs(value) <= sys.float_info.max):
+            return float(value)
+        noun = "a finite number"
+    elif spec is str or type(spec) is str:
+        if type(value) is str and (spec is str or value == spec):
+            return value
+        noun = "a string" if spec is str else repr(spec)
+    elif type(spec) is list:
+        if type(value) is list:
+            return [_typed(v, spec[0], file, (*at, i)) for i, v in enumerate(value)]
+        noun = "a list"
+    elif type(value) is dict:
+        out = {k: v for k, v in value.items() if k not in spec}
+        for key, kind in spec.items():
+            if type(kind) is OptionalKey:
+                if value.get(key) is None:
+                    continue
+                kind = kind.kind
+            if key not in value:
+                raise _mismatch(file, (*at, key), "is missing")
+            out[key] = _typed(value[key], kind, file, (*at, key))
+        return out
+    else:
+        noun = "a JSON object"
+    raise _mismatch(file, at, f"must be {noun}, got {reprlib.repr(value)}")
+
+
+def _mismatch(file: Path, at: tuple, problem: str) -> ValidationError:
+    """"file: 'a.b[0].c' problem" for at = ("a", "b", 0, "c")."""
+    path = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in at)
+    where = repr(path.removeprefix(".")) if at else "top level"
+    return ValidationError(f"{file}: {where} {problem}")
+
+
+def _read_json(path: Path, spec):
+    """The JSON document at path, checked against spec by _typed."""
+    _require_file(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        document = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    return _typed(document, spec, path)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -326,8 +404,7 @@ def _read_table(path: Path, dtype, delimiter: str, width: int,
     loadtxt's row numbers cannot give. Where loadtxt returns the table, the
     reference returns the same values.
     """
-    if not path.is_file():
-        raise MissingFile(f"{path} not found")
+    _require_file(path)
     raw = path.read_bytes()
     # int() refuses a field of more than get_int_max_str_digits() digits,
     # leading zeros included; one that still fits int64 has at most 19
@@ -345,8 +422,6 @@ def _read_table(path: Path, dtype, delimiter: str, width: int,
         return parse_lines(path)
     return table if table.shape[1] == width else parse_lines(path)
 
-
-_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
 
 def _text_lines(path: Path):
@@ -466,37 +541,51 @@ def _assign_labels(path: Path, pairs: np.ndarray, n_target: int) -> np.ndarray:
     return labels
 
 
+_SCHEMA = {
+    "node_types": [{"name": str, "count": int, "feature_dim": OptionalKey(int)}],
+    "edge_types": [{"name": str, "src": str, "dst": str}],
+    "target_type": str,
+    "metapaths": OptionalKey([[str]]),
+    "max_hops": OptionalKey(int),
+}
+
+def _read_schema(root: Path) -> dict:
+    """schema.json of the directory root, read against _SCHEMA and checked:
+    every type it names is declared, metapaths is non-empty, max_hops >= 2."""
+    path = root / "schema.json"
+    schema = _read_json(path, _SCHEMA)
+    declared = {e["name"] for e in schema["node_types"]}
+    for e in schema["edge_types"]:
+        for end in (e["src"], e["dst"]):
+            if end not in declared:
+                raise ValidationError(
+                    f"{path}: edge type {e['name']!r} references "
+                    f"unknown node type {end!r}")
+    if schema["target_type"] not in declared:
+        raise ValidationError(
+            f"{path}: target_type {schema['target_type']!r} not declared")
+    if schema.get("metapaths") == []:
+        raise ValidationError(f"{path}: 'metapaths' must be a non-empty list, got []")
+    if schema.get("max_hops", 2) < 2:
+        raise ValidationError(f"{path}: 'max_hops' must be an integer >= 2, "
+                              f"got {schema['max_hops']!r}")
+    return schema
+
+
 def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
     """Load and validate a dataset directory.
 
     Returns (graph, labels, splits) with splits None when splits.json is
     absent. Every structural problem is reported with the offending file
-    (and line where applicable).
+    (and line or key where applicable).
     """
     root = Path(dir_path)
-    schema_path = root / "schema.json"
-    schema = _read_json(schema_path)
-    for key in ("node_types", "edge_types", "target_type"):
-        if key not in schema:
-            raise ValidationError(f"{schema_path}: missing key {key!r}")
-    try:
-        node_types = [NodeTypeSchema(str(e["name"]), int(e["count"]),
-                                     int(e.get("feature_dim", 0)))
-                      for e in schema["node_types"]]
-        edge_types = [EdgeTypeSchema(str(e["name"]), str(e["src"]), str(e["dst"]))
-                      for e in schema["edge_types"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"{schema_path}: malformed type entry ({exc})") from None
+    schema = _read_schema(root)
+    node_types = [NodeTypeSchema(e["name"], e["count"], e.get("feature_dim", 0))
+                  for e in schema["node_types"]]
+    edge_types = [EdgeTypeSchema(e["name"], e["src"], e["dst"])
+                  for e in schema["edge_types"]]
     declared = {s.name: s for s in node_types}
-    for s in edge_types:
-        for end in (s.src_type, s.dst_type):
-            if end not in declared:
-                raise ValidationError(
-                    f"{schema_path}: edge type {s.name!r} references "
-                    f"unknown node type {end!r}")
-    if schema["target_type"] not in declared:
-        raise ValidationError(
-            f"{schema_path}: target_type {schema['target_type']!r} not declared")
 
     edges = {}
     for s in edge_types:
@@ -530,15 +619,11 @@ def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
 
     splits = None
     splits_path = root / "splits.json"
-    if splits_path.is_file():
-        payload = _read_json(splits_path)
-        for key in ("train", "val", "test", "ood_class"):
-            if key not in payload:
-                raise ValidationError(f"{splits_path}: missing key {key!r}")
-        splits = Splits(np.asarray(payload["train"], dtype=np.int64),
-                        np.asarray(payload["val"], dtype=np.int64),
-                        np.asarray(payload["test"], dtype=np.int64),
-                        int(payload["ood_class"]))
+    if splits_path.exists():
+        payload = _read_json(splits_path, {
+            "train": [int], "val": [int], "test": [int], "ood_class": int})
+        splits = Splits(payload["train"], payload["val"], payload["test"],
+                        payload["ood_class"])
         all_ids = np.concatenate([splits.train_ids, splits.val_ids, splits.test_ids])
         if all_ids.size and (all_ids.min() < 0 or all_ids.max() >= n_target):
             raise ValidationError(f"{splits_path}: node id outside [0, {n_target})")
@@ -549,27 +634,10 @@ def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
 
 def load_path_config(dir_path) -> tuple[list[tuple[str, ...]] | None, int | None]:
     """Optional meta-path settings from schema.json: (metapaths, max_hops),
-    None where absent.
-
-    Raises ValidationError naming schema.json when metapaths is not a
-    non-empty list of lists of type names, or max_hops is not an integer
-    >= 2.
-    """
-    path = Path(dir_path) / "schema.json"
-    schema = _read_json(path)
+    None where absent. schema.json is read and checked as load_dataset
+    reads it."""
+    schema = _read_schema(Path(dir_path))
     metapaths = schema.get("metapaths")
     if metapaths is not None:
-        if not (isinstance(metapaths, list) and metapaths and all(
-                isinstance(seq, list) and all(isinstance(t, str) for t in seq)
-                for seq in metapaths)):
-            raise ValidationError(
-                f"{path}: metapaths must be a non-empty list of lists of "
-                f"type names, got {metapaths!r}")
         metapaths = [tuple(seq) for seq in metapaths]
-    max_hops = schema.get("max_hops")
-    if max_hops is not None and (not isinstance(max_hops, int)
-                                 or isinstance(max_hops, bool)
-                                 or max_hops < 2):
-        raise ValidationError(
-            f"{path}: max_hops must be an integer >= 2, got {max_hops!r}")
-    return metapaths, max_hops
+    return metapaths, schema.get("max_hops")

@@ -131,26 +131,19 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, values: dict) -> "TrainConfig":
         """Config from field-name keys, the vocabulary of to_dict; absent
-        fields keep their defaults.
+        fields keep their defaults. Values are used as given (JSON is read
+        against TRAIN_CONFIG_KINDS); an unknown key is a ValidationError."""
+        unknown = sorted(set(values) - set(TRAIN_CONFIG_KINDS))
+        if unknown:
+            raise ValidationError(
+                f"unknown train config key {unknown[0]!r}; expected one of "
+                f"{sorted(TRAIN_CONFIG_KINDS)}")
+        return cls(**values)
 
-        Raises ValidationError naming an unknown key, or a value that is not
-        a number its field's type holds exactly.
-        """
-        defaults = dataclasses.asdict(cls())
-        kwargs = {}
-        for key, value in values.items():
-            if key not in defaults:
-                raise ValidationError(
-                    f"unknown train config key {key!r}; expected one of "
-                    f"{sorted(defaults)}")
-            cast = type(defaults[key])
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or cast(value) != value):
-                raise ValidationError(
-                    f"train config key {key!r} must be {cast.__name__}, "
-                    f"got {value!r}")
-            kwargs[key] = cast(value)
-        return cls(**kwargs)
+
+# the JSON kind (data._typed spec) of each TrainConfig field
+TRAIN_CONFIG_KINDS = {key: type(value)
+                      for key, value in dataclasses.asdict(TrainConfig()).items()}
 
 
 @dataclass

@@ -38,6 +38,7 @@ from .metrics import (
     sweep_threshold,  # noqa: F401
 )
 from .model import (
+    TRAIN_CONFIG_KINDS,
     EncoderParams,
     TrainConfig,
     TrainHistory,
@@ -197,104 +198,64 @@ class Checkpoint:
     ood_class: int
 
 
-def _field(obj: dict, name: str, kind: type):
-    """obj[key] for the last part of the dotted field name, which must be
-    present and of type kind (bool never counts as int)."""
-    key = name.rsplit(".", 1)[-1]
-    if key not in obj:
-        raise ValidationError(f"checkpoint field {name!r} is missing")
-    value = obj[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValidationError(
-            f"checkpoint field {name!r} must be a {kind.__name__}, "
-            f"got {type(value).__name__}")
-    return value
+_CHECKPOINT = {
+    "format": CHECKPOINT_FORMAT, "train_config": TRAIN_CONFIG_KINDS,
+    "feature_paths": [[str]], "prop_paths": [[str]],
+    "id_class_values": [int], "ood_class": int,
+    "params": {
+        "projections": [{"path": [str], "weight": [[float]], "bias": [float]}],
+        "hidden_weight": [[float]], "hidden_bias": [float],
+        "out_weight": [[float]], "out_bias": [float]},
+}
 
 
-def _array(obj: dict, name: str, shape: tuple) -> np.ndarray:
-    """Float array field whose shape must equal shape; None matches any
-    length along that axis."""
-    try:
-        arr = np.asarray(_field(obj, name, list), dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"checkpoint field {name!r} is not a numeric array") from None
-    if arr.ndim != len(shape) or any(
-            want is not None and got != want for got, want in zip(arr.shape, shape)):
+def _array(values: list, name: str, shape: tuple) -> np.ndarray:
+    """values as an array of shape shape, where None matches any length."""
+    widths = {len(row) for row in values} if len(shape) == 2 else set()
+    if len(widths) > 1:
+        raise ValidationError(f"{name!r} has rows of unequal length")
+    got = (len(values), *widths)
+    if len(got) != len(shape) or any(
+            want is not None and g != want for g, want in zip(got, shape)):
         expected = tuple("*" if w is None else w for w in shape)
-        raise ValidationError(
-            f"checkpoint field {name!r} has shape {arr.shape}, expected "
-            f"{expected}")
-    return arr
+        raise ValidationError(f"{name!r} has shape {got}, expected {expected}")
+    return np.asarray(values, dtype=np.float64)
 
 
-def _metapaths(obj: dict, name: str) -> list[MetaPath]:
-    paths = _field(obj, name, list)
-    for i, p in enumerate(paths):
-        if not isinstance(p, list) or not all(isinstance(t, str) for t in p):
-            raise ValidationError(
-                f"checkpoint field '{name}[{i}]' must be a list of type names")
-    return [MetaPath(p) for p in paths]
-
-
-def _parse_checkpoint(payload) -> Checkpoint:
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
-        found = payload.get("format") if isinstance(payload, dict) else None
-        raise ValidationError(
-            f"unsupported checkpoint format {found!r}, expected "
-            f"{CHECKPOINT_FORMAT!r}")
-    raw_config = _field(payload, "train_config", dict)
-    missing = sorted(set(TrainConfig().to_dict()) - set(raw_config))
-    if missing:
-        raise ValidationError(
-            f"checkpoint field 'train_config.{missing[0]}' is missing")
-    config = TrainConfig.from_dict(raw_config)
-    feature_paths = _metapaths(payload, "feature_paths")
-    prop_paths = _metapaths(payload, "prop_paths")
-    id_values = _field(payload, "id_class_values", list)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in id_values):
-        raise ValidationError(
-            "checkpoint field 'id_class_values' must list integers")
-    ood_class = _field(payload, "ood_class", int)
-
-    raw = _field(payload, "params", dict)
-    projections = _field(raw, "params.projections", list)
-    if len(projections) != len(feature_paths):
-        raise ValidationError(
-            f"checkpoint has {len(projections)} projections for "
-            f"{len(feature_paths)} feature paths")
+def _parse_checkpoint(payload: dict) -> Checkpoint:
+    """Checkpoint of a payload already read against _CHECKPOINT."""
+    config = TrainConfig.from_dict(payload["train_config"])
+    paths = tuple(MetaPath(p) for p in payload["feature_paths"])
+    id_values = payload["id_class_values"]
+    raw = payload["params"]
+    if len(raw["projections"]) != len(paths):
+        raise ValidationError(f"checkpoint has {len(raw['projections'])} "
+                              f"projections for {len(paths)} feature paths")
     h, k = config.d_hidden, len(id_values)
     weights, biases = [], []
-    for i, (proj, path) in enumerate(zip(projections, feature_paths)):
+    for i, (proj, path) in enumerate(zip(raw["projections"], paths)):
         name = f"params.projections[{i}]"
-        if not isinstance(proj, dict):
-            raise ValidationError(f"checkpoint field {name!r} must be a dict")
-        if _field(proj, name + ".path", list) != list(path.types):
-            raise ValidationError(
-                f"checkpoint field '{name}.path' does not match feature "
-                f"path {path}")
-        weights.append(_array(proj, name + ".weight", (None, h)))
-        biases.append(_array(proj, name + ".bias", (h,)))
+        if proj["path"] != list(path.types):
+            raise ValidationError(f"'{name}.path' does not match feature path {path}")
+        weights.append(_array(proj["weight"], name + ".weight", (None, h)))
+        biases.append(_array(proj["bias"], name + ".bias", (h,)))
     params = EncoderParams(
-        tuple(feature_paths), tuple(prop_paths),
+        paths, tuple(MetaPath(p) for p in payload["prop_paths"]),
         np.asarray(id_values, dtype=np.int64), weights, biases,
-        _array(raw, "params.hidden_weight", (h * len(feature_paths), h)),
-        _array(raw, "params.hidden_bias", (h,)),
-        _array(raw, "params.out_weight", (h, k)),
-        _array(raw, "params.out_bias", (k,)))
-    return Checkpoint(params=params, config=config, ood_class=ood_class)
+        _array(raw["hidden_weight"], "params.hidden_weight",
+               (h * len(paths), h)),
+        _array(raw["hidden_bias"], "params.hidden_bias", (h,)),
+        _array(raw["out_weight"], "params.out_weight", (h, k)),
+        _array(raw["out_bias"], "params.out_bias", (k,)))
+    return Checkpoint(params, config, payload["ood_class"])
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Checkpoint written by save_checkpoint.
-
-    Raises MissingFile, or ParseError naming the path when the file is not
-    UTF-8 JSON. Raises ValidationError naming the first field that is
-    missing, of the wrong type, or whose array shape disagrees with the
-    training config, the feature paths or the class values.
-    """
+    """Checkpoint written by save_checkpoint. Raises ValidationError naming
+    the path and the first field that is missing, of the wrong type, or
+    whose array shape disagrees with the config, paths or class values."""
     path = Path(path)
-    payload = _read_json(path)
+    payload = _read_json(path, _CHECKPOINT)
     try:
         return _parse_checkpoint(payload)
     except ValidationError as exc:

@@ -1,11 +1,17 @@
+import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oodhg import cli
 from oodhg.cli import main
@@ -209,6 +215,17 @@ class TestEval:
             outs.append((out / "metrics.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_held_out_class_defaults_to_the_checkpoints(self, dataset,
+                                                        trained, tmp_path):
+        outs = []
+        for sub, flag in (("flag", ["--ood-class", "3"]), ("default", [])):
+            out = tmp_path / sub
+            assert main(["eval", "--ckpt", str(trained / "checkpoint.json"),
+                         "--data", str(dataset), "--out", str(out)]
+                        + flag) == 0
+            outs.append((out / "scores.tsv").read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestAblate:
     def test_four_arms(self, dataset, tmp_path, capsys):
@@ -241,7 +258,7 @@ class TestAblate:
         assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
                      "--config", str(cfg_file)] + FAST) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "'seeds'" in err
+        assert len(err.splitlines()) == 1 and "cfg.json: 'seeds" in err
 
 
 class TestSweep:
@@ -481,6 +498,17 @@ class TestCheckpointFormat:
         assert len(err.splitlines()) == 1 and needle in err
 
 
+    def test_run_directory_as_checkpoint_is_one_line_error(
+            self, dataset, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(dataset), "--ood-class", "3",
+                     "--out", str(run)] + FAST) == 0
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(run), "--data", str(dataset),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {run} is not a file"]
+
     @pytest.mark.parametrize("content, needle", [
         (None, "not found"),
         (b"{", "invalid JSON (Expecting property name"),
@@ -530,3 +558,176 @@ class TestErrors:
                      "--ood-class", "3", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "--data" in err and "--gen" in err
+
+
+# ----------------------------------------------------------------------
+# every JSON input is read under one type policy (data._read_json)
+
+@pytest.fixture(scope="module")
+def json_inputs(tmp_path_factory) -> Path:
+    """A small dataset, a checkpoint trained on it and its splits.json."""
+    root = tmp_path_factory.mktemp("json_inputs")
+    assert main(["gen", "--per-class", "20", "--seed", "1",
+                 "-o", str(root / "data")]) == 0
+    assert main(["train", "--data", str(root / "data"), "--ood-class", "3",
+                 "--out", str(root / "run")] + FAST) == 0
+    return root
+
+
+def _mutated(json_inputs: Path, work: Path, name: str, keys: list, value):
+    """(file, argv) of a run whose JSON input name holds value at the key
+    path keys, or is value when keys is empty. name is "schema.json" or
+    "splits.json" of a copy of the dataset (which then holds splits.json),
+    a copy of "checkpoint.json", which eval reads, or "cfg.json", an empty
+    --config file of train."""
+    data = json_inputs / "data"
+    if name in ("schema.json", "splits.json"):
+        data = work / "data"
+        shutil.copytree(json_inputs / "data", data)
+        shutil.copy(json_inputs / "run" / "splits.json", data)
+        path = data / name
+    elif name == "checkpoint.json":
+        path = work / name
+        shutil.copy(json_inputs / "run" / name, path)
+    else:
+        path = work / name
+        path.write_text("{}")
+    doc = json.loads(path.read_text())
+    if keys:
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+    else:
+        doc = value
+    path.write_text(json.dumps(doc))
+    if name == "checkpoint.json":
+        argv = ["eval", "--ckpt", str(path), "--data", str(data)]
+    else:
+        argv = ["train", "--data", str(data), "--ood-class", "3"] + FAST
+        if name == "cfg.json":
+            argv += ["--config", str(path)]
+    return path, argv + ["--out", str(work / "out")]
+
+
+MUTATIONS = [
+    ("schema.json", ["node_types", 0, "count"], 80.9,
+     "'node_types[0].count' must be an integer, got 80.9"),
+    ("schema.json", ["node_types", 0, "feature_dim"], 16.5,
+     "'node_types[0].feature_dim' must be an integer, got 16.5"),
+    ("schema.json", ["node_types", 0, "count"], "80",
+     "'node_types[0].count' must be an integer, got '80'"),
+    ("schema.json", ["node_types", 0, "name"], 7,
+     "'node_types[0].name' must be a string, got 7"),
+    ("schema.json", [], 5, "top level must be a JSON object, got 5"),
+    ("schema.json", ["target_type"], ["target"],
+     "'target_type' must be a string, got ['target']"),
+    ("splits.json", ["train", 0], 0.9,
+     "'train[0]' must be an integer, got 0.9"),
+    ("splits.json", ["train", 0], True,
+     "'train[0]' must be an integer, got True"),
+    ("splits.json", ["train", 0], "5",
+     "'train[0]' must be an integer, got '5'"),
+    ("splits.json", ["ood_class"], 3.5,
+     "'ood_class' must be an integer, got 3.5"),
+    ("splits.json", ["ood_class"], "3",
+     "'ood_class' must be an integer, got '3'"),
+    ("splits.json", ["test", 0], 2 ** 64,
+     "'test[0]' must be an integer that fits int64, got 18446744073709551616"),
+    ("splits.json", [], 5, "top level must be a JSON object, got 5"),
+    ("checkpoint.json", ["params", "out_bias", 0], "0.12",
+     "'params.out_bias[0]' must be a finite number, got '0.12'"),
+    ("checkpoint.json", ["params", "out_bias", 0], True,
+     "'params.out_bias[0]' must be a finite number, got True"),
+    ("checkpoint.json", ["train_config", "learning_rate"], float("inf"),
+     "'train_config.learning_rate' must be a finite number, got inf"),
+    ("cfg.json", ["epochs"], True, "'epochs' must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("name, keys, value, message", MUTATIONS, ids=[
+    f"{name}:{'.'.join(map(str, keys)) or 'top'}={value!r}"
+    for name, keys, value, _ in MUTATIONS])
+def test_ill_typed_json_value_is_one_line_error(json_inputs, tmp_path, capsys,
+                                                name, keys, value, message):
+    path, argv = _mutated(json_inputs, tmp_path, name, keys, value)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+
+
+def _leaves(doc, keys=()):
+    """(key path, value) of doc and of everything it holds; of a list only
+    its first two elements, to keep long arrays from crowding the rest."""
+    yield list(keys), doc
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, keys + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc[:2]):
+            yield from _leaves(value, keys + (i,))
+
+
+# a JSON value of every type; a number field also takes integers, and a
+# null optional key is absent, so neither counts as another type there;
+# an integer field takes no float, not even 2.0
+_JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-2 ** 70, 2 ** 70),
+    "float": st.floats(allow_nan=True, allow_infinity=True),
+    "str": st.text(max_size=5),
+    "list": st.lists(st.integers(0, 3), max_size=3),
+    "dict": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+_OPTIONAL_KEYS = {"max_hops", "feature_dim"}
+
+
+def _kind(value) -> str:
+    return {type(None): "null", bool: "bool", int: "int", float: "float",
+            str: "str", list: "list", dict: "dict"}[type(value)]
+
+
+@st.composite
+def _retyped_fields(draw, json_inputs):
+    name = draw(st.sampled_from(["schema.json", "splits.json",
+                                 "checkpoint.json"]))
+    source = (json_inputs / "run" / name if name != "schema.json"
+              else json_inputs / "data" / name)
+    keys, old = draw(st.sampled_from(list(_leaves(json.loads(
+        source.read_text())))))
+    excluded = {_kind(old)} | ({"int"} if _kind(old) == "float" else set())
+    if keys and keys[-1] in _OPTIONAL_KEYS:
+        excluded.add("null")
+    kind = draw(st.sampled_from(sorted(set(_JSON_KINDS) - excluded)))
+    return name, keys, draw(_JSON_KINDS[kind])
+
+
+def test_any_retyped_json_field_is_one_line_error(json_inputs, tmp_path):
+    counter = iter(range(10 ** 6))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_retyped_fields(json_inputs))
+    def check(case):
+        work = tmp_path / str(next(counter))
+        work.mkdir()
+        _, argv = _mutated(json_inputs, work, *case)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code == 2 and len(err.getvalue().splitlines()) == 1, case
+
+    check()
+
+
+def test_setup_probe_reads_a_generated_dataset(tmp_path):
+    data = tmp_path / "data"
+    assert main(["gen", "--per-class", "10", "-o", str(data)]) == 0
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "setup_probe.py"), str(data)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "40"

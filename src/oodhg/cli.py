@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,8 @@ import numpy as np
 from .data import (
     OptionalKey,
     SynthConfig,
-    _read_json,
+    _read_document,
+    _typed,
     _write_json,
     generate_synthetic,
     load_dataset,
@@ -62,22 +62,32 @@ def _load_config_file(args) -> dict:
         return {}
     kinds = TRAIN_CONFIG_KINDS | ({"seeds": [int]} if hasattr(args, "seeds")
                                   else {})
-    config = _read_json(Path(args.config),
-                        {key: OptionalKey(kind) for key, kind in kinds.items()})
-    for key in config:
-        if key not in kinds:
+    path = Path(args.config)
+    document = _read_document(path)
+    if type(document) is dict:
+        unknown = [key for key in document if key not in kinds]
+        if unknown:
             raise ValidationError(
-                f"{args.config}: unknown config key {key!r}; expected one "
+                f"{path}: unknown config key {unknown[0]!r}; expected one "
                 f"of {sorted(kinds)}")
-    return config
+    return _typed(document,
+                  {key: OptionalKey(kind) for key, kind in kinds.items()}, path)
 
 
 def _train_config(args, config_file: dict) -> TrainConfig:
-    values = {k: v for k, v in config_file.items() if k in TRAIN_CONFIG_KINDS}
-    for key in TRAIN_CONFIG_KINDS:
-        if getattr(args, key, None) is not None:
-            values[key] = getattr(args, key)
-    return TrainConfig.from_dict(values)
+    """TrainConfig of the flags over the --config values over the defaults.
+    A flag's bad value is a ValueError naming the field; the flags are
+    checked first, so any later error is a file value's and names the
+    file."""
+    flags = {key: getattr(args, key) for key in TRAIN_CONFIG_KINDS
+             if getattr(args, key, None) is not None}
+    TrainConfig.from_dict(flags)
+    try:
+        return TrainConfig.from_dict({
+            k: v for k, v in config_file.items() if k in TRAIN_CONFIG_KINDS}
+            | flags)
+    except ValueError as exc:
+        raise ValidationError(f"{args.config}: {exc}") from None
 
 
 def _number(text: str, kind: type, what: str):
@@ -178,6 +188,9 @@ def _map_seeds(fn, seeds: list[int]) -> list:
     if workers < 1:
         raise ValueError(f"OODHG_THREADS must be an integer >= 1, got {raw!r}")
     if workers > 1:
+        # imported here: concurrent.futures pulls in logging and queue,
+        # which a sequential run never needs
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(fn, seeds))
     else:

@@ -27,7 +27,10 @@ Splits follow the transductive protocol: every node of the held-out class
 goes to the test set; the remaining nodes are shuffled by a seeded Philox
 generator with an explicit Fisher-Yates pass (stated so the permutation can
 be reproduced in any language) and cut at fractions of the total target
-count.
+count. For the n remaining nodes the pass swaps position i with position
+j_i = integers(0, i + 1) for i = n - 1 down to 1, in that order. All n - 1
+draws are made by one integers call with the array of bounds n, ..., 2,
+which consumes the generator's stream exactly as n - 1 scalar calls do.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .errors import (
     ValidationError,
 )
 from .hetgraph import EdgeTypeSchema, HeteroGraph, NodeTypeSchema, build_graph
+from .sparse import sorted_distinct
 
 # distance of each in-distribution class mean from the origin (one-hot axis
 # per class); the held-out class is pulled back toward the origin by
@@ -106,12 +110,15 @@ class SynthConfig:
 
 
 def _fisher_yates(rng: np.random.Generator, arr: np.ndarray) -> np.ndarray:
-    """Classic Fisher-Yates shuffle driven by rng.integers, back to front."""
-    out = arr.copy()
-    for i in range(out.size - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    """Classic Fisher-Yates shuffle driven by rng.integers, back to front:
+    position i swaps with j_i = integers(0, i + 1) for i = n - 1 down to 1,
+    every j_i drawn by one call."""
+    n = arr.size
+    out = arr.tolist()
+    js = rng.integers(0, np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), js):
         out[i], out[j] = out[j], out[i]
-    return out
+    return np.array(out, dtype=arr.dtype)
 
 
 def make_splits(labels: np.ndarray, ood_class: int, train_frac: float = 0.24,
@@ -322,9 +329,9 @@ def _typed(value, spec, file: Path, at: tuple = ()):
         float        a finite integer or float, read as a float
         str          a string; a str instance: exactly that string
         [spec]       a list whose every element matches spec
-        {key: spec}  an object holding every key, save that an OptionalKey
-                     may be absent or null (and is then left out); keys
-                     spec does not name pass through unchecked
+        {key: spec}  an object holding every key and no other, save that
+                     an OptionalKey may be absent or null (and is then
+                     left out)
 
     A mismatch is a ValidationError naming file and the key path, e.g.
     "splits.json: 'train[0]' must be an integer, got 0.9".
@@ -347,7 +354,11 @@ def _typed(value, spec, file: Path, at: tuple = ()):
             return [_typed(v, spec[0], file, (*at, i)) for i, v in enumerate(value)]
         noun = "a list"
     elif type(value) is dict:
-        out = {k: v for k, v in value.items() if k not in spec}
+        unknown = [key for key in value if key not in spec]
+        if unknown:
+            raise _mismatch(file, at, f"has unknown key {unknown[0]!r}; "
+                            f"expected one of {sorted(spec)}")
+        out = {}
         for key, kind in spec.items():
             if type(kind) is OptionalKey:
                 if value.get(key) is None:
@@ -369,16 +380,20 @@ def _mismatch(file: Path, at: tuple, problem: str) -> ValidationError:
     return ValidationError(f"{file}: {where} {problem}")
 
 
-def _read_json(path: Path, spec):
-    """The JSON document at path, checked against spec by _typed."""
+def _read_document(path: Path):
+    """The JSON document at path, unchecked."""
     _require_file(path)
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    return _typed(document, spec, path)
+
+
+def _read_json(path: Path, spec):
+    """The JSON document at path, checked against spec by _typed."""
+    return _typed(_read_document(path), spec, path)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -627,7 +642,7 @@ def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
         all_ids = np.concatenate([splits.train_ids, splits.val_ids, splits.test_ids])
         if all_ids.size and (all_ids.min() < 0 or all_ids.max() >= n_target):
             raise ValidationError(f"{splits_path}: node id outside [0, {n_target})")
-        if np.unique(all_ids).size != all_ids.size:
+        if sorted_distinct(all_ids).size != all_ids.size:
             raise ValidationError(f"{splits_path}: splits overlap")
     return graph, labels, splits
 

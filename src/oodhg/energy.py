@@ -96,11 +96,15 @@ def logit_pass(logits: np.ndarray, out: LogitPass | None = None) -> LogitPass:
         raise EmptyLogits(f"logits must be (n, k) with k >= 1, got shape {logits.shape}")
     if out is None:
         out = LogitPass.empty(*logits.shape)
-    # energy holds the row maximum until the last step
-    np.max(logits, axis=1, out=out.energy)
+    # energy holds the row maximum until the last step; k - 1 column-wise
+    # maxima make fewer, cheaper calls than a row reduction for the few
+    # classes a head has, and a maximum is exact in any order
+    np.copyto(out.energy, logits[:, 0])
+    for j in range(1, logits.shape[1]):
+        np.maximum(out.energy, logits[:, j], out=out.energy)
     np.subtract(logits, out.energy[:, None], out=out.shifted)
     np.exp(out.shifted, out=out.probs)
-    np.sum(out.probs, axis=1, out=out.log_sum)
+    np.add.reduce(out.probs, axis=1, out=out.log_sum)
     np.divide(out.probs, out.log_sum[:, None], out=out.probs)
     np.log(out.log_sum, out=out.log_sum)
     np.add(out.energy, out.log_sum, out=out.energy)
@@ -177,7 +181,10 @@ def propagate_transpose(g: np.ndarray,
 
 
 def fuse(per_path: list[np.ndarray]) -> np.ndarray:
-    """Elementwise mean of per-path energy vectors."""
+    """Elementwise mean of per-path energy vectors: their running sum in
+    list order, starting from zero, divided by their count. That is how
+    np.mean reduces a stack of them along its first axis, so a -0.0 entry
+    comes out as 0.0 the same way."""
     if len(per_path) == 0:
         raise EmptyPathSet("no per-path energy vectors to fuse")
     arrs = [np.asarray(e, dtype=np.float64) for e in per_path]
@@ -185,7 +192,11 @@ def fuse(per_path: list[np.ndarray]) -> np.ndarray:
     for i, a in enumerate(arrs[1:], start=1):
         if a.shape != n:
             raise LengthMismatch(f"vector 0 has shape {n}, vector {i} has {a.shape}")
-    return np.mean(np.stack(arrs), axis=0)
+    total = np.zeros(n)
+    for a in arrs:
+        total += a
+    total /= len(arrs)
+    return total
 
 
 def detect(energies: np.ndarray, config: DetectorConfig) -> np.ndarray:

@@ -88,6 +88,7 @@ from .hetgraph import (
     metapath_operator,
     resolve_paths,
 )
+from .sparse import sorted_distinct
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -358,8 +359,33 @@ def _check_head_labels(labels: np.ndarray, ids: np.ndarray, n_classes: int) -> N
         raise LabelOutOfRange(f"label {bad} outside [0, {n_classes})")
 
 
-def _class_loss(lp: LogitPass, labels: np.ndarray, train_ids: np.ndarray) -> float:
-    return float(-lp.log_probs(train_ids, labels[train_ids]).mean())
+def _mean(x: np.ndarray):
+    """x.sum() / x.size: what np.mean computes, without its Python wrapper."""
+    return x.sum() / x.size
+
+
+@dataclass(frozen=True)
+class _TrainRows:
+    """The training nodes and their head classes, fixed for a whole train
+    call; rows is arange(ids.size), the row index of each into lp.probs[ids]."""
+
+    ids: np.ndarray
+    classes: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, labels: np.ndarray, train_ids: np.ndarray) -> "_TrainRows":
+        return cls(train_ids, labels[train_ids], np.arange(train_ids.size))
+
+
+def _class_loss(lp: LogitPass, train_rows: _TrainRows) -> float:
+    return float(-_mean(lp.log_probs(train_rows.ids, train_rows.classes)))
+
+
+def _hinge(final_energies: np.ndarray, train_ids: np.ndarray,
+           m_in: float) -> np.ndarray:
+    """max(0, E_i - m_in) over the training nodes."""
+    return np.maximum(final_energies[train_ids] - m_in, 0.0)
 
 
 def loss_classification(logits: np.ndarray, labels: np.ndarray,
@@ -369,16 +395,15 @@ def loss_classification(logits: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.int64)
     train_ids = np.asarray(train_ids, dtype=np.int64)
     _check_head_labels(labels, train_ids, logits.shape[1])
-    return _class_loss(logit_pass(logits), labels, train_ids)
+    return _class_loss(logit_pass(logits), _TrainRows.of(labels, train_ids))
 
 
 def loss_energy(final_energies: np.ndarray, train_ids: np.ndarray,
                 m_in: float) -> float:
     """Mean squared hinge max(0, E_i - m_in)^2 over the training nodes,
     evaluated on post-propagation energies."""
-    e = np.asarray(final_energies, dtype=np.float64)[np.asarray(train_ids, dtype=np.int64)]
-    hinge = np.maximum(e - m_in, 0.0)
-    return float(np.mean(hinge ** 2))
+    return float(_mean(_hinge(np.asarray(final_energies, dtype=np.float64),
+                              np.asarray(train_ids, dtype=np.int64), m_in) ** 2))
 
 
 def loss_total(l_c: float, l_e: float, alpha: float) -> float:
@@ -426,21 +451,22 @@ def propagated_energies(e_raw: np.ndarray, a_hats: list[MetaPathOperator],
 
 def _forward_backward(a_hats: list[MetaPathOperator],
                       params: EncoderParams,
-                      labels: np.ndarray,
-                      train_ids: np.ndarray,
+                      train_rows: _TrainRows,
                       config: TrainConfig,
                       ws: _Workspace) -> _ForwardState:
-    """Losses and gradients, written into ws. labels must be int64 head
-    classes whose range the caller has checked on train_ids."""
+    """Losses and gradients, written into ws. train_rows.classes must be
+    head classes whose range the caller has checked."""
     n = ws.x.shape[0]
+    train_ids = train_rows.ids
     n_train = train_ids.size
     prop_cfg = config.propagation
 
     logits = _encode(params, ws)
     lp = logit_pass(logits, ws.logit_pass)
     e_final = propagated_energies(lp.energy, a_hats, prop_cfg)
-    l_c = _class_loss(lp, labels, train_ids)
-    l_e = loss_energy(e_final, train_ids, config.m_in)
+    l_c = _class_loss(lp, train_rows)
+    hinge = _hinge(e_final, train_ids, config.m_in)
+    l_e = float(_mean(hinge ** 2))
     total = loss_total(l_c, l_e, config.alpha)
 
     # backward: gradient of the total loss w.r.t. the logits
@@ -448,10 +474,9 @@ def _forward_backward(a_hats: list[MetaPathOperator],
     d_logits.fill(0.0)
     if config.alpha != 0.0:
         d_ce = lp.probs[train_ids]
-        d_ce[np.arange(n_train), labels[train_ids]] -= 1.0
+        d_ce[train_rows.rows, train_rows.classes] -= 1.0
         d_logits[train_ids] += (config.alpha / n_train) * d_ce
     if config.alpha != 1.0:
-        hinge = np.maximum(e_final[train_ids] - config.m_in, 0.0)
         g = np.zeros(n)
         g[train_ids] = 2.0 * hinge / n_train
         if a_hats:
@@ -463,21 +488,21 @@ def _forward_backward(a_hats: list[MetaPathOperator],
 
     grads = ws.grads
     np.matmul(ws.hidden.T, d_logits, out=grads.out_weight)
-    np.sum(d_logits, axis=0, out=grads.out_bias)
+    np.add.reduce(d_logits, axis=0, out=grads.out_bias)
     np.matmul(d_logits, params.out_weight.T, out=ws.d_hidden)
     np.greater(ws.pre_hidden, 0.0, out=ws.active)
     np.multiply(ws.d_hidden, ws.active, out=ws.d_pre)
     # back through pre_hidden = X F + c, then F_i = W_i Wh_i and
     # c = bh + sum_i b_i Wh_i; s = d c = d bh
     np.matmul(ws.x.T, ws.d_pre, out=ws.d_folded)
-    s = np.sum(ws.d_pre, axis=0, out=grads.hidden_bias)
+    s = np.add.reduce(ws.d_pre, axis=0, out=grads.hidden_bias)
     for w, b, wh, rows, d_w, d_b, d_wh in zip(
             params.proj_weights, params.proj_biases, _hidden_blocks(params),
             ws.rows, grads.proj_weights, grads.proj_biases,
             _hidden_blocks(grads)):
         d_f = ws.d_folded[rows]
         np.matmul(w.T, d_f, out=d_wh)
-        d_wh += np.outer(b, s)
+        d_wh += b[:, None] * s
         np.matmul(d_f, wh.T, out=d_w)
         np.matmul(s, wh.T, out=d_b)
     return _ForwardState(logits, lp.energy, l_c, l_e, total, grads)
@@ -493,8 +518,8 @@ def _graph_pass(graph: HeteroGraph, feature_paths, prop_paths,
     _check_head_labels(labels, train_ids, params.n_classes)
     xs = feature_tables(graph, feature_paths)
     a_hats = propagation_operators(graph, prop_paths, config.steps)
-    return _forward_backward(a_hats, params, labels, train_ids, config,
-                             _Workspace(xs, params))
+    return _forward_backward(a_hats, params, _TrainRows.of(labels, train_ids),
+                             config, _Workspace(xs, params))
 
 
 def gradients(graph: HeteroGraph, feature_paths, prop_paths,
@@ -553,7 +578,7 @@ def id_class_values(labels: np.ndarray, train_ids, val_ids) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     ids = np.concatenate([np.asarray(train_ids, dtype=np.int64),
                           np.asarray(val_ids, dtype=np.int64)])
-    return np.unique(labels[ids])
+    return sorted_distinct(labels[ids])
 
 
 def map_to_head(labels: np.ndarray, id_values: np.ndarray) -> np.ndarray:
@@ -598,6 +623,8 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
 
     id_values = id_class_values(labels, train_ids, val_ids)
     y_head = map_to_head(labels, id_values)
+    train_rows = _TrainRows.of(y_head, train_ids)
+    y_val = y_head[val_ids]
 
     xs = feature_tables(graph, feature_paths)
     a_hats = propagation_operators(graph, prop_paths, config.steps)
@@ -617,15 +644,14 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     # The finite check below turns overflow and NaN into TrainingDiverged,
     # so numpy's warnings on the way there only add noise.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        state = _forward_backward(a_hats, params, y_head, train_ids,
-                                  config, ws)
+        state = _forward_backward(a_hats, params, train_rows, config, ws)
         for epoch in range(config.epochs):
             # the next pass overwrites ws, so read this epoch's losses first
             losses = dict(total_loss=state.total_loss,
                           class_loss=state.class_loss,
                           energy_loss=state.energy_loss,
                           train_energy_mean=float(
-                              state.energy_raw[train_ids].mean()))
+                              _mean(state.energy_raw[train_ids])))
             adam.update(flat, ws.grad_flat, epoch + 1)
             if not (np.isfinite(state.total_loss)
                     and np.isfinite(flat, out=finite).all()):
@@ -636,14 +662,13 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
 
             # the next epoch's forward pass scores validation for this one
             if epoch + 1 < config.epochs:
-                state = _forward_backward(a_hats, params, y_head,
-                                          train_ids, config, ws)
+                state = _forward_backward(a_hats, params, train_rows, config, ws)
                 logits = state.logits
             elif val_ids.size:
                 logits = forward_from_features(xs, params)
             if val_ids.size:
-                val_f1 = float(np.mean(
-                    logits[val_ids].argmax(axis=1) == y_head[val_ids]))
+                val_f1 = np.count_nonzero(
+                    logits[val_ids].argmax(axis=1) == y_val) / val_ids.size
             else:
                 val_f1 = 0.0
             history.records.append(EpochRecord(

@@ -224,7 +224,10 @@ def _array(values: list, name: str, shape: tuple) -> np.ndarray:
 
 def _parse_checkpoint(payload: dict) -> Checkpoint:
     """Checkpoint of a payload already read against _CHECKPOINT."""
-    config = TrainConfig.from_dict(payload["train_config"])
+    try:
+        config = TrainConfig.from_dict(payload["train_config"])
+    except ValueError as exc:
+        raise ValidationError(f"'train_config': {exc}") from None
     paths = tuple(MetaPath(p) for p in payload["feature_paths"])
     id_values = payload["id_class_values"]
     raw = payload["params"]

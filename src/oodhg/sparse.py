@@ -82,24 +82,24 @@ class SparseRowMatrix:
                         duplicates: str = "error") -> "SparseRowMatrix":
         """Binary matrix with a 1.0 at every (row, col) pair.
 
-        duplicates: "error" rejects repeated pairs, "union" collapses them.
+        duplicates: "error" rejects repeated pairs, naming the first in
+        row-major order; "union" collapses them. The pairs are ordered by
+        sorting their pair_keys, which are split back into rows and columns.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if pairs.size == 0:
             return cls(n_rows, n_cols, np.zeros(n_rows + 1, np.int64),
                        np.zeros(0, np.int64), np.zeros(0, np.float64))
-        rows, cols = pairs[:, 0], pairs[:, 1]
-        keys = pair_keys(n_rows, n_cols, rows, cols)
-        order = np.argsort(keys, kind="stable")
-        rows, cols, keys = rows[order], cols[order], keys[order]
+        keys = np.sort(pair_keys(n_rows, n_cols, pairs[:, 0], pairs[:, 1]))
         dup = keys[1:] == keys[:-1]
-        if np.any(dup):
-            if duplicates == "union":
-                keep = np.concatenate([[True], ~dup])
-                rows, cols = rows[keep], cols[keep]
-            else:
-                i = int(np.flatnonzero(dup)[0])
-                raise ValidationError(f"duplicate edge pair ({rows[i]}, {cols[i]})")
+        if dup.any():
+            if duplicates != "union":
+                row, col = divmod(int(keys[dup.argmax()]), n_cols)
+                raise ValidationError(f"duplicate edge pair ({row}, {col})")
+            keys = keys[np.concatenate([[True], ~dup])]
+        # floor division by a scalar is several times faster than divmod
+        rows = keys // n_cols
+        cols = keys - rows * n_cols
         offsets = np.zeros(n_rows + 1, np.int64)
         np.cumsum(np.bincount(rows, minlength=n_rows), out=offsets[1:])
         return cls(n_rows, n_cols, offsets, cols, np.ones(cols.size, np.float64))
@@ -303,6 +303,15 @@ def pair_keys(n_rows: int, n_cols: int, rows: np.ndarray,
     if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
         raise ValidationError("column index out of [0, n_cols)")
     return rows * n_cols + cols
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending, as np.unique gives
+    them; np.unique is avoided because its first call imports numpy.ma."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def row_normalize(m: SparseRowMatrix) -> SparseRowMatrix:

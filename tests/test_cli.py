@@ -642,6 +642,24 @@ MUTATIONS = [
     ("checkpoint.json", ["train_config", "learning_rate"], float("inf"),
      "'train_config.learning_rate' must be a finite number, got inf"),
     ("cfg.json", ["epochs"], True, "'epochs' must be an integer, got True"),
+    # a key the format does not name is an error, never silently ignored
+    ("schema.json", ["node_types", 0, "feature_dims"], 16,
+     "'node_types[0]' has unknown key 'feature_dims'; expected one of "
+     "['count', 'feature_dim', 'name']"),
+    ("schema.json", ["max_hop"], 4,
+     "top level has unknown key 'max_hop'; expected one of ['edge_types', "
+     "'max_hops', 'metapaths', 'node_types', 'target_type']"),
+    ("splits.json", ["folds"], 5,
+     "top level has unknown key 'folds'; expected one of ['ood_class', "
+     "'test', 'train', 'val']"),
+    ("checkpoint.json", ["extra"], 1,
+     "top level has unknown key 'extra'; expected one of ['feature_paths', "
+     "'format', 'id_class_values', 'ood_class', 'params', 'prop_paths', "
+     "'train_config']"),
+    # a well-typed value that TrainConfig rejects still names the file
+    ("checkpoint.json", ["train_config", "epochs"], 0,
+     "'train_config': epochs must be >= 1, got 0"),
+    ("cfg.json", ["alpha"], 2.0, "alpha must be in [0, 1], got 2.0"),
 ]
 
 
@@ -720,14 +738,54 @@ def test_any_retyped_json_field_is_one_line_error(json_inputs, tmp_path):
     check()
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _child_env() -> dict:
+    """This environment with the source tree first on PYTHONPATH and
+    OODHG_THREADS unset."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("OODHG_THREADS", None)
+    return env
+
+
+def test_config_value_a_flag_overrides_is_never_read(dataset, tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"epochs": 0}))
+    assert main(["train", "--data", str(dataset), "--ood-class", "3",
+                 "--config", str(cfg_file), "--out", str(tmp_path / "run")]
+                + FAST) == 0
+
+
+def test_commands_import_neither_numpy_ma_nor_concurrent_futures(tmp_path):
+    """A fresh sequential train, eval or ablate process leaves out numpy.ma
+    (np.unique's first call imports it) and concurrent.futures (only
+    OODHG_THREADS > 1 needs it)."""
+    data, run = str(tmp_path / "data"), str(tmp_path / "run")
+    assert main(["gen", "--per-class", "10", "-o", data]) == 0
+    probe = ("import sys\n"
+             "from oodhg.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(code, 'numpy.ma' in sys.modules,"
+             " 'concurrent.futures' in sys.modules)\n")
+    for argv in (
+            ["train", "--data", data, "--ood-class", "3", "--out", run] + FAST,
+            ["eval", "--ckpt", run + "/checkpoint.json", "--data", data,
+             "--out", str(tmp_path / "eval")],
+            ["ablate", "--data", data, "--ood-class", "3", "--seeds", "0,1"]
+            + FAST):
+        proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                              capture_output=True, text=True,
+                              env=_child_env(), timeout=120)
+        assert proc.stdout.splitlines()[-1] == "0 False False", (argv, proc.stderr)
+
+
 def test_setup_probe_reads_a_generated_dataset(tmp_path):
     data = tmp_path / "data"
     assert main(["gen", "--per-class", "10", "-o", str(data)]) == 0
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "setup_probe.py"), str(data)],
-        capture_output=True, text=True, env=env, timeout=120)
+        [sys.executable, str(ROOT / "perfbench" / "setup_probe.py"), str(data)],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-1] == "40"

@@ -58,6 +58,27 @@ class TestMakeSplits:
             assert not np.any(labels[splits.train_ids] == 3)
             assert not np.any(labels[splits.val_ids] == 3)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 450, 3000])
+    def test_one_call_draw_is_the_scalar_fisher_yates_loop(self, n):
+        """_fisher_yates draws every swap index in one integers call; the
+        reference is the scalar loop it replaced, which must give the same
+        permutation and leave the generator in the same state."""
+        def scalar_loop(rng, arr):
+            out = arr.copy()
+            for i in range(out.size - 1, 0, -1):
+                j = int(rng.integers(0, i + 1))
+                out[i], out[j] = out[j], out[i]
+            return out
+
+        arr = np.arange(n, dtype=np.int64) * 7 + 3
+        for seed in range(20):
+            one_call = np.random.Generator(np.random.Philox(seed))
+            scalar = np.random.Generator(np.random.Philox(seed))
+            got = data._fisher_yates(one_call, arr)
+            want = scalar_loop(scalar, arr)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            assert one_call.integers(0, 2 ** 62) == scalar.integers(0, 2 ** 62)
+
     def test_fraction_overflow_when_ood_dominates(self):
         labels = np.array([1] * 75 + [0] * 25)
         with pytest.raises(FractionOverflow):

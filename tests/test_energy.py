@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oodhg import DetectorConfig, PropagationConfig, detect, energy_scores, fuse, msp_score, propagate
+from oodhg.energy import logit_pass
 from oodhg.errors import (
     EmptyLogits,
     EmptyPathSet,
@@ -47,6 +48,32 @@ class TestEnergyScores:
         for c in (-3.0, 0.25, 11.0):
             np.testing.assert_allclose(energy_scores(h + c),
                                        energy_scores(h) - c, atol=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 40])
+    def test_logit_pass_is_bitwise_the_row_reduction_form(self, k):
+        """logit_pass takes the row maximum column by column; the reference
+        is the np.max/np.sum row reduction it replaced."""
+        rng = np.random.default_rng(k)
+        logits = rng.standard_normal((64, k)) * 30.0
+        logits[1] = 2.5                              # every entry tied
+        logits[2, : (k + 1) // 2] = 7.0              # tied maxima
+        logits[3, 0] = np.inf
+        logits[4, -1] = -np.inf
+        logits[5] = -np.inf
+        logits[6, k // 2] = np.inf
+        logits[6, 0] = -np.inf
+        logits[7] = -0.0
+        logits[7, k // 2] = 0.0
+        with np.errstate(invalid="ignore"):
+            got = logit_pass(logits)
+            row_max = np.max(logits, axis=1)
+            shifted = logits - row_max[:, None]
+            exp = np.exp(shifted)
+            sums = np.sum(exp, axis=1)
+            want = (shifted, exp / sums[:, None], np.log(sums),
+                    -(row_max + np.log(sums)))
+        for a, b in zip((got.shifted, got.probs, got.log_sum, got.energy), want):
+            assert a.tobytes() == b.tobytes()
 
     def test_zero_classes_rejected(self):
         with pytest.raises(EmptyLogits):
@@ -157,6 +184,14 @@ class TestFuse:
         rng = np.random.default_rng(8)
         vs = [rng.standard_normal(9) for _ in range(3)]
         np.testing.assert_array_equal(fuse(vs), (vs[0] + vs[1] + vs[2]) / 3.0)
+
+    @pytest.mark.parametrize("paths", [1, 2, 3])
+    def test_is_bitwise_the_mean_of_the_stack(self, paths):
+        rng = np.random.default_rng(paths)
+        vs = [rng.standard_normal(50) * 10.0 ** rng.integers(-3, 4, 50)
+              for _ in range(paths)]
+        vs[0][:2] = -0.0
+        assert fuse(vs).tobytes() == np.mean(np.stack(vs), axis=0).tobytes()
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(9)

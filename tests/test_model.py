@@ -306,6 +306,17 @@ class TestGradients:
             np.testing.assert_array_equal(a, b)
 
 
+def test_id_class_values_is_np_unique():
+    rng = np.random.default_rng(4)
+    labels = rng.integers(-3, 9, 300)
+    for n_train, n_val in [(0, 0), (1, 0), (0, 5), (40, 12), (200, 100)]:
+        ids = rng.permutation(300)
+        train_ids, val_ids = ids[:n_train], ids[n_train:n_train + n_val]
+        got = id_class_values(labels, train_ids, val_ids)
+        want = np.unique(labels[np.concatenate([train_ids, val_ids])])
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 class TestTrain:
     def _splits(self, labels, seed=0):
         return make_splits(labels, ood_class=int(labels.max()), seed=seed)

@@ -18,6 +18,61 @@ def _random_sparse(rng, n_rows, n_cols, density=0.3, negative=False):
     return arr
 
 
+def _argsort_from_edge_pairs(n_rows, n_cols, pairs, duplicates):
+    """The construction from_edge_pairs used before it sorted the keys
+    themselves: a stable argsort of the keys, then three gathers."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if pairs.size == 0:
+        return SparseRowMatrix(n_rows, n_cols, np.zeros(n_rows + 1, np.int64),
+                               np.zeros(0, np.int64), np.zeros(0, np.float64))
+    rows, cols = pairs[:, 0], pairs[:, 1]
+    keys = pair_keys(n_rows, n_cols, rows, cols)
+    order = np.argsort(keys, kind="stable")
+    rows, cols, keys = rows[order], cols[order], keys[order]
+    dup = keys[1:] == keys[:-1]
+    if np.any(dup):
+        if duplicates == "union":
+            keep = np.concatenate([[True], ~dup])
+            rows, cols = rows[keep], cols[keep]
+        else:
+            i = int(np.flatnonzero(dup)[0])
+            raise ValidationError(f"duplicate edge pair ({rows[i]}, {cols[i]})")
+    offsets = np.zeros(n_rows + 1, np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=offsets[1:])
+    return SparseRowMatrix(n_rows, n_cols, offsets, cols,
+                           np.ones(cols.size, np.float64))
+
+
+def _built_or_error(build, *args):
+    try:
+        m = build(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return m.row_offsets.tobytes(), m.col_indices.tobytes(), m.values.tobytes()
+
+
+@pytest.mark.parametrize("duplicates", ["union", "error"])
+def test_from_edge_pairs_matches_the_argsort_construction(duplicates):
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n_rows, n_cols = (int(v) for v in rng.integers(1, 40, 2))
+        m = int(rng.integers(0, 3 * max(n_rows, n_cols)))
+        pairs = np.column_stack([rng.integers(0, n_rows, m),
+                                 rng.integers(0, n_cols, m)])
+        if trial % 3 == 0:
+            # a mirrored relation: sorted by the other end
+            pairs = pairs[np.argsort(pairs[:, 1], kind="stable")]
+        if trial % 5 == 0:
+            pairs = np.unique(pairs, axis=0)[::-1]
+        args = (n_rows, n_cols, pairs, duplicates)
+        assert (_built_or_error(SparseRowMatrix.from_edge_pairs, *args)
+                == _built_or_error(_argsort_from_edge_pairs, *args))
+    for n_rows, n_cols in [(0, 0), (3, 0), (0, 4), (5, 5)]:
+        args = (n_rows, n_cols, np.zeros((0, 2), np.int64), duplicates)
+        assert (_built_or_error(SparseRowMatrix.from_edge_pairs, *args)
+                == _built_or_error(_argsort_from_edge_pairs, *args))
+
+
 class TestConstruction:
     def test_from_edge_pairs_counts(self):
         m = SparseRowMatrix.from_edge_pairs(3, 2, [(0, 0), (1, 0), (2, 1)])

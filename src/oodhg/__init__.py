@@ -47,7 +47,7 @@ from .model import (
     train,
 )
 from .pipeline import evaluate, load_checkpoint, run_experiment, save_checkpoint
-from .sparse import SparseRowMatrix, row_normalize
+from .sparse import SparseRowMatrix
 
 __version__ = "0.1.0"
 
@@ -63,6 +63,6 @@ __all__ = [
     "load_dataset", "loss_classification", "loss_energy", "loss_total",
     "macro_f1", "make_splits", "metapath_features", "metapath_operator",
     "micro_f1", "msp_score",
-    "propagate", "row_normalize", "run_experiment", "save_checkpoint",
+    "propagate", "run_experiment", "save_checkpoint",
     "save_dataset", "softmax_probs", "sweep_threshold", "train",
 ]

@@ -183,19 +183,18 @@ def _seed_list(args, config_file: dict) -> list[int]:
 
 
 def _map_seeds(fn, seeds: list[int]) -> list:
+    """[fn(s) for s in seeds], in the order given, on OODHG_THREADS threads."""
     raw = os.environ.get("OODHG_THREADS", "1")
     workers = int(raw) if raw.isdecimal() else 0
     if workers < 1:
         raise ValueError(f"OODHG_THREADS must be an integer >= 1, got {raw!r}")
-    if workers > 1:
-        # imported here: concurrent.futures pulls in logging and queue,
-        # which a sequential run never needs
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, seeds))
-    else:
-        results = [fn(s) for s in seeds]
-    return [r for _, r in sorted(zip(seeds, results), key=lambda t: t[0])]
+    if workers == 1:
+        return [fn(s) for s in seeds]
+    # imported here: concurrent.futures pulls in logging and queue, which a
+    # sequential run never needs
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, seeds))
 
 
 def _out_dir(args) -> Path:

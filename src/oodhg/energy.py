@@ -122,8 +122,13 @@ def msp_score(probs: np.ndarray) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[1] == 0:
         raise NotADistribution(f"probs must be (n, k) with k >= 1, got {probs.shape}")
+    bad = ~np.isfinite(probs) | (probs < 0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise NotADistribution(
+            f"entry ({i}, {j}) is {probs[i, j]}, expected a finite value >= 0")
     sums = probs.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL) or probs.min() < 0:
+    if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
         i = int(np.argmax(np.abs(sums - 1.0)))
         raise NotADistribution(f"row {i} sums to {sums[i]}, expected 1")
     return probs.max(axis=1)

@@ -12,18 +12,19 @@ nnz per product instead of the far denser composed matrix.
 compose_metapath materializes the product and is kept as the reference the
 operator is tested against.
 
-Every hop matrix is a row-normalised 0/1 adjacency, H = diag(1/deg) B, with
-each stored value exactly 1.0 / deg of its row. So both the operator and
-metapath_features apply a hop through its HopKernel: a segment sum over the
-pattern B and one scale per row, with no multiply per nonzero and no valued
-transpose. The adjoint is bitwise H.transpose().matvec; the forward and
-feature-table products sum before they scale and so round differently from
-the valued SparseRowMatrix products, within a few ulps.
+Every hop is H = diag(1/deg) B for the 0/1 pattern B that hop_matrix
+returns. Both the operator and metapath_features apply a hop through the
+HopKernel built from B: a segment sum over B and one scale by 1/deg per row,
+with no multiply per nonzero and no valued transpose. Only compose_metapath
+row-normalises B into a valued matrix. The adjoint is bitwise
+H.transpose().matvec; the forward and feature-table products sum before
+they scale and so round differently from the valued SparseRowMatrix
+products, within a few ulps.
 
 A graph's nodes, edges and features do not change after construction. Hop
-matrices, their kernels and meta-path feature tables are memoised lazily on
-the graph; threads that fill the same entry at once each build and store an
-equal value. Memoised feature tables are read-only arrays.
+kernels and meta-path feature tables are memoised lazily on the graph;
+threads that fill the same entry at once each build and store an equal
+value. Memoised feature tables are read-only arrays.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class MetaPath:
 
 class HeteroGraph:
     """Validated heterogeneous graph whose data does not change; hop
-    matrices and meta-path feature tables are memoised on it as they are
+    kernels and meta-path feature tables are memoised on it as they are
     first used.
 
     Build through build_graph; the constructor trusts its inputs. Edge lists
@@ -107,8 +108,7 @@ class HeteroGraph:
         for s in self.edge_types:
             pair_index.setdefault((s.src_type, s.dst_type), []).append(s.name)
         self._pair_index = pair_index
-        self._hop_cache: dict[tuple[str, str], SparseRowMatrix] = {}
-        self._kernel_cache: dict[tuple[str, str], HopKernel] = {}
+        self._hop_cache: dict[tuple[str, str], HopKernel] = {}
         self._feature_cache: dict[tuple[str, ...], np.ndarray] = {}
 
     # -- schema lookups -------------------------------------------------
@@ -139,11 +139,9 @@ class HeteroGraph:
         return self._pair_index.get((src, dst), [])
 
     def clear_caches(self) -> None:
-        """Drop the memoised hop matrices, hop kernels and feature tables,
-        so the next use builds them again (the propagation benchmark times
-        that build)."""
+        """Drop the memoised hop kernels and feature tables, so the next use
+        builds them again (the propagation benchmark times that build)."""
         self._hop_cache.clear()
-        self._kernel_cache.clear()
         self._feature_cache.clear()
 
 
@@ -255,34 +253,29 @@ def adjacency(graph: HeteroGraph, edge_type: str) -> SparseRowMatrix:
 
 
 def hop_matrix(graph: HeteroGraph, src: str, dst: str) -> SparseRowMatrix:
-    """Row-normalized adjacency between two node types.
+    """0/1 pattern of the hop between two node types.
 
     When several edge types share the (src, dst) signature their edge sets
-    are unioned before normalization: the hop relates the types, not any
-    single relation name.
+    are unioned: the hop relates the types, not any single relation name.
+    Not memoised; hop_kernel builds it once per cached kernel, and
+    compose_metapath row-normalises it.
     """
-    key = (src, dst)
-    cached = graph._hop_cache.get(key)
-    if cached is not None:
-        return cached
     names = graph.edge_type_names_between(src, dst)
     if not names:
         raise InvalidPath(f"no declared edge type from {src!r} to {dst!r}")
     pairs = np.concatenate([graph.edges[n].reshape(-1, 2) for n in names])
-    normalized = SparseRowMatrix.from_edge_pairs(
+    return SparseRowMatrix.from_edge_pairs(
         graph.node_count(src), graph.node_count(dst), pairs,
-        duplicates="union").row_normalize()
-    graph._hop_cache[key] = normalized
-    return normalized
+        duplicates="union")
 
 
 class HopKernel:
-    """Products with one hop matrix H = diag(1/deg) B, applied through its
-    0/1 pattern B and the diagonal scale instead of its stored values.
+    """Products with one hop H = diag(1/deg) B, applied through the 0/1
+    pattern B and the diagonal scale.
 
-    hop_matrix row-normalises a 0/1 union, so every stored value of row r
-    is exactly 1.0 / deg[r]; the constructor checks this. The products are
-    then:
+    The constructor reads only the pattern of the matrix it is given (its
+    row offsets and column indices, never its values) and works out
+    deg[r] as the nonzero count of row r. The products are:
 
         H x   = (1/deg) * rowsum(x[cols])        (forward)
         H^T y = rowsum((y * (1/deg))[rows^T])    (adjoint)
@@ -294,21 +287,17 @@ class HopKernel:
     dense products sum before they scale, so they round differently from
     H.matvec, within a few ulps. The adjoint pattern is built on the first
     rmatvec: evaluation never applies an adjoint and never pays for it.
-    Build with hop_kernel, which memoises one kernel per cached hop matrix.
+    Build with hop_kernel, which memoises one kernel per hop on the graph.
     """
 
-    def __init__(self, hop: SparseRowMatrix):
-        self.matrix = hop
-        self.n_rows, self.n_cols = hop.shape
-        counts = hop.row_counts()
-        nonempty = counts > 0
+    def __init__(self, pattern: SparseRowMatrix):
+        self.n_rows, self.n_cols = pattern.shape
+        self._counts = pattern.row_counts()
+        nonempty = self._counts > 0
         self._inv_deg = np.zeros(self.n_rows)
-        self._inv_deg[nonempty] = 1.0 / counts[nonempty]
-        if not np.array_equal(hop.values, np.repeat(self._inv_deg, counts)):
-            raise ValidationError("a hop kernel needs a row-normalised 0/1 "
-                                  "pattern: every value of row r is 1/deg(r)")
-        self._cols = hop.col_indices
-        self._starts = hop.row_offsets[:-1][nonempty]
+        self._inv_deg[nonempty] = 1.0 / self._counts[nonempty]
+        self._cols = pattern.col_indices
+        self._starts = pattern.row_offsets[:-1][nonempty]
         # None when no row is empty: the products skip the zero-fill and
         # the scatter
         self._nonempty = None if nonempty.all() else nonempty
@@ -338,7 +327,7 @@ class HopKernel:
         row, as SparseRowMatrix.transpose's stable argsort does."""
         if self._adjoint is None:
             rows = np.repeat(np.arange(self.n_rows, dtype=np.int64),
-                             self.matrix.row_counts())
+                             self._counts)
             rows_t = np.sort(self._cols * self.n_rows + rows) % self.n_rows
             counts_t = np.bincount(self._cols, minlength=self.n_cols)
             nonempty_t = counts_t > 0
@@ -360,34 +349,27 @@ class HopKernel:
         return out
 
     def matmul_dense(self, x: np.ndarray) -> np.ndarray:
-        """H @ x for a dense (n_cols, d) matrix. Each column of x is read from
-        one contiguous copy of x.T and summed per row, and the (d, n_rows)
-        sums are scaled once; the result is their transpose, so a following
-        hop reads its x.T without a copy."""
+        """H @ x for a dense (n_cols, d) matrix: matvec of each column of x,
+        read from one contiguous copy of x.T. The result is the transpose of
+        the (d, n_rows) products, so a following hop reads its x.T without
+        a copy."""
         if np.ndim(x) != 2 or np.shape(x)[0] != self.n_cols:
             raise ShapeMismatch(
                 f"matmul_dense expects shape ({self.n_cols}, d), got {np.shape(x)}")
-        x = np.asarray(x, dtype=np.float64)
-        xt = np.ascontiguousarray(x.T)
-        out = np.zeros((x.shape[1], self.n_rows))
+        xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
+        out = np.empty((xt.shape[0], self.n_rows))
         for j, col in enumerate(xt):
-            sums = np.add.reduceat(col[self._cols], self._starts)
-            if self._nonempty is None:
-                out[j] = sums
-            else:
-                out[j, self._nonempty] = sums
-        out *= self._inv_deg
+            out[j] = self.matvec(col)
         return out.T
 
 
 def hop_kernel(graph: HeteroGraph, src: str, dst: str) -> HopKernel:
-    """The HopKernel of hop_matrix(graph, src, dst), memoised on the graph
-    next to that matrix."""
+    """The HopKernel of hop_matrix(graph, src, dst), memoised on the graph."""
     key = (src, dst)
-    cached = graph._kernel_cache.get(key)
+    cached = graph._hop_cache.get(key)
     if cached is None:
         cached = HopKernel(hop_matrix(graph, src, dst))
-        graph._kernel_cache[key] = cached
+        graph._hop_cache[key] = cached
     return cached
 
 
@@ -429,10 +411,10 @@ def compose_metapath(graph: HeteroGraph, path) -> SparseRowMatrix:
     isolated nodes unchanged instead of draining them.
     """
     path = validate_metapath(graph, path)
-    hops = path.hops()
-    product = hop_matrix(graph, *hops[0])
+    hops = [hop_matrix(graph, *hop).row_normalize() for hop in path.hops()]
+    product = hops[0]
     for hop in hops[1:]:
-        product = product.matmul(hop_matrix(graph, *hop))
+        product = product.matmul(hop)
     product = _renormalize_lossy_rows(product)
     if path.types[0] == path.types[-1]:
         product = product.with_unit_diagonal_on_empty_rows()
@@ -468,8 +450,9 @@ class MetaPathOperator:
         sums[self._loops] = 1.0
         nonempty = sums > 0
         dev = float(np.abs(sums[nonempty] - 1.0).max()) if nonempty.any() else 0.0
-        low = min((float(h.matrix.values.min()) for h in self.hops
-                   if h.matrix.nnz), default=0.0)
+        # the least stored value of a hop is its least 1/deg
+        low = min((float(h._row_scale.min()) for h in self.hops
+                   if h._row_scale.size), default=0.0)
         self._stochastic_stats = (dev, low)
 
     @property

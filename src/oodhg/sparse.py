@@ -3,8 +3,9 @@
 Implements construction from edge pairs, row normalization, CSR*CSR and
 CSR*vector products, and transposition. These are the general, valued
 products: compose_metapath and the tests use them as the reference, while
-propagation and feature tables apply the row-normalised 0/1 hop matrices
-through hetgraph.HopKernel.
+propagation and feature tables apply each hop's 0/1 pattern, as
+from_edge_pairs builds it, through hetgraph.HopKernel, which never reads
+the values.
 All values are 64-bit floats. Products are accumulated row by row with a
 sparse (concatenate, sort, segment-reduce) accumulator, never through a dense
 intermediate, and the summation order inside every output row is fixed, so
@@ -146,20 +147,12 @@ class SparseRowMatrix:
         return np.flatnonzero(self.row_counts() == 0)
 
     def stochastic_stats(self) -> tuple[float, float]:
-        """(max |row sum - 1| over nonempty rows, min value); memoized.
-
-        Instances are immutable, so the one-pass scan is paid once per
-        matrix no matter how many propagation calls revalidate it.
-        """
-        cached = getattr(self, "_stochastic_stats", None)
-        if cached is None:
-            sums = self.row_sums()
-            nonempty = self.row_counts() > 0
-            dev = float(np.abs(sums[nonempty] - 1.0).max()) if nonempty.any() else 0.0
-            low = float(self.values.min()) if self.nnz else 0.0
-            cached = (dev, low)
-            object.__setattr__(self, "_stochastic_stats", cached)
-        return cached
+        """(max |row sum - 1| over nonempty rows, min value)."""
+        sums = self.row_sums()
+        nonempty = self.row_counts() > 0
+        dev = float(np.abs(sums[nonempty] - 1.0).max()) if nonempty.any() else 0.0
+        low = float(self.values.min()) if self.nnz else 0.0
+        return (dev, low)
 
     def is_row_stochastic(self, tol: float = 1e-12) -> bool:
         """Non-negative with every nonempty row summing to 1 within tol."""
@@ -312,8 +305,3 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     keep = np.ones(values.size, dtype=bool)
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
-
-
-def row_normalize(m: SparseRowMatrix) -> SparseRowMatrix:
-    """Functional alias for SparseRowMatrix.row_normalize."""
-    return m.row_normalize()

@@ -239,6 +239,22 @@ class TestAblate:
             assert len(row["per_seed"]) == 2
             assert "std" in row["summary"]["auroc"]
 
+    def test_per_seed_rows_follow_the_given_seed_order(self, dataset,
+                                                        tmp_path):
+        def ablate(seeds):
+            out = tmp_path / seeds.replace(",", "_")
+            assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
+                         "--seeds", seeds, "--out", str(out)] + FAST) == 0
+            return json.loads((out / "ablation.json").read_text())
+
+        both = ablate("1,0")
+        assert both["config_echo"]["seeds"] == [1, 0]
+        singles = [ablate(s) for s in ("1", "0")]
+        for i, arm in enumerate(both["arms"]):
+            rows = [one["arms"][i]["per_seed"][0] for one in singles]
+            assert rows[0] != rows[1]
+            assert arm["per_seed"] == rows
+
     def test_rejects_degenerate_alpha(self, dataset, tmp_path, capsys):
         assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
                      "--alpha", "1.0"] + FAST) == 2

@@ -94,6 +94,17 @@ class TestMspScore:
         with pytest.raises(NotADistribution):
             msp_score(np.array([[0.5, 0.6]]))
 
+    def test_negative_entry_is_named(self):
+        # the row sums to 1, so only the entry check can reject it
+        with pytest.raises(NotADistribution, match=r"entry \(0, 1\) is -0.5"):
+            msp_score(np.array([[1.5, -0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_named(self, bad):
+        probs = np.array([[0.5, 0.5], [bad, 1.0]])
+        with pytest.raises(NotADistribution, match=rf"entry \(1, 0\) is {bad}"):
+            msp_score(probs)
+
 
 class TestPropagate:
     def test_gamma_one_is_identity(self):

@@ -1,11 +1,12 @@
 """The hop kernel against the valued SparseRowMatrix products it replaces.
 
-HopKernel applies a hop matrix through its 0/1 pattern and 1/deg. Its
-forward and dense products must agree with hop.matvec and hop @ x within
-1e-12, and its adjoint must be bitwise hop.transpose().matvec. The hops
-come from hop_matrix on small graphs: rows and columns are often empty,
-a hop may have no nonzeros, and two edge types of one signature may share
-pairs, which the hop unions.
+HopKernel applies a hop through its 0/1 pattern and 1/deg. Its forward and
+dense products must agree with hop.matvec and hop @ x within 1e-12, and its
+adjoint must be bitwise hop.transpose().matvec, where hop is the valued
+hop_matrix(...).row_normalize() that compose_metapath uses. The hops come
+from small graphs: rows and columns are often empty, a hop may have no
+nonzeros, and two edge types of one signature may share pairs, which the
+hop unions.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ from oodhg import (
     make_splits,
     train,
 )
-from oodhg.errors import ShapeMismatch, ValidationError
+from oodhg.errors import ShapeMismatch
 from oodhg.hetgraph import HopKernel, hop_kernel, hop_matrix, resolve_paths
 from oodhg.sparse import SparseRowMatrix
 
@@ -77,9 +78,9 @@ def _assert_kernel_matches(hop, kernel, x, y, xd):
 @settings(max_examples=300, deadline=None)
 @given(graph=hop_graphs(), d=st.integers(0, 4), data=st.data())
 def test_kernel_matches_the_valued_products(graph, d, data):
-    hop = hop_matrix(graph, "s", "d")
+    hop = hop_matrix(graph, "s", "d").row_normalize()
     kernel = hop_kernel(graph, "s", "d")
-    assert kernel.matrix is hop and hop_kernel(graph, "s", "d") is kernel
+    assert hop_kernel(graph, "s", "d") is kernel
     _assert_kernel_matches(hop, kernel, _vectors(data, hop.n_cols),
                            _vectors(data, hop.n_rows),
                            _vectors(data, hop.n_cols, d))
@@ -94,7 +95,7 @@ def test_kernel_matches_the_valued_products(graph, d, data):
 ])
 def test_kernel_on_each_kind_of_hop(first, second):
     graph = _hop_graph(3, 3, first, second)
-    hop = hop_matrix(graph, "s", "d")
+    hop = hop_matrix(graph, "s", "d").row_normalize()
     rng = np.random.default_rng(0)
     _assert_kernel_matches(hop, hop_kernel(graph, "s", "d"),
                            rng.standard_normal(3), rng.standard_normal(3),
@@ -105,11 +106,19 @@ def test_kernel_on_each_kind_of_hop(first, second):
         assert hop.nnz == len(union)
 
 
-def test_kernel_refuses_a_valued_matrix():
-    with pytest.raises(ValidationError, match="0/1 pattern"):
-        HopKernel(SparseRowMatrix.from_dense(np.array([[0.25, 0.75]])))
-    with pytest.raises(ValidationError, match="0/1 pattern"):
-        HopKernel(SparseRowMatrix.from_dense(np.array([[1.0, 1.0]])))
+def test_kernel_reads_only_the_pattern():
+    valued = SparseRowMatrix.from_dense(
+        np.array([[0.25, 0.0, 0.75], [0.0, 0.0, 0.0], [2.0, -1.0, 1e9]]))
+    pattern = SparseRowMatrix(3, 3, valued.row_offsets, valued.col_indices,
+                              np.ones(valued.nnz))
+    rng = np.random.default_rng(1)
+    x, y, xd = (rng.standard_normal(3), rng.standard_normal(3),
+                rng.standard_normal((3, 2)))
+    a, b = HopKernel(valued), HopKernel(pattern)
+    assert a.matvec(x).tobytes() == b.matvec(x).tobytes()
+    assert a.rmatvec(y).tobytes() == b.rmatvec(y).tobytes()
+    assert a.matmul_dense(xd).tobytes() == b.matmul_dense(xd).tobytes()
+    _assert_kernel_matches(pattern.row_normalize(), b, x, y, xd)
 
 
 def test_kernel_shape_checks():
@@ -137,4 +146,22 @@ def test_evaluate_never_builds_an_adjoint_pattern(monkeypatch):
     monkeypatch.setattr(HopKernel, "_adjoint_pattern", refuse)
     report = evaluate(graph, labels, splits, params, cfg, 1.0)
     assert np.isfinite(report.energy_final).all()
-    assert graph._kernel_cache
+    # the graph's one hop cache holds the kernels evaluation built
+    assert graph._hop_cache
+    assert all(isinstance(k, HopKernel) for k in graph._hop_cache.values())
+
+
+def test_train_and_evaluate_never_row_normalise(monkeypatch):
+    # each hop is applied as its 0/1 pattern and 1/deg; only the reference
+    # compose_metapath forms valued hop matrices
+    def refuse(self):
+        raise AssertionError("row_normalize called")
+
+    monkeypatch.setattr(SparseRowMatrix, "row_normalize", refuse)
+    graph, labels = generate_synthetic(SynthConfig(nodes_per_class=20, seed=3))
+    splits = make_splits(labels, 3, seed=0)
+    feat, prop = resolve_paths(graph)
+    cfg = TrainConfig(epochs=3, d_hidden=8)
+    params, _ = train(graph, labels, splits, cfg, feat, prop)
+    report = evaluate(graph, labels, splits, params, cfg, 1.0)
+    assert np.isfinite(report.energy_final).all()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oodhg.errors import NegativeValue, ShapeMismatch, ValidationError
 from oodhg.hetgraph import HopKernel
-from oodhg.sparse import SparseRowMatrix, pair_keys, row_normalize
+from oodhg.sparse import SparseRowMatrix, pair_keys
 
 from conftest import dense_row_normalize
 
@@ -177,9 +177,9 @@ class TestRowNormalize:
         with pytest.raises(NegativeValue):
             m.row_normalize()
 
-    def test_functional_alias(self):
+    def test_row_with_a_gap(self):
         m = SparseRowMatrix.from_dense(np.array([[4.0, 0.0, 4.0]]))
-        np.testing.assert_allclose(row_normalize(m).to_dense(), [[0.5, 0, 0.5]])
+        np.testing.assert_allclose(m.row_normalize().to_dense(), [[0.5, 0, 0.5]])
 
     def test_empty_rows_stay_empty(self):
         arr = np.array([[0.0, 0.0], [3.0, 1.0]])
@@ -211,8 +211,8 @@ class TestProducts:
             np.testing.assert_allclose(got, a @ x, atol=1e-13)
 
     def test_matmul_dense_matches(self):
-        # the dense product moved to the hop kernel, which takes the
-        # row-normalised 0/1 matrices hop_matrix builds
+        # the dense product moved to the hop kernel, which applies a
+        # matrix's 0/1 pattern row-normalised
         rng = np.random.default_rng(9)
         a = dense_row_normalize((rng.random((10, 6)) < 0.4).astype(float))
         x = rng.standard_normal((6, 4))

@@ -10,6 +10,15 @@ Directory format:
              <node_type>.f32   raw little-endian float32, row major.
     labels.tsv                 one "node_id<TAB>label" per target node.
     splits.json (optional)     {train, val, test, ood_class}.
+    <table>.bin (optional)     beside each .tsv and .csv table that
+                               save_dataset writes: the parsed table, with
+                               the byte length and CRC-32 of its text.
+
+The text files are the record. A load takes a table from its sidecar only
+when the sidecar was written for exactly the text file's current bytes,
+at the table's width, and holds the whole table; otherwise, silently, it
+parses the text (see _cached_table). Every check after the read runs on
+the table either way, and a load never writes.
 
 Every JSON file, here or elsewhere, is read by _read_json under one type
 policy (see _typed); a value of another type is a ValidationError naming
@@ -38,7 +47,9 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+import struct
 import sys
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -247,7 +258,8 @@ def save_dataset(dir_path, graph: HeteroGraph, labels=None, splits=None,
 
     feature_format "csv" stores floats via repr (lossless for float64);
     "f32" stores raw little-endian float32, losing precision beyond 32 bits
-    but round-tripping bitwise once loaded and saved again.
+    but round-tripping bitwise once loaded and saved again. Each text table
+    gets a binary sidecar beside it (see _write_table).
     """
     if feature_format not in ("csv", "f32"):
         raise ValueError(f"unknown feature format {feature_format!r}")
@@ -269,8 +281,8 @@ def save_dataset(dir_path, graph: HeteroGraph, labels=None, splits=None,
     edge_dir = root / "edges"
     edge_dir.mkdir(exist_ok=True)
     for s in graph.edge_types:
-        (edge_dir / f"{s.name}.tsv").write_text(
-            _int_pair_text(graph.edges[s.name]))
+        pairs = graph.edges[s.name]
+        _write_table(edge_dir / f"{s.name}.tsv", _int_pair_text(pairs), pairs)
 
     feat_dir = root / "features"
     feat_dir.mkdir(exist_ok=True)
@@ -281,15 +293,15 @@ def save_dataset(dir_path, graph: HeteroGraph, labels=None, splits=None,
         if feature_format == "csv":
             text = "".join(",".join(repr(float(v)) for v in row) + "\n"
                            for row in mat)
-            (feat_dir / f"{s.name}.csv").write_text(text)
+            _write_table(feat_dir / f"{s.name}.csv", text, mat)
         else:
             (feat_dir / f"{s.name}.f32").write_bytes(
                 np.ascontiguousarray(mat, dtype="<f4").tobytes())
 
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
-        (root / "labels.tsv").write_text(_int_pair_text(
-            np.column_stack([np.arange(labels.size, dtype=np.int64), labels])))
+        pairs = np.column_stack([np.arange(labels.size, dtype=np.int64), labels])
+        _write_table(root / "labels.tsv", _int_pair_text(pairs), pairs)
     if splits is not None:
         _write_json(root / "splits.json", splits.to_dict())
     return root
@@ -408,9 +420,58 @@ def _write_json(path: Path, payload) -> None:
 _PLAIN_TEXT = b"\t\n\r" + bytes(range(0x20, 0x7F))
 
 
+# a sidecar <table>.bin opens with this header: the magic, then the byte
+# length and zlib.crc32 of the text file it was written with, then the
+# table's rows and cols; the table follows in C order, little-endian
+_SIDECAR = struct.Struct("<8sqqqq")
+_SIDECAR_MAGIC = b"OODHGTB1"
+
+
+def _sidecar(path: Path) -> Path:
+    return path.with_name(path.name + ".bin")
+
+
+def _write_table(path: Path, text: str, table: np.ndarray) -> None:
+    """Write text to path and the table it was formatted from, which parses
+    back from text exactly, to path's sidecar."""
+    raw = text.encode("utf-8")
+    path.write_bytes(raw)
+    with _sidecar(path).open("wb") as fh:
+        fh.write(_SIDECAR.pack(_SIDECAR_MAGIC, len(raw), zlib.crc32(raw),
+                               *table.shape))
+        fh.write(np.ascontiguousarray(
+            table, dtype=table.dtype.newbyteorder("<")).tobytes())
+
+
+def _cached_table(path: Path, raw: bytes, dtype, width: int):
+    """The table path's sidecar holds for exactly the bytes raw, or None
+    when the sidecar is missing, unreadable, written for other bytes or
+    another width, or holds the wrong number of items.
+
+    The CRC guards against a text file edited after it was written, not
+    against a deliberate forgery: whoever can edit one file can edit both.
+    """
+    try:
+        with _sidecar(path).open("rb") as fh:
+            head = fh.read(_SIDECAR.size)
+            if len(head) != _SIDECAR.size:
+                return None
+            magic, size, crc, rows, cols = _SIDECAR.unpack(head)
+            if (magic != _SIDECAR_MAGIC or size != len(raw) or cols != width
+                    or crc != zlib.crc32(raw)):
+                return None
+            table = np.fromfile(fh, dtype=np.dtype(dtype).newbyteorder("<"))
+    except OSError:
+        return None
+    if table.size != rows * cols:
+        return None
+    return table.astype(dtype, copy=False).reshape(rows, cols)
+
+
 def _read_table(path: Path, dtype, delimiter: str, width: int,
                 parse_lines) -> np.ndarray:
-    """(rows, width) table of a delimited text file, read by np.loadtxt.
+    """(rows, width) table of a delimited text file, read by np.loadtxt
+    unless its sidecar holds the table for exactly these bytes.
 
     parse_lines(path), the line-by-line reference parser, decides every file
     the C reader refuses, reads at another width, or might read differently.
@@ -421,6 +482,9 @@ def _read_table(path: Path, dtype, delimiter: str, width: int,
     """
     _require_file(path)
     raw = path.read_bytes()
+    table = _cached_table(path, raw, dtype, width)
+    if table is not None:
+        return table
     # int() refuses a field of more than get_int_max_str_digits() digits,
     # leading zeros included; one that still fits int64 has at most 19
     # digits after its zeros, so it holds a run of limit - 18 zeros

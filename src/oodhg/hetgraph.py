@@ -42,7 +42,7 @@ from .errors import (
     UnknownType,
     ValidationError,
 )
-from .sparse import SparseRowMatrix, pair_keys
+from .sparse import SparseRowMatrix, ascending, pair_keys
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def build_graph(node_types, edge_types, edges, features=None,
                 raise IndexOutOfRange(
                     f"edge type {s.name!r}: dst index {bad[1]} outside "
                     f"[0, {n_dst}) for type {s.dst_type!r}")
-            keys = np.sort(pair_keys(n_src, n_dst, pairs[:, 0], pairs[:, 1]))
+            keys = ascending(pair_keys(n_src, n_dst, pairs[:, 0], pairs[:, 1]))
             if np.any(keys[1:] == keys[:-1]):
                 raise ValidationError(f"duplicate (src, dst) pair in edge type {s.name!r}")
         checked_edges[s.name] = pairs

@@ -85,13 +85,14 @@ class SparseRowMatrix:
 
         duplicates: "error" rejects repeated pairs, naming the first in
         row-major order; "union" collapses them. The pairs are ordered by
-        sorting their pair_keys, which are split back into rows and columns.
+        sorting their pair_keys (skipped when they are already in order),
+        which are split back into rows and columns.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if pairs.size == 0:
             return cls(n_rows, n_cols, np.zeros(n_rows + 1, np.int64),
                        np.zeros(0, np.int64), np.zeros(0, np.float64))
-        keys = np.sort(pair_keys(n_rows, n_cols, pairs[:, 0], pairs[:, 1]))
+        keys = ascending(pair_keys(n_rows, n_cols, pairs[:, 0], pairs[:, 1]))
         dup = keys[1:] == keys[:-1]
         if dup.any():
             if duplicates != "union":
@@ -296,6 +297,14 @@ def pair_keys(n_rows: int, n_cols: int, rows: np.ndarray,
     if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
         raise ValidationError("column index out of [0, n_cols)")
     return rows * n_cols + cols
+
+
+def ascending(keys: np.ndarray) -> np.ndarray:
+    """keys in non-decreasing order: keys itself when it already is, as a
+    relation written in row-major order is, else np.sort(keys)."""
+    if np.any(keys[1:] < keys[:-1]):
+        return np.sort(keys)
+    return keys
 
 
 def sorted_distinct(values: np.ndarray) -> np.ndarray:

@@ -777,7 +777,10 @@ def test_config_value_a_flag_overrides_is_never_read(dataset, tmp_path):
 def test_commands_import_neither_numpy_ma_nor_concurrent_futures(tmp_path):
     """A fresh sequential train, eval or ablate process leaves out numpy.ma
     (np.unique's first call imports it) and concurrent.futures (only
-    OODHG_THREADS > 1 needs it)."""
+    OODHG_THREADS > 1 needs it). A process that only loads a dataset also
+    leaves out hashlib, which loads OpenSSL (about 3.6 MB of RSS): the
+    dataset sidecars are checked with zlib.crc32. The commands do import
+    hashlib, through numpy.random, whose bit_generator imports secrets."""
     data, run = str(tmp_path / "data"), str(tmp_path / "run")
     assert main(["gen", "--per-class", "10", "-o", data]) == 0
     probe = ("import sys\n"
@@ -795,6 +798,16 @@ def test_commands_import_neither_numpy_ma_nor_concurrent_futures(tmp_path):
                               capture_output=True, text=True,
                               env=_child_env(), timeout=120)
         assert proc.stdout.splitlines()[-1] == "0 False False", (argv, proc.stderr)
+    load = ("import sys\n"
+            "from oodhg.data import load_dataset, load_path_config\n"
+            "load_dataset(sys.argv[1])\n"
+            "load_path_config(sys.argv[1])\n"
+            "print([m for m in ('numpy.ma', 'concurrent.futures', 'hashlib')"
+            " if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", load, data],
+                          capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stderr
 
 
 def test_setup_probe_reads_a_generated_dataset(tmp_path):

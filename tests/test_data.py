@@ -506,6 +506,139 @@ class TestTableReaders:
             assert pairs.shape == (0, 2) and pairs.dtype == np.int64
 
 
+def _gen(root: Path, *args: str) -> Path:
+    """A dataset directory written by the gen command."""
+    from oodhg.cli import main
+    assert main(["gen", "--seed", "5", *args, "-o", str(root)]) == 0
+    return root
+
+
+def _tables(root: Path) -> dict:
+    """dtype, shape and bytes of every table of a dataset directory, as the
+    readers return them."""
+    schema = json.loads((root / "schema.json").read_text())
+    tables = {p.relative_to(root).as_posix(): data._parse_int_pair_file(p)
+              for p in [*sorted((root / "edges").glob("*.tsv")),
+                        root / "labels.tsv"]}
+    for t in schema["node_types"]:
+        if t["feature_dim"]:
+            tables[t["name"]] = data._load_features(
+                root / "features", t["name"], t["count"], t["feature_dim"])
+    return {k: (v.dtype, v.shape, v.tobytes()) for k, v in tables.items()}
+
+
+def _drop_sidecars(root: Path) -> list[Path]:
+    sidecars = sorted(root.rglob("*.bin"))
+    for p in sidecars:
+        p.unlink()
+    return sidecars
+
+
+def _no_text_parse(monkeypatch):
+    """Make np.loadtxt fail with an error no reader catches, so a read that
+    parses text instead of taking its sidecar fails."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+    monkeypatch.setattr(data.np, "loadtxt", refuse)
+
+
+class TestSidecars:
+    @pytest.mark.parametrize("args", [
+        ["--per-class", "10"],
+        ["--per-class", "150"],
+        ["--per-class", "10", "--feature-format", "f32"],
+        # every edge type empty
+        ["--per-class", "10", "--intra", "0", "--inter", "0"],
+    ], ids=["10", "150", "f32", "no-edges"])
+    def test_sidecar_gives_what_the_parse_gives(self, tmp_path, monkeypatch, args):
+        root = _gen(tmp_path / "d", *args)
+        with monkeypatch.context() as patch:
+            _no_text_parse(patch)
+            served = _tables(root)
+        sidecars = _drop_sidecars(root)
+        text_tables = [p for p in root.rglob("*") if p.suffix in (".tsv", ".csv")]
+        assert len(sidecars) == len(text_tables)
+        assert served == _tables(root)
+
+    def test_text_edited_to_the_same_length_is_parsed(self, tmp_path):
+        root = _gen(tmp_path / "d", "--per-class", "10")
+        path = root / "edges" / "target_aux0.tsv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        # two aux ids of one target node, as long as each other, trade places
+        i = next(i for i in range(len(lines) - 1)
+                 if lines[i].split(b"\t")[0] == lines[i + 1].split(b"\t")[0]
+                 and len(lines[i]) == len(lines[i + 1]))
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+        edited = b"".join(lines)
+        assert len(edited) == path.stat().st_size
+        path.write_bytes(edited)
+        graph, _, _ = load_dataset(root)
+        _drop_sidecars(root)
+        want = data._parse_int_pair_file(path)
+        assert want[i, 1] > want[i + 1, 1]
+        np.testing.assert_array_equal(graph.edges["target_aux0"], want)
+
+    @pytest.mark.parametrize("damage", [
+        "bad-magic", "truncated-payload", "wrong-width", "header-only",
+        "short-header", "unreadable"])
+    def test_damaged_sidecar_falls_back_to_the_parse_silently(
+            self, tmp_path, monkeypatch, capsys, damage):
+        root = _gen(tmp_path / "d", "--per-class", "10")
+        capsys.readouterr()
+        sidecar = root / "features" / "target.csv.bin"
+        blob = sidecar.read_bytes()
+        sidecar.unlink()
+        want = data._load_features(root / "features", "target", 40, 16)
+        head = data._SIDECAR.size
+        magic, size, crc, rows, cols = data._SIDECAR.unpack(blob[:head])
+        if damage == "bad-magic":
+            blob = b"X" + blob[1:]
+        elif damage == "truncated-payload":
+            blob = blob[:-8]
+        elif damage == "wrong-width":
+            # as many items as the table holds, split at another width
+            blob = data._SIDECAR.pack(magic, size, crc, rows // 2, cols * 2) + blob[head:]
+        elif damage == "header-only":
+            blob = blob[:head]
+        elif damage == "short-header":
+            blob = blob[:head - 1]
+        if damage == "unreadable":
+            sidecar.mkdir()
+        else:
+            sidecar.write_bytes(blob)
+        calls = []
+        real = np.loadtxt
+        monkeypatch.setattr(data.np, "loadtxt",
+                            lambda path, *a, **k: calls.append(path) or real(path, *a, **k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            graph, _, _ = load_dataset(root)
+        assert calls == [root / "features" / "target.csv"]
+        assert capsys.readouterr() == ("", "")
+        np.testing.assert_array_equal(graph.features["target"], want)
+
+    @pytest.mark.parametrize("keep_sidecars", [True, False])
+    def test_load_leaves_the_directory_unchanged(self, tmp_path, keep_sidecars):
+        root = _gen(tmp_path / "d", "--per-class", "10")
+        if not keep_sidecars:
+            _drop_sidecars(root)
+        before = _tree_bytes(root)
+        load_dataset(root)
+        load_path_config(root)
+        assert _tree_bytes(root) == before
+
+    def test_gen_made_dataset_loads_without_parsing_text(self, tmp_path, monkeypatch):
+        root = _gen(tmp_path / "d", "--per-class", "10")
+        want = load_dataset(root)
+        _no_text_parse(monkeypatch)
+        graph, labels, _ = load_dataset(root)
+        for name, pairs in want[0].edges.items():
+            np.testing.assert_array_equal(graph.edges[name], pairs)
+        np.testing.assert_array_equal(graph.features["target"],
+                                      want[0].features["target"])
+        np.testing.assert_array_equal(labels, want[1])
+
+
 def _assign_labels_loop(path, pairs, n_target):
     """The row-by-row label assignment the vectorised one must reproduce."""
     labels = np.zeros(n_target, dtype=np.int64)

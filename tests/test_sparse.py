@@ -64,6 +64,13 @@ def test_from_edge_pairs_matches_the_argsort_construction(duplicates):
             pairs = pairs[np.argsort(pairs[:, 1], kind="stable")]
         if trial % 5 == 0:
             pairs = np.unique(pairs, axis=0)[::-1]
+        if trial % 4 == 1:
+            # already in key order, without duplicates
+            pairs = np.unique(pairs, axis=0)
+        elif trial % 4 == 3:
+            # already in key order, every pair twice
+            pairs = np.repeat(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))], 2,
+                              axis=0)
         args = (n_rows, n_cols, pairs, duplicates)
         assert (_built_or_error(SparseRowMatrix.from_edge_pairs, *args)
                 == _built_or_error(_argsort_from_edge_pairs, *args))

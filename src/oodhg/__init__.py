@@ -6,7 +6,6 @@ from .energy import (
     DetectorConfig,
     PropagationConfig,
     detect,
-    energy_scores,
     fuse,
     msp_score,
     propagate,
@@ -17,7 +16,6 @@ from .hetgraph import (
     MetaPath,
     MetaPathOperator,
     NodeTypeSchema,
-    adjacency,
     build_graph,
     candidate_metapaths,
     compose_metapath,
@@ -40,10 +38,7 @@ from .model import (
     TrainHistory,
     forward,
     gradients,
-    loss_classification,
-    loss_energy,
     loss_total,
-    softmax_probs,
     train,
 )
 from .pipeline import evaluate, load_checkpoint, run_experiment, save_checkpoint
@@ -54,15 +49,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryScoredSet", "DetectorConfig", "EdgeTypeSchema", "EncoderParams",
     "HeteroGraph", "KPlusOnePrediction", "MetaPath", "MetaPathOperator",
-    "NodeTypeSchema",
-    "PropagationConfig", "SparseRowMatrix", "Splits", "SynthConfig",
-    "TrainConfig", "TrainHistory", "adjacency", "aupr", "auroc",
+    "NodeTypeSchema", "PropagationConfig", "SparseRowMatrix", "Splits",
+    "SynthConfig", "TrainConfig", "TrainHistory", "aupr", "auroc",
     "build_graph", "candidate_metapaths", "compose_metapath", "detect",
-    "energy_scores", "errors", "evaluate", "forward", "fpr_at_95tpr",
-    "fuse", "generate_synthetic", "gradients", "load_checkpoint",
-    "load_dataset", "loss_classification", "loss_energy", "loss_total",
-    "macro_f1", "make_splits", "metapath_features", "metapath_operator",
-    "micro_f1", "msp_score",
-    "propagate", "run_experiment", "save_checkpoint",
-    "save_dataset", "softmax_probs", "sweep_threshold", "train",
+    "errors", "evaluate", "forward", "fpr_at_95tpr", "fuse",
+    "generate_synthetic", "gradients", "load_checkpoint", "load_dataset",
+    "loss_total", "macro_f1", "make_splits", "metapath_features",
+    "metapath_operator", "micro_f1", "msp_score", "propagate",
+    "run_experiment", "save_checkpoint", "save_dataset", "sweep_threshold",
+    "train",
 ]

@@ -118,6 +118,8 @@ class SynthConfig:
                 raise ValueError(f"edge probability {p} outside [0, 1]")
         if self.ood_shift < 0:
             raise ValueError(f"ood_shift must be >= 0, got {self.ood_shift}")
+        if not math.isfinite(self.ood_shift):
+            raise ValueError(f"ood_shift must be finite, got {self.ood_shift}")
 
 
 def _fisher_yates(rng: np.random.Generator, arr: np.ndarray) -> np.ndarray:
@@ -259,11 +261,16 @@ def save_dataset(dir_path, graph: HeteroGraph, labels=None, splits=None,
     feature_format "csv" stores floats via repr (lossless for float64);
     "f32" stores raw little-endian float32, losing precision beyond 32 bits
     but round-tripping bitwise once loaded and saved again. Each text table
-    gets a binary sidecar beside it (see _write_table).
+    gets a binary sidecar beside it (see _write_table). Raises
+    ValidationError when dir_path already holds a schema.json: the old
+    dataset's files would outlive the ones this call replaces.
     """
     if feature_format not in ("csv", "f32"):
         raise ValueError(f"unknown feature format {feature_format!r}")
     root = Path(dir_path)
+    if (root / "schema.json").exists():
+        raise ValidationError(f"{root} already holds a dataset (schema.json); "
+                              f"save into a new directory")
     root.mkdir(parents=True, exist_ok=True)
     schema = {
         "node_types": [
@@ -564,7 +571,11 @@ def _parse_feature_lines(path: Path, dim: int) -> np.ndarray:
 def _load_features(feat_dir: Path, name: str, count: int, dim: int) -> np.ndarray:
     csv_path = feat_dir / f"{name}.csv"
     f32_path = feat_dir / f"{name}.f32"
-    if csv_path.is_file():
+    has_csv = csv_path.is_file()
+    if has_csv and f32_path.is_file():
+        raise ValidationError(f"{csv_path} and {f32_path} both hold the "
+                              f"features of type {name!r}; keep one")
+    if has_csv:
         mat = _read_table(csv_path, np.float64, ",", dim,
                           lambda path: _parse_feature_lines(path, dim))
         if mat.shape[0] != count:

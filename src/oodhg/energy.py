@@ -112,11 +112,6 @@ def logit_pass(logits: np.ndarray, out: LogitPass | None = None) -> LogitPass:
     return out
 
 
-def energy_scores(logits: np.ndarray) -> np.ndarray:
-    """Per-row energy -logsumexp(logits), max-shifted for stability."""
-    return logit_pass(logits).energy
-
-
 def msp_score(probs: np.ndarray) -> np.ndarray:
     """Maximum softmax probability per row; a higher value means more ID."""
     probs = np.asarray(probs, dtype=np.float64)

@@ -243,15 +243,6 @@ def build_graph(node_types, edge_types, edges, features=None,
                        checked_features, target_type)
 
 
-def adjacency(graph: HeteroGraph, edge_type: str) -> SparseRowMatrix:
-    """Binary adjacency of one edge type, shape count(src) x count(dst)."""
-    schema = graph.edge_schema(edge_type)
-    return SparseRowMatrix.from_edge_pairs(
-        graph.node_count(schema.src_type),
-        graph.node_count(schema.dst_type),
-        graph.edges[edge_type])
-
-
 def hop_matrix(graph: HeteroGraph, src: str, dst: str) -> SparseRowMatrix:
     """0/1 pattern of the hop between two node types.
 

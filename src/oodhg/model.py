@@ -111,6 +111,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not (0.0 <= self.alpha <= 1.0):
@@ -347,11 +349,6 @@ def forward(graph: HeteroGraph, params: EncoderParams) -> np.ndarray:
     return forward_from_features(feature_tables(graph, params.paths), params)
 
 
-def softmax_probs(logits: np.ndarray) -> np.ndarray:
-    """Row softmax with max shift; rows sum to 1 within 1e-12."""
-    return logit_pass(logits).probs
-
-
 def _check_head_labels(labels: np.ndarray, ids: np.ndarray, n_classes: int) -> None:
     picked = labels[ids]
     if picked.size and (picked.min() < 0 or picked.max() >= n_classes):
@@ -386,24 +383,6 @@ def _hinge(final_energies: np.ndarray, train_ids: np.ndarray,
            m_in: float) -> np.ndarray:
     """max(0, E_i - m_in) over the training nodes."""
     return np.maximum(final_energies[train_ids] - m_in, 0.0)
-
-
-def loss_classification(logits: np.ndarray, labels: np.ndarray,
-                        train_ids: np.ndarray) -> float:
-    """Mean cross-entropy -log p(y_i) over the training nodes."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    train_ids = np.asarray(train_ids, dtype=np.int64)
-    _check_head_labels(labels, train_ids, logits.shape[1])
-    return _class_loss(logit_pass(logits), _TrainRows.of(labels, train_ids))
-
-
-def loss_energy(final_energies: np.ndarray, train_ids: np.ndarray,
-                m_in: float) -> float:
-    """Mean squared hinge max(0, E_i - m_in)^2 over the training nodes,
-    evaluated on post-propagation energies."""
-    return float(_mean(_hinge(np.asarray(final_energies, dtype=np.float64),
-                              np.asarray(train_ids, dtype=np.int64), m_in) ** 2))
 
 
 def loss_total(l_c: float, l_e: float, alpha: float) -> float:

@@ -118,11 +118,6 @@ class SparseRowMatrix:
         return cls(arr.shape[0], arr.shape[1], offsets,
                    cols.astype(np.int64), arr[rows, cols])
 
-    @classmethod
-    def identity(cls, n: int) -> "SparseRowMatrix":
-        return cls(n, n, np.arange(n + 1, dtype=np.int64),
-                   np.arange(n, dtype=np.int64), np.ones(n, np.float64))
-
     # ------------------------------------------------------------------
     # inspection
 
@@ -144,9 +139,6 @@ class SparseRowMatrix:
             out[nonempty] = np.add.reduceat(self.values, starts)
         return out
 
-    def empty_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.row_counts() == 0)
-
     def stochastic_stats(self) -> tuple[float, float]:
         """(max |row sum - 1| over nonempty rows, min value)."""
         sums = self.row_sums()
@@ -154,11 +146,6 @@ class SparseRowMatrix:
         dev = float(np.abs(sums[nonempty] - 1.0).max()) if nonempty.any() else 0.0
         low = float(self.values.min()) if self.nnz else 0.0
         return (dev, low)
-
-    def is_row_stochastic(self, tol: float = 1e-12) -> bool:
-        """Non-negative with every nonempty row summing to 1 within tol."""
-        dev, low = self.stochastic_stats()
-        return low >= 0.0 and dev <= tol
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols), np.float64)
@@ -262,7 +249,7 @@ class SparseRowMatrix:
         """Square matrices only: put a lone 1.0 at (i, i) for every empty row i."""
         if self.n_rows != self.n_cols:
             raise ShapeMismatch("self-loop repair requires a square matrix")
-        empty = self.empty_rows()
+        empty = np.flatnonzero(self.row_counts() == 0)
         if empty.size == 0:
             return self
         rows = np.concatenate([

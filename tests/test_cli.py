@@ -49,6 +49,14 @@ class TestGen:
         assert main(GEN + ["-o", str(dataset)]) == 2
         assert "not empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_shift_is_one_line_error(self, tmp_path, capsys, value):
+        out = tmp_path / "data"
+        assert main(GEN + ["--shift", value, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ood_shift must be finite, got {value}"]
+        assert not out.exists()
+
 
 class TestTrain:
     def test_missing_ood_class_is_an_error(self, dataset, tmp_path, capsys):
@@ -140,6 +148,16 @@ class TestTrain:
                      "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and needle in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_one_line_error(self, dataset, tmp_path,
+                                                        capsys, value):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(dataset), "--ood-class", "3",
+                     "--lr", value, "--out", str(out)] + FAST) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: learning_rate must be finite, got {value}"]
+        assert not out.exists()
 
     def test_divergent_training_stops_without_checkpoint(self, dataset,
                                                          tmp_path, capsys):

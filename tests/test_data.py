@@ -189,6 +189,31 @@ class TestDatasetIO:
         np.testing.assert_array_equal(splits.train_ids, s2.train_ids)
         assert s2.ood_class == 3
 
+    def test_save_refuses_a_directory_holding_a_dataset(self, tmp_path):
+        # otherwise seed 1's csv features and splits.json would load with
+        # seed 2's edges
+        g1, l1 = generate_synthetic(SynthConfig(nodes_per_class=5, seed=1))
+        save_dataset(tmp_path / "d", g1, l1, make_splits(l1, 3, seed=1))
+        before = _tree_bytes(tmp_path / "d")
+        g2, l2 = generate_synthetic(SynthConfig(nodes_per_class=5, seed=2))
+        with pytest.raises(ValidationError) as info:
+            save_dataset(tmp_path / "d", g2, l2, feature_format="f32")
+        assert str(info.value) == (f"{tmp_path / 'd'} already holds a dataset "
+                                   f"(schema.json); save into a new directory")
+        assert _tree_bytes(tmp_path / "d") == before
+
+    def test_csv_and_f32_features_of_one_type_are_refused(self, tmp_path):
+        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=5, seed=1))
+        root = save_dataset(tmp_path / "d", graph, labels)
+        feat = root / "features"
+        (feat / "target.f32").write_bytes(
+            graph.features["target"].astype("<f4").tobytes())
+        with pytest.raises(ValidationError) as info:
+            load_dataset(root)
+        assert str(info.value) == (
+            f"{feat / 'target.csv'} and {feat / 'target.f32'} both hold the "
+            f"features of type 'target'; keep one")
+
     def test_f32_roundtrip_bitwise(self, tmp_path):
         graph, labels = generate_synthetic(SynthConfig(nodes_per_class=15, seed=4))
         save_dataset(tmp_path / "d1", graph, labels, feature_format="f32")

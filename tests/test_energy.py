@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oodhg import DetectorConfig, PropagationConfig, detect, energy_scores, fuse, msp_score, propagate
+from oodhg import DetectorConfig, PropagationConfig, detect, fuse, msp_score, propagate
 from oodhg.energy import logit_pass
 from oodhg.errors import (
     EmptyLogits,
@@ -24,21 +24,21 @@ def _random_row_stochastic(rng, n):
 
 class TestEnergyScores:
     def test_uniform_logits(self):
-        e = energy_scores(np.zeros((1, 4)))
+        e = logit_pass(np.zeros((1, 4))).energy
         np.testing.assert_allclose(e, [-math.log(4)], atol=1e-12)
 
     def test_single_class_identity(self):
-        e = energy_scores(np.array([[3.7], [-2.0]]))
+        e = logit_pass(np.array([[3.7], [-2.0]])).energy
         np.testing.assert_allclose(e, [-3.7, 2.0], atol=1e-15)
 
     def test_dominant_logit(self):
-        e = energy_scores(np.array([[10.0, 0.0, 0.0, 0.0]]))
+        e = logit_pass(np.array([[10.0, 0.0, 0.0, 0.0]])).energy
         expected = -(10.0 + math.log1p(3.0 * math.exp(-10.0)))
         np.testing.assert_allclose(e, [expected], atol=1e-12)
         assert abs(e[0] - (-10.000136)) < 1e-5
 
     def test_no_overflow_on_large_logits(self):
-        e = energy_scores(np.array([[1000.0, 0.0]]))
+        e = logit_pass(np.array([[1000.0, 0.0]])).energy
         assert np.isfinite(e[0])
         np.testing.assert_allclose(e, [-1000.0], atol=1e-9)
 
@@ -46,8 +46,8 @@ class TestEnergyScores:
         rng = np.random.default_rng(1)
         h = rng.standard_normal((20, 5))
         for c in (-3.0, 0.25, 11.0):
-            np.testing.assert_allclose(energy_scores(h + c),
-                                       energy_scores(h) - c, atol=1e-10)
+            np.testing.assert_allclose(logit_pass(h + c).energy,
+                                       logit_pass(h).energy - c, atol=1e-10)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10, 40])
     def test_logit_pass_is_bitwise_the_row_reduction_form(self, k):
@@ -77,7 +77,7 @@ class TestEnergyScores:
 
     def test_zero_classes_rejected(self):
         with pytest.raises(EmptyLogits):
-            energy_scores(np.zeros((3, 0)))
+            logit_pass(np.zeros((3, 0)))
 
 
 class TestMspScore:

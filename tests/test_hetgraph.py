@@ -5,13 +5,12 @@ from oodhg import (
     EdgeTypeSchema,
     MetaPath,
     NodeTypeSchema,
-    adjacency,
     build_graph,
     candidate_metapaths,
     compose_metapath,
     metapath_features,
 )
-from oodhg.hetgraph import resolve_paths
+from oodhg.hetgraph import hop_matrix, resolve_paths
 from oodhg.errors import (
     DimensionMismatch,
     FeaturelessEndType,
@@ -98,34 +97,36 @@ class TestBuildGraph:
 
 
 class TestAdjacency:
+    """hop_matrix: the 0/1 pattern of the edges between two node types."""
+
     def test_direct_construction(self):
         g = _ap_graph([(0, 0), (1, 0), (2, 1)])
-        m = adjacency(g, "AP")
+        m = hop_matrix(g, "A", "P")
         assert m.shape == (3, 2)
         assert m.to_dense().sum() == 3
 
     def test_empty_edge_list(self):
         g = _ap_graph([])
-        assert np.array_equal(adjacency(g, "AP").to_dense(), np.zeros((3, 2)))
+        assert np.array_equal(hop_matrix(g, "A", "P").to_dense(), np.zeros((3, 2)))
 
     def test_random_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
         mask = rng.random((10, 8)) < 0.3
         g = _ap_graph(np.argwhere(mask), n_a=10, n_p=8)
-        np.testing.assert_array_equal(adjacency(g, "AP").to_dense(),
+        np.testing.assert_array_equal(hop_matrix(g, "A", "P").to_dense(),
                                       mask.astype(float))
 
     def test_unknown_edge_type(self):
         g = _ap_graph([(0, 0)])
-        with pytest.raises(UnknownType):
-            adjacency(g, "XX")
+        with pytest.raises(InvalidPath, match="no declared edge type from 'P' to 'A'"):
+            hop_matrix(g, "P", "A")
 
 
 class TestComposeMetapath:
     def test_single_hop_equals_normalized_adjacency(self):
         g = _ap_graph([(0, 0), (1, 0), (2, 1)], pa_pairs=[(0, 0), (0, 1), (1, 2)])
         composed = compose_metapath(g, ["A", "P"])
-        expected = adjacency(g, "AP").row_normalize()
+        expected = hop_matrix(g, "A", "P").row_normalize()
         np.testing.assert_array_equal(composed.to_dense(), expected.to_dense())
 
     def test_apa_two_author_example(self):

@@ -10,20 +10,16 @@ from oodhg import (
     SynthConfig,
     TrainConfig,
     build_graph,
-    energy_scores,
     forward,
     generate_synthetic,
     gradients,
-    loss_classification,
-    loss_energy,
     loss_total,
     make_splits,
     run_experiment,
-    softmax_probs,
     train,
 )
 from oodhg.errors import EmptyTrainSet, LabelOutOfRange, OodLabelInTrainSet
-from oodhg.energy import fuse, propagate, propagate_transpose
+from oodhg.energy import fuse, logit_pass, propagate, propagate_transpose
 from oodhg.hetgraph import MetaPath, resolve_paths
 from oodhg.model import (
     ADAM_BETA1,
@@ -157,16 +153,16 @@ class TestForward:
 
 class TestSoftmax:
     def test_symmetric(self):
-        np.testing.assert_allclose(softmax_probs(np.array([[0.0, 0.0]])),
+        np.testing.assert_allclose(logit_pass(np.array([[0.0, 0.0]])).probs,
                                    [[0.5, 0.5]], atol=1e-15)
 
     def test_large_logits_stable(self):
-        p = softmax_probs(np.array([[1000.0, 0.0]]))
+        p = logit_pass(np.array([[1000.0, 0.0]])).probs
         assert np.isfinite(p).all()
         np.testing.assert_allclose(p, [[1.0, 0.0]], atol=1e-12)
 
     def test_one_two_three_row(self):
-        p = softmax_probs(np.array([[1.0, 2.0, 3.0]]))
+        p = logit_pass(np.array([[1.0, 2.0, 3.0]])).probs
         e = np.exp([1.0, 2.0, 3.0])
         np.testing.assert_allclose(p[0], e / e.sum(), atol=1e-14)
         np.testing.assert_allclose(
@@ -174,57 +170,105 @@ class TestSoftmax:
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        p = softmax_probs(rng.standard_normal((40, 6)) * 30)
+        p = logit_pass(rng.standard_normal((40, 6)) * 30).probs
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_shift_leaves_probs_and_moves_energy(self):
         rng = np.random.default_rng(1)
         h = rng.standard_normal((10, 4))
         c = 2.75
-        np.testing.assert_allclose(softmax_probs(h + c), softmax_probs(h),
-                                   atol=1e-12)
-        np.testing.assert_allclose(energy_scores(h + c),
-                                   energy_scores(h) - c, atol=1e-10)
+        shifted, plain = logit_pass(h + c), logit_pass(h)
+        np.testing.assert_allclose(shifted.probs, plain.probs, atol=1e-12)
+        np.testing.assert_allclose(shifted.energy, plain.energy - c, atol=1e-10)
 
 
 class TestLosses:
+    """The class and energy terms of training_loss, against recomputations
+    from forward's logits."""
+
+    def _instance(self, n_classes, seed=0):
+        """(graph, head labels in [0, 2), params) on the gradcheck graph,
+        whose twelve target nodes all have a PROP_PATH neighbour."""
+        graph, labels = gradcheck_instance(seed)
+        params = make_params(graph, [PROP_PATH], seed, GRAD_CFG.d_hidden,
+                             n_classes)
+        return graph, labels, params
+
+    def _losses(self, graph, params, labels, train_ids, **changes):
+        """(total, classification, energy) at GRAD_CFG with changes."""
+        return training_loss(graph, [PROP_PATH], [PROP_PATH], params, labels,
+                             np.asarray(train_ids),
+                             dataclasses.replace(GRAD_CFG, **changes))
+
     def test_confident_correct_logits_vanish(self):
-        logits = np.array([[50.0, 0.0], [0.0, 50.0]])
-        loss = loss_classification(logits, np.array([0, 1]), np.array([0, 1]))
-        assert loss < 1e-20
+        graph, _, params = self._instance(2)
+        params.out_weight[...] = 0.0
+        for cls in (0, 1):
+            params.out_bias[...] = 0.0
+            params.out_bias[cls] = 50.0
+            labels = np.full(graph.target_count, cls)
+            _, loss, _ = self._losses(graph, params, labels, [0, 1, 2])
+            assert loss < 1e-20
 
     def test_uniform_logits_log_k(self):
-        loss = loss_classification(np.zeros((3, 4)), np.zeros(3, dtype=int),
-                                   np.arange(3))
+        graph, labels, params = self._instance(4)
+        for arr in params.param_list():
+            arr[...] = 0.0
+        _, loss, _ = self._losses(graph, params, labels, np.arange(3))
         np.testing.assert_allclose(loss, np.log(4.0), atol=1e-12)
 
     def test_classification_matches_direct_recomputation(self):
-        rng = np.random.default_rng(2)
-        logits = rng.standard_normal((5, 3))
-        labels = rng.integers(0, 3, 5)
-        ids = np.array([0, 2, 3])
-        probs = softmax_probs(logits)
+        graph, _, params = self._instance(3, seed=2)
+        labels = np.random.default_rng(2).integers(0, 3, graph.target_count)
+        ids = np.array([0, 2, 3, 7])
+        logits = forward(graph, params)
+        probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         expected = -np.mean([np.log(probs[i, labels[i]]) for i in ids])
-        got = loss_classification(logits, labels, ids)
+        _, got, _ = self._losses(graph, params, labels, ids)
         assert abs(got - expected) <= 1e-12
 
     def test_label_out_of_range(self):
+        graph, labels, params = self._instance(2)
+        labels = labels.copy()
+        labels[1] = 5
+        with pytest.raises(LabelOutOfRange, match=r"label 5 outside \[0, 2\)"):
+            self._losses(graph, params, labels, [0, 1])
         with pytest.raises(LabelOutOfRange):
-            loss_classification(np.zeros((2, 2)), np.array([0, 5]), np.array([1]))
+            gradients(graph, [PROP_PATH], [PROP_PATH], params, labels,
+                      np.array([0, 1]), GRAD_CFG)
 
     def test_energy_hinge_inactive(self):
-        assert loss_energy(np.array([-4.0, -3.5]), np.array([0, 1]), -3.0) == 0.0
+        graph, labels, params = self._instance(2)
+        _, _, loss = self._losses(graph, params, labels, [0, 1], m_in=100.0)
+        assert loss == 0.0
 
     def test_energy_single_node(self):
-        assert loss_energy(np.array([-1.0]), np.array([0]), -3.0) == 4.0
+        # one class and a zero encoder: every raw energy is -out_bias = -1
+        graph, _, params = self._instance(1)
+        for arr in params.param_list():
+            arr[...] = 0.0
+        params.out_bias[...] = 1.0
+        labels = np.zeros(graph.target_count, dtype=np.int64)
+        _, _, loss = self._losses(graph, params, labels, [0], m_in=-3.0,
+                                  steps=0)
+        assert loss == 4.0
 
     def test_energy_matches_direct_recomputation(self):
-        rng = np.random.default_rng(3)
-        e = rng.standard_normal(10) * 2
+        graph, labels, params = self._instance(2, seed=3)
         ids = np.array([1, 4, 7, 9])
-        m_in = -0.5
+        m_in = -0.9                    # between the raw energies of ids
+        logits = forward(graph, params)
+        e = -np.log(np.exp(logits).sum(axis=1))
+        fwd = np.zeros((graph.target_count, graph.node_count("aux0")))
+        fwd[tuple(graph.edges["target_aux0"].T)] = 1.0
+        a_hat = dense_row_normalize(fwd) @ dense_row_normalize(fwd.T)
+        for _ in range(GRAD_CFG.steps):
+            e = GRAD_CFG.gamma * e + (1.0 - GRAD_CFG.gamma) * (a_hat @ e)
         expected = np.mean([max(0.0, e[i] - m_in) ** 2 for i in ids])
-        assert abs(loss_energy(e, ids, m_in) - expected) <= 1e-12
+        assert expected > 0.0
+        total, l_c, got = self._losses(graph, params, labels, ids, m_in=m_in)
+        assert abs(got - expected) <= 1e-12
+        assert total == 0.5 * l_c + 0.5 * got
 
     def test_total_endpoints_and_midpoint(self):
         assert loss_total(2.0, 4.0, 1.0) == 2.0

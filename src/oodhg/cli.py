@@ -162,8 +162,13 @@ def _load_graph(args):
 
 
 def _splits_for_seed(ood_class, labels, file_splits, seed: int):
-    """File splits when present; otherwise made for ood_class and seed."""
+    """File splits when present; otherwise made for ood_class and seed. An
+    ood_class given with file splits must be the one they hold out."""
     if file_splits is not None:
+        if ood_class is not None and ood_class != file_splits.ood_class:
+            raise ValueError(
+                f"--ood-class {ood_class} differs from held-out class "
+                f"{file_splits.ood_class} of the dataset's splits.json")
         return file_splits
     if ood_class is None:
         raise ValueError("--ood-class is required when the dataset has no "
@@ -246,7 +251,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     graph, labels, file_splits, _, _, source = _load_graph(args)
-    ood_class = ckpt.ood_class if args.ood_class is None else args.ood_class
+    ood_class = args.ood_class
+    if ood_class is None and file_splits is None:
+        ood_class = ckpt.ood_class
     splits = _splits_for_seed(ood_class, labels, file_splits, ckpt.config.seed)
     if splits.ood_class != ckpt.ood_class:
         raise ValueError(
@@ -318,7 +325,8 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
         def one(seed):
             run = dataclasses.replace(cfg, seed=seed)
             splits = _splits_for_seed(args.ood_class, labels, file_splits, seed)
-            params, _ = train(graph, labels, splits, run, feat, prop)
+            params, _ = train(graph, labels, splits, run, feat, prop,
+                              stop_when_settled=True)
             report = evaluate(graph, labels, splits, params, run, taus[0])
             return [{k: r.metrics[k] for k in _HEADLINE} | {"tau": r.tau}
                     for r in map(report.at, taus)]
@@ -399,14 +407,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _median_time(fn, repeats: int, min_sample_s: float = 0.015) -> float:
+_MIN_SAMPLE_S = 0.015
+
+
+def _median_time(fn, repeats: int) -> float:
     """Median per-call time; fast calls are batched so every timing sample
-    spans at least min_sample_s of wall clock."""
+    spans at least _MIN_SAMPLE_S of wall clock."""
     fn()  # warm caches and allocators outside the timed region
     t0 = time.perf_counter()
     fn()
     est = max(time.perf_counter() - t0, 1e-9)
-    inner = max(1, int(np.ceil(min_sample_s / est)))
+    inner = max(1, int(np.ceil(_MIN_SAMPLE_S / est)))
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()

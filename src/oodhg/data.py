@@ -146,7 +146,8 @@ def make_splits(labels: np.ndarray, ood_class: int, train_frac: float = 0.24,
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
-    if train_frac <= 0 or val_frac <= 0 or train_frac + val_frac >= 1:
+    # written as the negation of the valid range so that NaN fails it
+    if not (0 < train_frac and 0 < val_frac and train_frac + val_frac < 1):
         raise FractionOverflow(
             f"fractions train={train_frac}, val={val_frac} must be positive "
             "and sum below 1")

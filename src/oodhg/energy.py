@@ -129,15 +129,15 @@ def msp_score(probs: np.ndarray) -> np.ndarray:
     return probs.max(axis=1)
 
 
-def check_row_stochastic(a_hat: SparseRowMatrix | MetaPathOperator,
-                         tol: float = ROW_SUM_TOL) -> None:
-    """Raise NotRowStochastic unless nonempty rows sum to 1 within tol."""
+def check_row_stochastic(a_hat: SparseRowMatrix | MetaPathOperator) -> None:
+    """Raise NotRowStochastic unless nonempty rows sum to 1 within
+    ROW_SUM_TOL."""
     dev, low = a_hat.stochastic_stats()
     if low < 0.0:
         raise NotRowStochastic("matrix has negative entries")
-    if dev > tol:
+    if dev > ROW_SUM_TOL:
         raise NotRowStochastic(
-            f"a nonempty row sums to 1 +- {dev:.3g}, expected 1 +- {tol}")
+            f"a nonempty row sums to 1 +- {dev:.3g}, expected 1 +- {ROW_SUM_TOL}")
 
 
 def _iterate(x: np.ndarray, apply, config: PropagationConfig) -> np.ndarray:

@@ -103,7 +103,6 @@ class HeteroGraph:
         self.features: dict[str, np.ndarray] = dict(features)
         self.target_type: str = target_type
         self._nodes_by_name = {s.name: s for s in self.node_types}
-        self._edges_by_name = {s.name: s for s in self.edge_types}
         pair_index: dict[tuple[str, str], list[str]] = {}
         for s in self.edge_types:
             pair_index.setdefault((s.src_type, s.dst_type), []).append(s.name)
@@ -118,12 +117,6 @@ class HeteroGraph:
             return self._nodes_by_name[name]
         except KeyError:
             raise UnknownType(f"unknown node type {name!r}") from None
-
-    def edge_schema(self, name: str) -> EdgeTypeSchema:
-        try:
-            return self._edges_by_name[name]
-        except KeyError:
-            raise UnknownType(f"unknown edge type {name!r}") from None
 
     def node_count(self, name: str) -> int:
         return self.node_schema(name).count

@@ -208,9 +208,12 @@ class EpochRecord:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch log. Losses and the mean raw training energy are measured
-    with the parameters entering the epoch; val_micro_f1 with the updated
-    parameters leaving it, which the next epoch's forward pass scores."""
+    """Per-epoch log, one record per epoch run. Losses and the mean raw
+    training energy are measured with the parameters entering the epoch;
+    val_micro_f1 with the updated parameters leaving it, which the next
+    epoch's forward pass scores. A train call with stop_when_settled may
+    end before config.epochs; its records are then the full run's first
+    ones, up to the first epoch with validation micro-F1 1.0."""
 
     records: list[EpochRecord] = field(default_factory=list)
 
@@ -570,7 +573,8 @@ def map_to_head(labels: np.ndarray, id_values: np.ndarray) -> np.ndarray:
 
 
 def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
-          feature_paths=None, prop_paths=None) -> tuple[EncoderParams, TrainHistory]:
+          feature_paths=None, prop_paths=None, *,
+          stop_when_settled: bool = False) -> tuple[EncoderParams, TrainHistory]:
     """Full-batch Adam training; returns the best-validation parameters,
     which record the paths they were trained with and their classes.
 
@@ -581,6 +585,12 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     validation split the final parameters are returned.
     The encoder runs once per epoch, plus once after the last epoch when the
     validation split is non-empty.
+
+    With stop_when_settled and a non-empty validation split, training ends
+    right after the first epoch whose validation micro-F1 is 1.0: no later
+    epoch can beat it, so the returned parameters are bitwise the full
+    run's and the history is a prefix of the full history, ending at that
+    epoch. A divergence in the epochs skipped is then never reached.
 
     Raises EmptyTrainSet and OodLabelInTrainSet on protocol violations, and
     TrainingDiverged once the loss or a parameter stops being finite.
@@ -655,6 +665,8 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
             if val_ids.size and val_f1 > best_f1:
                 best_f1 = val_f1
                 best_params = params.copy()
+                if stop_when_settled and best_f1 == 1.0:
+                    break
 
     if best_params is None:
         best_params = params.copy()

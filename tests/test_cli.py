@@ -387,6 +387,45 @@ class TestSweep:
         assert len(err.splitlines()) == 1 and needle in err
 
 
+
+class TestSettledStop:
+    """ablate and sweep end each training at its first epoch with validation
+    micro-F1 1.0; their outputs are those of trainings run to the end."""
+
+    # at learning rate 0.05, seed 2 settles in every arm and seed 1 in none
+    FLAGS = ["--seeds", "1,2", "--epochs", "12", "--hidden", "8",
+             "--lr", "0.05"]
+
+    @pytest.mark.parametrize("command, out_file", [
+        (["ablate"], "ablation.json"),
+        (["sweep", "--param", "gamma", "--grid", "0.3,0.7"], "sweep.json"),
+    ], ids=["ablate", "sweep-gamma"])
+    def test_same_bytes_as_full_trainings(self, dataset, tmp_path,
+                                          monkeypatch, command, out_file):
+        real_train = cli.train
+        lengths = []
+
+        def recorded(*args, **kwargs):
+            params, history = real_train(*args, **kwargs)
+            lengths.append(len(history))
+            return params, history
+
+        def full(*args, stop_when_settled=False):
+            return recorded(*args)
+
+        argv = command + ["--data", str(dataset), "--ood-class", "3"] + self.FLAGS
+        monkeypatch.setattr(cli, "train", recorded)
+        assert main(argv + ["--out", str(tmp_path / "stopped")]) == 0
+        stopped = lengths[:]
+        lengths.clear()
+        monkeypatch.setattr(cli, "train", full)
+        assert main(argv + ["--out", str(tmp_path / "full")]) == 0
+        assert set(lengths) == {12}
+        assert min(stopped) < 12 and max(stopped) == 12
+        assert ((tmp_path / "stopped" / out_file).read_bytes()
+                == (tmp_path / "full" / out_file).read_bytes())
+
+
 class TestBench:
     def test_report_fields_and_cold_at_least_warm(self, dataset, tmp_path):
         out = tmp_path / "bench"
@@ -490,6 +529,60 @@ class TestParallelSeeds:
                      "--seeds", "0,1"] + FAST) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: OODHG_THREADS must be an integer >= 1, got {workers!r}"]
+
+
+
+class TestOodClassWithSplitsFile:
+    """A given --ood-class must be the held-out class of the dataset's
+    splits.json; it is never silently ignored."""
+
+    @pytest.fixture
+    def split_dataset(self, tmp_path):
+        from oodhg import (SynthConfig, generate_synthetic, make_splits,
+                           save_dataset)
+        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=20))
+        return save_dataset(tmp_path / "data", graph, labels,
+                            make_splits(labels, 3, seed=0))
+
+    def _one_line_error(self, capsys, flag):
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --ood-class {flag} differs from held-out class 3 of "
+            "the dataset's splits.json"]
+
+    def test_train(self, split_dataset, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(split_dataset), "--ood-class",
+                     "2", "--out", str(out)] + FAST) == 2
+        self._one_line_error(capsys, 2)
+        assert not out.exists()
+
+    def test_ablate(self, split_dataset, tmp_path, capsys):
+        out = tmp_path / "ab"
+        assert main(["ablate", "--data", str(split_dataset), "--ood-class",
+                     "1", "--seeds", "0", "--out", str(out)] + FAST) == 2
+        self._one_line_error(capsys, 1)
+        assert not out.exists()
+
+    def test_eval(self, split_dataset, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(split_dataset),
+                     "--out", str(run)] + FAST) == 0
+        ckpt = str(run / "checkpoint.json")
+        assert load_checkpoint(ckpt).ood_class == 3
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", ckpt, "--data", str(split_dataset),
+                     "--ood-class", "2", "--out", str(tmp_path / "o")]) == 2
+        self._one_line_error(capsys, 2)
+        # without the flag, a checkpoint that holds out another class than
+        # the splits file is reported as before
+        ckpt_json = json.loads(Path(ckpt).read_text())
+        ckpt_json["ood_class"] = 2
+        Path(ckpt).write_text(json.dumps(ckpt_json))
+        assert main(["eval", "--ckpt", ckpt, "--data", str(split_dataset),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: checkpoint was trained with held-out class 2 but the "
+            "dataset splits designate 3"]
 
 
 class TestCheckpointFormat:

@@ -88,6 +88,13 @@ class TestMakeSplits:
         with pytest.raises(FractionOverflow):
             make_splits(np.array([0, 1]), 1, train_frac=0.8, val_frac=0.3)
 
+    @pytest.mark.parametrize("fractions", [
+        {"train_frac": float("nan")}, {"val_frac": float("nan")}],
+        ids=["train_frac", "val_frac"])
+    def test_nan_fraction_is_fraction_overflow(self, fractions):
+        with pytest.raises(FractionOverflow, match="must be positive"):
+            make_splits(np.array([0] * 50 + [1] * 50), 1, **fractions)
+
     def test_missing_ood_class(self):
         with pytest.raises(OodClassMissing):
             make_splits(np.zeros(10, dtype=int), ood_class=5)

@@ -18,7 +18,12 @@ from oodhg import (
     run_experiment,
     train,
 )
-from oodhg.errors import EmptyTrainSet, LabelOutOfRange, OodLabelInTrainSet
+from oodhg.errors import (
+    EmptyTrainSet,
+    LabelOutOfRange,
+    OodLabelInTrainSet,
+    TrainingDiverged,
+)
 from oodhg.energy import fuse, logit_pass, propagate, propagate_transpose
 from oodhg.hetgraph import MetaPath, resolve_paths
 from oodhg.model import (
@@ -732,3 +737,65 @@ def test_two_path_train_matches_the_epoch_loops(check):
     check(graph, labels, splits,
           TrainConfig(epochs=6, steps=2, seed=4, d_hidden=5,
                       learning_rate=0.05))
+
+
+# ----------------------------------------------------------------------
+# stop_when_settled: once validation micro-F1 reaches 1.0 no later epoch can
+# replace the earliest best one, so the stopped run selects the same
+# parameters and its history is a prefix of the full one.
+
+def _settle_case(alpha, steps, seed=0):
+    graph, labels = small_instance(seed=1, nodes_per_class=20)
+    splits = make_splits(labels, ood_class=int(labels.max()), seed=0)
+    cfg = TrainConfig(epochs=12, alpha=alpha, steps=steps, seed=seed,
+                      d_hidden=5, learning_rate=0.05)
+    return graph, labels, splits, cfg
+
+
+def _assert_same_params(got, want):
+    for a, b in zip(got.param_list(), want.param_list(), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("steps", [0, 2])
+def test_stop_when_settled_keeps_the_full_run_selection(alpha, steps):
+    graph, labels, splits, cfg = _settle_case(alpha, steps)
+    full_params, full = train(graph, labels, splits, cfg)
+    f1s = [r.val_micro_f1 for r in full.records]
+    settled = f1s.index(1.0)
+    # the stop skips epochs, and one of them scores below 1.0 again
+    assert settled < cfg.epochs - 1 and min(f1s[settled:]) < 1.0
+    params, history = train(graph, labels, splits, cfg,
+                            stop_when_settled=True)
+    assert history.records == full.records[:settled + 1]
+    _assert_same_params(params, full_params)
+
+
+@pytest.mark.parametrize("case", ["no-val", "never-settles"])
+def test_stop_when_settled_without_a_settling_epoch_is_the_full_run(case):
+    if case == "no-val":
+        graph, labels, splits, cfg = _settle_case(0.5, 2)
+        splits = dataclasses.replace(splits,
+                                     val_ids=np.array([], dtype=np.int64))
+    else:
+        graph, labels, splits, cfg = _settle_case(1.0, 2, seed=2)
+    full_params, full = train(graph, labels, splits, cfg)
+    if case == "never-settles":
+        assert max(r.val_micro_f1 for r in full.records) < 1.0
+    params, history = train(graph, labels, splits, cfg,
+                            stop_when_settled=True)
+    assert len(history) == cfg.epochs and history.records == full.records
+    _assert_same_params(params, full_params)
+
+
+def test_stop_when_settled_still_reports_an_early_divergence():
+    graph, labels, splits, cfg = _settle_case(0.5, 2)
+    cfg = dataclasses.replace(cfg, learning_rate=1e300)
+    messages = []
+    for stop in (False, True):
+        with pytest.raises(TrainingDiverged) as exc:
+            train(graph, labels, splits, cfg, stop_when_settled=stop)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("training diverged at epoch 1:")

@@ -108,8 +108,8 @@ def _number_list(flag: str, text: str, kind: type) -> list:
             if v.strip()]
 
 
-# --gen key (and gen flag, with "-" for "_") -> SynthConfig field; each
-# value takes the type and default of its field
+# gen flag (with "-" for "_") -> SynthConfig field; each flag takes the
+# type and default of its field
 _GEN_KEYS = {
     "classes": "n_id_classes",
     "per_class": "nodes_per_class",
@@ -123,42 +123,12 @@ _GEN_KEYS = {
 _SYNTH_DEFAULTS = SynthConfig()
 
 
-def _parse_gen_spec(spec: str) -> SynthConfig:
-    """Parse "classes=3,per_class=60,seed=7,..." into a SynthConfig."""
-    kwargs = {}
-    for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ValueError(f"--gen entry {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key not in _GEN_KEYS:
-            raise ValueError(f"--gen has unknown key {key!r}; "
-                             f"choose from {sorted(_GEN_KEYS)}")
-        field = _GEN_KEYS[key]
-        kwargs[field] = _number(value, type(getattr(_SYNTH_DEFAULTS, field)),
-                                f"--gen key {key!r}")
-    return SynthConfig(**kwargs)
-
-
 def _load_graph(args):
-    """Graph, labels, file splits (or None), and resolved meta-paths."""
-    data = getattr(args, "data", None)
-    gen = getattr(args, "gen", None)
-    if (data is None) == (gen is None):
-        raise ValueError("exactly one of --data and --gen is required")
-    if data is not None:
-        graph, labels, splits = load_dataset(data)
-        metapaths, max_hops = load_path_config(data)
-        source = {"data": str(data)}
-    else:
-        graph, labels = generate_synthetic(_parse_gen_spec(gen))
-        splits, metapaths, max_hops = None, None, None
-        source = {"gen": gen}
-    feat, prop = resolve_paths(graph, metapaths, max_hops)
-    return graph, labels, splits, feat, prop, source
+    """Graph, labels, splits.json splits (or None), and the resolved feature
+    and propagation meta-paths of the dataset directory --data."""
+    graph, labels, splits = load_dataset(args.data)
+    feat, prop = resolve_paths(graph, *load_path_config(args.data))
+    return graph, labels, splits, feat, prop
 
 
 def _splits_for_seed(ood_class, labels, file_splits, seed: int):
@@ -176,14 +146,21 @@ def _splits_for_seed(ood_class, labels, file_splits, seed: int):
     return make_splits(labels, ood_class, seed=seed)
 
 
-def _seed_list(args, config_file: dict) -> list[int]:
+def _seed_list(args, config_file: dict, base: TrainConfig) -> list[int]:
+    """The --seeds entries, else the --config file's "seeds", else
+    [base.seed]. Each is checked as base's seed before any training, and a
+    bad one is an error naming the flag or the file."""
     if args.seeds is not None:
-        seeds = _number_list("--seeds", args.seeds, int)
+        seeds, source = _number_list("--seeds", args.seeds, int), "--seeds"
     else:
-        seed = config_file.get("seed", 0) if args.seed is None else args.seed
-        seeds = config_file.get("seeds", [seed])
+        seeds, source = config_file.get("seeds", [base.seed]), args.config
     if not seeds:
         raise ValueError("the seed list is empty")
+    for seed in seeds:
+        try:
+            dataclasses.replace(base, seed=seed)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
     return seeds
 
 
@@ -229,14 +206,15 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config_file = _load_config_file(args)
-    graph, labels, file_splits, feat, prop, source = _load_graph(args)
+    graph, labels, file_splits, feat, prop = _load_graph(args)
     cfg = _train_config(args, config_file)
     splits = _splits_for_seed(args.ood_class, labels, file_splits, cfg.seed)
     params, history = train(graph, labels, splits, cfg, feat, prop)
 
     out = _out_dir(args)
     save_checkpoint(out / "checkpoint.json", params, cfg, splits.ood_class)
-    echo = {"command": "train", **source, "train_config": cfg.to_dict(),
+    echo = {"command": "train", "data": str(args.data),
+            "train_config": cfg.to_dict(),
             "feature_paths": [list(p.types) for p in params.paths],
             "prop_paths": [list(p.types) for p in params.prop_paths]}
     _write_json(out / "history.json",
@@ -250,7 +228,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    graph, labels, file_splits, _, _, source = _load_graph(args)
+    graph, labels, file_splits, _, _ = _load_graph(args)
     ood_class = args.ood_class
     if ood_class is None and file_splits is None:
         ood_class = ckpt.ood_class
@@ -265,7 +243,7 @@ def cmd_eval(args) -> int:
     to_label = np.append(ckpt.params.classes, ckpt.ood_class)
 
     out = _out_dir(args)
-    echo = {"command": "eval", **source, "ckpt": str(args.ckpt),
+    echo = {"command": "eval", "data": str(args.data), "ckpt": str(args.ckpt),
             "tau_source": "default" if args.tau is None else "flag",
             "train_config": ckpt.config.to_dict()}
     gold = np.asarray(labels, dtype=np.int64)
@@ -338,13 +316,13 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
 
 def cmd_ablate(args) -> int:
     config_file = _load_config_file(args)
-    *data, source = _load_graph(args)
+    data = _load_graph(args)
     base = _train_config(args, config_file)
     if base.alpha >= 1.0:
         raise ValueError("ablate needs alpha < 1 so the energy-loss arms differ")
     if base.steps < 1:
         raise ValueError("ablate needs steps >= 1 so the propagation arms differ")
-    seeds = _seed_list(args, config_file)
+    seeds = _seed_list(args, config_file, base)
     arms = [
         ("no_ep_no_le", {"alpha": 1.0, "steps": 0}),
         ("no_le", {"alpha": 1.0, "steps": base.steps}),
@@ -355,8 +333,8 @@ def cmd_ablate(args) -> int:
     results = [{"arm": name, **overrides, **cell} for (name, overrides), cell
                in zip(arms, _grid(args, data, base, seeds, points))]
 
-    echo = {"command": "ablate", **source, "train_config": base.to_dict(),
-            "seeds": seeds}
+    echo = {"command": "ablate", "data": str(args.data),
+            "train_config": base.to_dict(), "seeds": seeds}
     payload = {"config_echo": echo, "arms": results}
     if args.out:
         _write_json(_out_dir(args) / "ablation.json", payload)
@@ -379,9 +357,9 @@ def _sweep_value(param: str, value):
 
 def cmd_sweep(args) -> int:
     config_file = _load_config_file(args)
-    *data, source = _load_graph(args)
+    data = _load_graph(args)
     base = _train_config(args, config_file)
-    seeds = _seed_list(args, config_file)
+    seeds = _seed_list(args, config_file, base)
     param = args.param
     if args.grid is not None:
         grid = _number_list("--grid", args.grid, float)
@@ -394,8 +372,8 @@ def cmd_sweep(args) -> int:
     rows_per_value = [{"value": value, **cell} for value, cell
                       in zip(grid, _grid(args, data, base, seeds, points))]
 
-    echo = {"command": "sweep", **source, "param": param, "grid": grid,
-            "train_config": base.to_dict(), "seeds": seeds}
+    echo = {"command": "sweep", "data": str(args.data), "param": param,
+            "grid": grid, "train_config": base.to_dict(), "seeds": seeds}
     payload = {"config_echo": echo, "values": rows_per_value}
     if args.out:
         _write_json(_out_dir(args) / "sweep.json", payload)
@@ -428,7 +406,7 @@ def _median_time(fn, repeats: int) -> float:
 
 
 def cmd_bench(args) -> int:
-    graph, labels, _, feat, prop, source = _load_graph(args)
+    graph, labels, _, feat, prop = _load_graph(args)
     k_list = _number_list("--k-list", args.k_list, int)
     if not k_list:
         raise ValueError("--k-list lists no value")
@@ -458,8 +436,8 @@ def cmd_bench(args) -> int:
         warm[str(k)] = _median_time(run_all, repeats)
 
     report = {
-        "config_echo": {"command": "bench", **source, "k_list": k_list,
-                        "repeats": repeats},
+        "config_echo": {"command": "bench", "data": str(args.data),
+                        "k_list": k_list, "repeats": repeats},
         "n_target": graph.target_count,
         "paths": [str(p) for p in prop],
         "compose_cold_s": cold,
@@ -478,9 +456,7 @@ def cmd_bench(args) -> int:
 # parser
 
 def _add_data_flags(p: argparse.ArgumentParser, splits: bool = True) -> None:
-    p.add_argument("--data", help="dataset directory")
-    p.add_argument("--gen", help="inline synthetic spec, e.g. "
-                   "classes=3,per_class=60,seed=7")
+    p.add_argument("--data", required=True, help="dataset directory")
     if splits:
         p.add_argument("--ood-class", dest="ood_class", type=int,
                        help="label value of the held-out class (required without "

@@ -120,6 +120,8 @@ class SynthConfig:
             raise ValueError(f"ood_shift must be >= 0, got {self.ood_shift}")
         if not math.isfinite(self.ood_shift):
             raise ValueError(f"ood_shift must be finite, got {self.ood_shift}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _fisher_yates(rng: np.random.Generator, arr: np.ndarray) -> np.ndarray:

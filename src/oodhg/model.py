@@ -121,6 +121,13 @@ class TrainConfig:
             raise ValueError(f"m_in must be finite, got {self.m_in}")
         if self.d_hidden < 1:
             raise ValueError(f"d_hidden must be >= 1, got {self.d_hidden}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # the checkpoint reader takes only integers that fit int64
+        for name in ("epochs", "steps", "seed", "d_hidden"):
+            if getattr(self, name) >= 2 ** 63:
+                raise ValueError(
+                    f"{name} must be < 2**63, got {getattr(self, name)}")
         # delegate gamma/steps validation
         PropagationConfig(self.gamma, self.steps)
 
@@ -592,8 +599,10 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     run's and the history is a prefix of the full history, ending at that
     epoch. A divergence in the epochs skipped is then never reached.
 
-    Raises EmptyTrainSet and OodLabelInTrainSet on protocol violations, and
-    TrainingDiverged once the loss or a parameter stops being finite.
+    Raises EmptyTrainSet, OodLabelInTrainSet and LabelOutOfRange (a test
+    label that is neither a train/val class nor the held-out class) on
+    protocol violations, before the first epoch, and TrainingDiverged once
+    the loss or a parameter stops being finite.
     """
     labels = np.asarray(labels, dtype=np.int64)
     train_ids = np.asarray(splits.train_ids, dtype=np.int64)
@@ -611,6 +620,15 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
         prop_paths = prop if prop_paths is None else prop_paths
 
     id_values = id_class_values(labels, train_ids, val_ids)
+    # evaluation scores each test label as one of these or as the held-out
+    # class, so a model trained on other splits could never be evaluated
+    test_labels = labels[np.asarray(splits.test_ids, dtype=np.int64)]
+    near = np.searchsorted(id_values, test_labels).clip(max=id_values.size - 1)
+    unknown = (id_values[near] != test_labels) & (test_labels != ood)
+    if unknown.any():
+        raise LabelOutOfRange(
+            f"test label {test_labels[unknown][0]} is neither a train/val "
+            f"class nor the held-out class {ood}")
     y_head = map_to_head(labels, id_values)
     train_rows = _TrainRows.of(y_head, train_ids)
     y_val = y_head[val_ids]

@@ -57,6 +57,21 @@ class TestGen:
             f"error: ood_shift must be finite, got {value}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--classes", "1"], "n_id_classes must be >= 2, got 1"),
+        (["--per-class", "0"],
+         "nodes_per_class, n_aux_types, feature_dim must be >= 1"),
+        (["--intra", "1.5"], "edge probability 1.5 outside [0, 1]"),
+        (["--shift", "-1"], "ood_shift must be >= 0, got -1.0"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["classes", "per-class", "intra", "shift", "seed"])
+    def test_refused_config_value_is_one_line_error(self, tmp_path, capsys,
+                                                    flags, message):
+        out = tmp_path / "data"
+        assert main(GEN + flags + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
 
 class TestTrain:
     def test_missing_ood_class_is_an_error(self, dataset, tmp_path, capsys):
@@ -133,6 +148,7 @@ class TestTrain:
         ({"epochs": 2.5}, "'epochs'"),
         ([1, 2], "JSON object"),
         ({"seeds": [3, 4]}, "'seeds'"),
+        ({"seed": -1}, "cfg.json: seed must be >= 0, got -1"),
         (b"{", "cfg.json: invalid JSON"),
         (b"\xff", "cfg.json: byte 0 is not valid UTF-8"),
     ])
@@ -157,6 +173,35 @@ class TestTrain:
                      "--lr", value, "--out", str(out)] + FAST) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: learning_rate must be finite, got {value}"]
+        assert not out.exists()
+
+    # eval reads a checkpoint's seed only when it fits int64
+    @pytest.mark.parametrize("seed, message", [
+        ("-1", "seed must be >= 0, got -1"),
+        (str(2 ** 63), f"seed must be < 2**63, got {2 ** 63}"),
+    ], ids=["negative", "beyond-int64"])
+    def test_seed_outside_int64_range_is_one_line_error(
+            self, dataset, tmp_path, capsys, seed, message):
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(dataset), "--ood-class", "3",
+                     "--seed", seed, "--out", str(out)] + FAST) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_label_only_in_the_test_split_is_one_line_error(
+            self, tmp_path, capsys, command):
+        # with 2 nodes per class, seed 1's split trains on node 2 only and
+        # leaves class 0 to the test split, where eval could not score it
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert main(["gen", "--classes", "2", "--per-class", "2",
+                     "--seed", "1", "-o", str(data)]) == 0
+        capsys.readouterr()
+        assert main([command, "--data", str(data), "--ood-class", "2",
+                     "--epochs", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: test label 0 is neither a train/val class nor the "
+            "held-out class 2"]
         assert not out.exists()
 
     def test_divergent_training_stops_without_checkpoint(self, dataset,
@@ -278,6 +323,22 @@ class TestAblate:
                      "--alpha", "1.0"] + FAST) == 2
         assert "alpha" in capsys.readouterr().err
 
+    def test_rejects_zero_steps(self, dataset, capsys):
+        assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
+                     "--steps", "0"] + FAST) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ablate needs steps >= 1 so the propagation arms differ"]
+
+    def test_bad_seeds_entry_fails_before_training(self, dataset, monkeypatch,
+                                                   capsys):
+        def no_training(*args, **kwargs):
+            raise AssertionError("ablate trained before checking its seeds")
+        monkeypatch.setattr(cli, "train", no_training)
+        assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
+                     "--seeds", "1,2,3,-1"] + FAST) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --seeds: seed must be >= 0, got -1"]
+
     def test_empty_seed_list_is_one_line_error(self, dataset, capsys):
         assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
                      "--seeds", ","] + FAST) == 2
@@ -304,6 +365,14 @@ class TestSweep:
         payload = json.loads((out / "sweep.json").read_text())
         assert [v["value"] for v in payload["values"]] == [0.3, 0.7]
         assert payload["config_echo"]["param"] == "gamma"
+
+    def test_default_grid_without_grid_flag(self, dataset, tmp_path):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--data", str(dataset), "--ood-class", "3",
+                     "--param", "steps", "--seeds", "0", "--epochs", "2",
+                     "--hidden", "8", "--out", str(out)]) == 0
+        payload = json.loads((out / "sweep.json").read_text())
+        assert [v["value"] for v in payload["values"]] == [0, 1, 2, 4, 8]
 
     def test_default_gamma_grid_matches_axis(self, dataset, tmp_path):
         from oodhg.cli import _SWEEP_DEFAULT_GRIDS
@@ -458,31 +527,6 @@ class TestBench:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--data", str(dataset), "--ood-class", "99"])
         assert exc.value.code == 2
-
-
-class TestInlineGeneration:
-    def test_train_from_gen_spec(self, tmp_path):
-        out = tmp_path / "run"
-        assert main(["train", "--gen", "classes=3,per_class=20,seed=5",
-                     "--ood-class", "3", "--out", str(out)] + FAST) == 0
-        ckpt = json.loads((out / "checkpoint.json").read_text())
-        assert ckpt["ood_class"] == 3
-
-    def test_unknown_gen_key(self, tmp_path, capsys):
-        assert main(["train", "--gen", "bogus=1", "--ood-class", "3",
-                     "--out", str(tmp_path / "o")] + FAST) == 2
-        assert "bogus" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("spec, needle", [
-        ("per_class=abc", "--gen key 'per_class' must be an integer, got 'abc'"),
-        ("seed=1.5", "--gen key 'seed' must be an integer, got '1.5'"),
-        ("shift=x", "--gen key 'shift' must be a number, got 'x'"),
-    ])
-    def test_bad_gen_value_is_one_line_error(self, tmp_path, capsys, spec,
-                                             needle):
-        assert main(["train", "--gen", spec, "--ood-class", "3",
-                     "--out", str(tmp_path / "o")] + FAST) == 2
-        assert capsys.readouterr().err.splitlines() == [f"error: {needle}"]
 
 
 class TestParallelSeeds:
@@ -680,11 +724,18 @@ class TestErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {path}: byte 4 is not valid UTF-8 (invalid start byte)"]
 
-    def test_data_and_gen_mutually_exclusive(self, dataset, tmp_path, capsys):
-        assert main(["train", "--data", str(dataset), "--gen", "classes=3",
-                     "--ood-class", "3", "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "--data" in err and "--gen" in err
+    @pytest.mark.parametrize("argv", [
+        ["train", "--ood-class", "3", "--out", "run"],
+        ["eval", "--ckpt", "checkpoint.json", "--out", "eval"],
+        ["ablate", "--ood-class", "3"],
+        ["sweep", "--ood-class", "3", "--param", "gamma"],
+        ["bench"],
+    ], ids=lambda argv: argv[0])
+    def test_data_is_required(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--data" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from oodhg import (
     make_splits,
     train,
 )
-from oodhg.errors import ValidationError
+from oodhg.errors import LabelOutOfRange, ValidationError
 from oodhg.pipeline import resolve_paths
 
 
@@ -69,3 +69,18 @@ def test_evaluate_rejects_splits_with_other_classes():
                        r"does not match the splits' train/val classes "
                        r"\[0, 1, 3\]"):
         evaluate(graph, labels, make_splits(labels, 2, seed=0), params, cfg)
+
+
+def test_evaluate_rejects_a_test_label_outside_the_protocol():
+    # train refuses such splits, so the model is trained on labels whose
+    # test split holds only train/val classes and the held-out class
+    graph, labels = generate_synthetic(SynthConfig(nodes_per_class=25, seed=7))
+    splits = make_splits(labels, 3, seed=0)
+    cfg = TrainConfig(epochs=2, d_hidden=8)
+    params, _ = train(graph, labels, splits, cfg)
+    relabelled = labels.copy()
+    node = next(int(i) for i in splits.test_ids if labels[i] != 3)
+    relabelled[node] = 7
+    with pytest.raises(LabelOutOfRange, match=r"^label 7 is neither a "
+                       r"train/val class nor the held-out class 3$"):
+        evaluate(graph, relabelled, splits, params, cfg)

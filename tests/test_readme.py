@@ -1,13 +1,16 @@
 """Every python block of README.md runs as written, so the documented
-library calls keep up with the signatures they use, and the dataset format
-block names every file save_dataset writes."""
+library calls keep up with the signatures they use; the dataset format
+block names every file save_dataset writes, and the CLI section names
+exactly the parser's flags."""
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
 from oodhg import SynthConfig, generate_synthetic, make_splits, save_dataset
+from oodhg.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
@@ -47,3 +50,18 @@ def test_dataset_format_names_every_file_save_dataset_writes(tmp_path,
                for p in sorted(root.rglob("*")) if p.is_file()]
     for name in written:
         assert any(p.fullmatch(name) for p in patterns), name
+
+
+def test_cli_section_names_every_parser_flag():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {option for command in commands.values()
+             for action in command._actions for option in action.option_strings
+             if option.startswith("--") and option != "--help"}
+    section = re.search(r"^## CLI\n(.*?)^## ",
+                        README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL).group(1)
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    assert sorted(flags - named) == [], "parser flags the README leaves out"
+    assert sorted(named - flags) == [], "README flags the parser lacks"

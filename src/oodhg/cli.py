@@ -289,20 +289,25 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
     """Per-seed headline rows and their summary for each (point, tau) pair,
     point-major. A point is (TrainConfig overrides on base, taus).
 
-    Every point's TrainConfig and DetectorConfig are built before any
-    training, so a bad grid value fails at once. Each point trains and
-    evaluates each seed once, seeds in parallel under OODHG_THREADS, and
-    reads its taus off that one report with EvalReport.at.
+    Every point's TrainConfig and DetectorConfig, and every seed's splits,
+    are built before any training, so a bad grid value or split fails at
+    once; the splits depend only on the seed, so every point shares them.
+    Each point trains and evaluates each seed once, seeds in parallel under
+    OODHG_THREADS, and reads its taus off that one report with
+    EvalReport.at.
     """
     graph, labels, file_splits, feat, prop = data
     configs = [(dataclasses.replace(base, **overrides),
                 [DetectorConfig(t).tau for t in taus])
                for overrides, taus in points]
+    seed_splits = {seed: _splits_for_seed(args.ood_class, labels,
+                                          file_splits, seed)
+                   for seed in dict.fromkeys(seeds)}
     cells = []
     for cfg, taus in configs:
         def one(seed):
             run = dataclasses.replace(cfg, seed=seed)
-            splits = _splits_for_seed(args.ood_class, labels, file_splits, seed)
+            splits = seed_splits[seed]
             params, _ = train(graph, labels, splits, run, feat, prop,
                               stop_when_settled=True)
             report = evaluate(graph, labels, splits, params, run, taus[0])
@@ -322,6 +327,8 @@ def cmd_ablate(args) -> int:
         raise ValueError("ablate needs alpha < 1 so the energy-loss arms differ")
     if base.steps < 1:
         raise ValueError("ablate needs steps >= 1 so the propagation arms differ")
+    if base.gamma == 1.0:
+        raise ValueError("ablate needs gamma < 1 so the propagation arms differ")
     seeds = _seed_list(args, config_file, base)
     arms = [
         ("no_ep_no_le", {"alpha": 1.0, "steps": 0}),

@@ -40,6 +40,9 @@ count. For the n remaining nodes the pass swaps position i with position
 j_i = integers(0, i + 1) for i = n - 1 down to 1, in that order. All n - 1
 draws are made by one integers call with the array of bounds n, ..., 2,
 which consumes the generator's stream exactly as n - 1 scalar calls do.
+The generator is the in-package philox.PhiloxGenerator, bitwise numpy's
+Generator(Philox(seed)); generate_synthetic still draws from numpy.random,
+whose standard_normal is numpy's ziggurat sampler.
 """
 
 from __future__ import annotations
@@ -124,10 +127,11 @@ class SynthConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _fisher_yates(rng: np.random.Generator, arr: np.ndarray) -> np.ndarray:
+def _fisher_yates(rng, arr: np.ndarray) -> np.ndarray:
     """Classic Fisher-Yates shuffle driven by rng.integers, back to front:
     position i swaps with j_i = integers(0, i + 1) for i = n - 1 down to 1,
-    every j_i drawn by one call."""
+    every j_i drawn by one call. rng is a PhiloxGenerator or a numpy
+    Generator."""
     n = arr.size
     out = arr.tolist()
     js = rng.integers(0, np.arange(n, 1, -1)).tolist()
@@ -162,8 +166,10 @@ def make_splits(labels: np.ndarray, ood_class: int, train_frac: float = 0.24,
         raise FractionOverflow(
             f"need {n_train + n_val} non-held-out nodes for train+val, "
             f"only {non_ood.size} available")
-    rng = np.random.Generator(np.random.Philox(seed))
-    perm = _fisher_yates(rng, non_ood)
+    # imported here: only make_splits and train draw from it, and a process
+    # that draws nothing need not compile it
+    from .philox import PhiloxGenerator
+    perm = _fisher_yates(PhiloxGenerator(seed), non_ood)
     train = np.sort(perm[:n_train])
     val = np.sort(perm[n_train:n_train + n_val])
     rest = perm[n_train + n_val:]

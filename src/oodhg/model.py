@@ -47,10 +47,11 @@ per-array loop with fresh arrays that computes the folded products above,
 so results are bitwise equal to that loop.
 
 All math is float64 and full batch. Randomness comes from a Philox
-(counter-based) generator seeded by the run seed: weights are drawn
-Glorot-uniform in path order, then hidden, then output layer; biases start
-at zero. Two runs with equal seeds produce bitwise identical histories and
-parameters.
+(counter-based) generator seeded by the run seed, the in-package
+philox.PhiloxGenerator, bitwise numpy's Generator(Philox(seed)): weights
+are drawn Glorot-uniform in path order, then hidden, then output layer;
+biases start at zero. Two runs with equal seeds produce bitwise identical
+histories and parameters.
 """
 
 from __future__ import annotations
@@ -231,15 +232,16 @@ class TrainHistory:
         return len(self.records)
 
 
-def _glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def _glorot_uniform(rng, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_params(rng: np.random.Generator, paths, in_dims, d_hidden: int,
+def init_params(rng, paths, in_dims, d_hidden: int,
                 classes, prop_paths) -> EncoderParams:
     """Glorot-uniform weights, zero biases; draws in a fixed order. The head
-    has one column per value of classes."""
+    has one column per value of classes. rng is a PhiloxGenerator or a
+    numpy Generator."""
     paths = tuple(MetaPath(p) for p in paths)
     classes = np.asarray(classes, dtype=np.int64)
     proj_w = [_glorot_uniform(rng, d, d_hidden) for d in in_dims]
@@ -636,9 +638,11 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     xs = feature_tables(graph, feature_paths)
     a_hats = propagation_operators(graph, prop_paths, config.steps)
 
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    init = init_params(rng, feature_paths, [x.shape[1] for x in xs],
-                       config.d_hidden, id_values, prop_paths)
+    # imported here, as in data.make_splits
+    from .philox import PhiloxGenerator
+    init = init_params(PhiloxGenerator(config.seed), feature_paths,
+                       [x.shape[1] for x in xs], config.d_hidden, id_values,
+                       prop_paths)
     flat = np.concatenate([p.ravel() for p in init.param_list()])
     params = _param_views(init, flat)
     ws = _Workspace(xs, params)

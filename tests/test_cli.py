@@ -329,6 +329,37 @@ class TestAblate:
         assert capsys.readouterr().err.splitlines() == [
             "error: ablate needs steps >= 1 so the propagation arms differ"]
 
+    def test_rejects_gamma_one(self, dataset, capsys):
+        """At gamma 1 propagation returns its input, so full would equal
+        no_ep and no_le would equal no_ep_no_le."""
+        assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
+                     "--gamma", "1"] + FAST) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ablate needs gamma < 1 so the propagation arms differ"]
+
+    @pytest.mark.parametrize("command", [
+        ["ablate"], ["sweep", "--param", "gamma", "--grid", "0.3,0.7"]],
+        ids=["ablate", "sweep-gamma"])
+    def test_each_seeds_splits_are_made_once_before_training(
+            self, dataset, monkeypatch, command):
+        events = []
+        real_splits, real_train = cli.make_splits, cli.train
+
+        def splits(*args, seed, **kwargs):
+            events.append(("splits", seed))
+            return real_splits(*args, seed=seed, **kwargs)
+
+        def training(*args, **kwargs):
+            events.append(("train",))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_splits", splits)
+        monkeypatch.setattr(cli, "train", training)
+        assert main(command + ["--data", str(dataset), "--ood-class", "3",
+                               "--seeds", "4,1,4"] + FAST) == 0
+        assert events[:3] == [("splits", 4), ("splits", 1), ("train",)]
+        assert events.count(("train",)) == len(events) - 2
+
     def test_bad_seeds_entry_fails_before_training(self, dataset, monkeypatch,
                                                    capsys):
         def no_training(*args, **kwargs):
@@ -937,34 +968,38 @@ def test_config_value_a_flag_overrides_is_never_read(dataset, tmp_path):
 
 
 def test_commands_import_neither_numpy_ma_nor_concurrent_futures(tmp_path):
-    """A fresh sequential train, eval or ablate process leaves out numpy.ma
-    (np.unique's first call imports it) and concurrent.futures (only
-    OODHG_THREADS > 1 needs it). A process that only loads a dataset also
-    leaves out hashlib, which loads OpenSSL (about 3.6 MB of RSS): the
-    dataset sidecars are checked with zlib.crc32. The commands do import
-    hashlib, through numpy.random, whose bit_generator imports secrets."""
+    """A fresh sequential train, eval, ablate or sweep process leaves out
+    numpy.ma (np.unique's first call imports it), concurrent.futures (only
+    OODHG_THREADS > 1 needs it), numpy.random and hashlib. Splits and
+    initial weights are drawn from oodhg.philox, not numpy.random, whose
+    bit_generator imports secrets and so hashlib, which loads OpenSSL
+    (about 3.6 MB of RSS); the dataset sidecars are checked with
+    zlib.crc32. A process that only loads a dataset does not even compile
+    oodhg.philox."""
     data, run = str(tmp_path / "data"), str(tmp_path / "run")
     assert main(["gen", "--per-class", "10", "-o", data]) == 0
+    left_out = ("numpy.ma", "concurrent.futures", "numpy.random", "hashlib")
     probe = ("import sys\n"
              "from oodhg.cli import main\n"
              "code = main(sys.argv[1:])\n"
-             "print(code, 'numpy.ma' in sys.modules,"
-             " 'concurrent.futures' in sys.modules)\n")
+             f"print(code, [m for m in {left_out!r} if m in sys.modules])\n")
     for argv in (
             ["train", "--data", data, "--ood-class", "3", "--out", run] + FAST,
             ["eval", "--ckpt", run + "/checkpoint.json", "--data", data,
              "--out", str(tmp_path / "eval")],
             ["ablate", "--data", data, "--ood-class", "3", "--seeds", "0,1"]
-            + FAST):
+            + FAST,
+            ["sweep", "--data", data, "--ood-class", "3", "--param", "gamma",
+             "--grid", "0.3,0.7", "--seeds", "0,1"] + FAST):
         proc = subprocess.run([sys.executable, "-c", probe, *argv],
                               capture_output=True, text=True,
                               env=_child_env(), timeout=120)
-        assert proc.stdout.splitlines()[-1] == "0 False False", (argv, proc.stderr)
+        assert proc.stdout.splitlines()[-1] == "0 []", (argv, proc.stderr)
     load = ("import sys\n"
             "from oodhg.data import load_dataset, load_path_config\n"
             "load_dataset(sys.argv[1])\n"
             "load_path_config(sys.argv[1])\n"
-            "print([m for m in ('numpy.ma', 'concurrent.futures', 'hashlib')"
+            f"print([m for m in {left_out + ('oodhg.philox',)!r}"
             " if m in sys.modules])\n")
     proc = subprocess.run([sys.executable, "-c", load, data],
                           capture_output=True, text=True,

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -308,7 +309,9 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
         def one(seed):
             run = dataclasses.replace(cfg, seed=seed)
             splits = seed_splits[seed]
-            params, _ = train(graph, labels, splits, run, feat, prop,
+            # at alpha = 1 steps cannot change the parameters, only the scores
+            fit = dataclasses.replace(run, steps=0) if run.alpha == 1 else run
+            params, _ = train(graph, labels, splits, fit, feat, prop,
                               stop_when_settled=True)
             report = evaluate(graph, labels, splits, params, run, taus[0])
             return [{k: r.metrics[k] for k in _HEADLINE} | {"tau": r.tau}
@@ -537,6 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=9)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
+    # "-" and a digit start a value: "--grid -5,-1" parses as "--grid=-5,-1"
+    for p in [parser, *sub.choices.values()]:
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

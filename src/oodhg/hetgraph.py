@@ -8,14 +8,13 @@ resolve_paths alone decides which meta-paths a model uses.
 
 Propagation never forms that product: metapath_operator applies the cached
 hops right to left (and their adjoints left to right), which costs the hops'
-nnz per product instead of the far denser composed matrix.
-compose_metapath materializes the product and is kept as the reference the
-operator is tested against.
+nnz per product instead of the far denser composed matrix. That operator is
+the one definition of A_hat, repairs included; compose_metapath stores it.
 
 Every hop is H = diag(1/deg) B for the 0/1 pattern B that hop_matrix
 returns. Both the operator and metapath_features apply a hop through the
 HopKernel built from B: a segment sum over B and one scale by 1/deg per row,
-with no multiply per nonzero and no valued transpose. Only compose_metapath
+with no multiply per nonzero and no valued transpose; nothing here
 row-normalises B into a valued matrix. The adjoint is bitwise
 H.transpose().matvec; the forward and feature-table products sum before
 they scale and so round differently from the valued SparseRowMatrix
@@ -241,8 +240,7 @@ def hop_matrix(graph: HeteroGraph, src: str, dst: str) -> SparseRowMatrix:
 
     When several edge types share the (src, dst) signature their edge sets
     are unioned: the hop relates the types, not any single relation name.
-    Not memoised; hop_kernel builds it once per cached kernel, and
-    compose_metapath row-normalises it.
+    Not memoised; hop_kernel builds it once per cached kernel.
     """
     names = graph.edge_type_names_between(src, dst)
     if not names:
@@ -374,46 +372,16 @@ def validate_metapath(graph: HeteroGraph, path) -> MetaPath:
 LOST_MASS_TOL = 1e-9
 
 
-def _renormalize_lossy_rows(m: SparseRowMatrix) -> SparseRowMatrix:
-    sums = m.row_sums()
-    lossy = (sums > 0) & (np.abs(sums - 1.0) > LOST_MASS_TOL)
-    if not np.any(lossy):
-        return m
-    scale = np.where(lossy, 1.0 / np.where(sums > 0, sums, 1.0), 1.0)
-    values = m.values * np.repeat(scale, m.row_counts())
-    return SparseRowMatrix(m.n_rows, m.n_cols, m.row_offsets, m.col_indices, values)
-
-
-def compose_metapath(graph: HeteroGraph, path) -> SparseRowMatrix:
-    """Left-to-right product of the row-normalized per-hop adjacencies.
-
-    Two repairs keep the output row-stochastic on arbitrary graphs. A row
-    that lost mass to a dangling intermediate node (an empty row in a later
-    hop) is rescaled to sum 1; rows already summing to 1 are left bitwise
-    untouched. Then, when the path starts and ends at the same type, every
-    all-zero row i becomes a lone (i, i) = 1 entry so propagation leaves
-    isolated nodes unchanged instead of draining them.
-    """
-    path = validate_metapath(graph, path)
-    hops = [hop_matrix(graph, *hop).row_normalize() for hop in path.hops()]
-    product = hops[0]
-    for hop in hops[1:]:
-        product = product.matmul(hop)
-    product = _renormalize_lossy_rows(product)
-    if path.types[0] == path.types[-1]:
-        product = product.with_unit_diagonal_on_empty_rows()
-    return product
-
-
 class MetaPathOperator:
-    """Matrix-free form of compose_metapath(graph, path): the same linear map,
-    applied as the row-normalized hop chain H_1 ... H_k.
+    """The propagation matrix A_hat of one meta-path, applied as the
+    row-normalized hop chain H_1 ... H_k without forming the product.
 
         A_hat x = scale * (H_1 (H_2 (... (H_k x)))) + loop * x
 
-    The two repairs of compose_metapath become diagonal terms, fixed at build
-    time from the chain applied to a ones vector: scale is 1 / (row sum) on
-    rows that lost mass and 1 elsewhere, and loop is 1 on rows that are
+    Two repairs keep A_hat row-stochastic on any graph. They are diagonal
+    terms fixed at build time from the chain applied to a ones vector:
+    scale is 1 / (row sum) on rows that lost mass to a dangling
+    intermediate node and 1 elsewhere, and loop is 1 on rows that are
     empty when the path starts and ends at the same type (such rows of the
     chain give 0, so A_hat x copies x there). Each H_i is applied through
     its HopKernel. Build with metapath_operator.
@@ -445,7 +413,7 @@ class MetaPathOperator:
 
     def _chain(self, x: np.ndarray) -> np.ndarray:
         for hop in reversed(self.hops):
-            x = hop.matvec(x)
+            x = hop.matvec(x) if x.ndim == 1 else hop.matmul_dense(x)
         return x
 
     def stochastic_stats(self) -> tuple[float, float]:
@@ -459,6 +427,18 @@ class MetaPathOperator:
         if x.shape != (self.n_cols,):
             raise ShapeMismatch(f"matvec expects shape ({self.n_cols},), got {x.shape}")
         out = self._chain(x) * self._scale
+        out[self._loops] = x[self._loops]
+        return out
+
+    def matmul_dense(self, x: np.ndarray) -> np.ndarray:
+        """A_hat @ x for a dense (n_cols, d) matrix: the hop chain through
+        HopKernel.matmul_dense, each row times its scale, and the loop rows
+        copied from x, so column j is bitwise matvec(x[:, j])."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] != self.n_cols:
+            raise ShapeMismatch(
+                f"matmul_dense expects shape ({self.n_cols}, d), got {x.shape}")
+        out = self._chain(x) * self._scale[:, None]
         out[self._loops] = x[self._loops]
         return out
 
@@ -479,12 +459,42 @@ class MetaPathOperator:
 def metapath_operator(graph: HeteroGraph, path) -> MetaPathOperator:
     """Matrix-free propagation operator of one meta-path.
 
-    Equal to compose_metapath(graph, path) up to float summation order,
-    without ever forming the product. Reuses the graph's cached hop
-    kernels; the operator itself is not cached.
+    Reuses the graph's cached hop kernels; the operator itself is not
+    cached.
     """
     path = validate_metapath(graph, path)
     return MetaPathOperator(path, [hop_kernel(graph, *hop) for hop in path.hops()])
+
+
+# columns of A_hat per operator product in compose_metapath
+COMPOSE_BLOCK = 256
+
+
+def compose_metapath(graph: HeteroGraph, path) -> SparseRowMatrix:
+    """A_hat of metapath_operator(graph, path) as a SparseRowMatrix, exact
+    zeros dropped. The operator is applied to COMPOSE_BLOCK unit columns at
+    a time, so column j is bitwise its matvec of the j-th unit vector, and
+    no dense n_rows x n_cols array is formed once a path is wider."""
+    op = metapath_operator(graph, path)
+    blocks = []
+    for start in range(0, op.n_cols, COMPOSE_BLOCK):
+        # rows of a C-ordered eye: the hop kernels read its columns uncopied
+        unit = np.eye(min(COMPOSE_BLOCK, op.n_cols - start), op.n_cols, start)
+        product = op.matmul_dense(unit.T)
+        rows, cols = np.nonzero(product)
+        blocks.append((np.bincount(rows, minlength=op.n_rows), cols + start,
+                       product[rows, cols]))
+    offsets = np.concatenate([[0], np.cumsum(sum(b[0] for b in blocks))])
+    col_indices, values = np.empty(offsets[-1], np.int64), np.empty(offsets[-1])
+    # in each row a block's entries follow the earlier blocks'; pop frees it
+    fill = offsets[:-1]
+    while blocks:
+        counts, cols, vals = blocks.pop(0)
+        dest = np.repeat(fill - np.cumsum(counts) + counts, counts)
+        dest += np.arange(cols.size)
+        col_indices[dest], values[dest] = cols, vals
+        fill = fill + counts
+    return SparseRowMatrix(op.n_rows, op.n_cols, offsets, col_indices, values)
 
 
 def candidate_metapaths(graph: HeteroGraph, max_hops: int) -> list[MetaPath]:

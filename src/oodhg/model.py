@@ -467,7 +467,8 @@ def _forward_backward(a_hats: list[MetaPathOperator],
         d_ce = lp.probs[train_ids]
         d_ce[train_rows.rows, train_rows.classes] -= 1.0
         d_logits[train_ids] += (config.alpha / n_train) * d_ce
-    if config.alpha != 1.0:
+    # no active hinge: the energy gradient is exactly 0 (NaN counts as active)
+    if config.alpha != 1.0 and hinge.any():
         g = np.zeros(n)
         g[train_ids] = 2.0 * hinge / n_train
         if a_hats:

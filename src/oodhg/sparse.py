@@ -2,8 +2,8 @@
 
 Implements construction from edge pairs, row normalization, CSR*CSR and
 CSR*vector products, and transposition. These are the general, valued
-products: compose_metapath and the tests use them as the reference, while
-propagation and feature tables apply each hop's 0/1 pattern, as
+products, which only the tests use as references: propagation, feature
+tables and compose_metapath apply each hop's 0/1 pattern, as
 from_edge_pairs builds it, through hetgraph.HopKernel, which never reads
 the values.
 All values are 64-bit floats. Products are accumulated row by row with a
@@ -178,6 +178,7 @@ class SparseRowMatrix:
         return SparseRowMatrix(self.n_cols, self.n_rows, offsets,
                                rows[order], self.values[order])
 
+    # called by no command; kept because perfbench/tracer.py patches it by name
     def matmul(self, other: "SparseRowMatrix") -> "SparseRowMatrix":
         """Sparse product self @ other, row by row (Gustavson style).
 
@@ -244,25 +245,6 @@ class SparseRowMatrix:
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """Product self.T @ y."""
         return self.transpose().matvec(y)
-
-    def with_unit_diagonal_on_empty_rows(self) -> "SparseRowMatrix":
-        """Square matrices only: put a lone 1.0 at (i, i) for every empty row i."""
-        if self.n_rows != self.n_cols:
-            raise ShapeMismatch("self-loop repair requires a square matrix")
-        empty = np.flatnonzero(self.row_counts() == 0)
-        if empty.size == 0:
-            return self
-        rows = np.concatenate([
-            np.repeat(np.arange(self.n_rows, dtype=np.int64), self.row_counts()),
-            empty,
-        ])
-        cols = np.concatenate([self.col_indices, empty])
-        vals = np.concatenate([self.values, np.ones(empty.size, np.float64)])
-        order = np.lexsort((cols, rows))
-        offsets = np.zeros(self.n_rows + 1, np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n_rows), out=offsets[1:])
-        return SparseRowMatrix(self.n_rows, self.n_cols, offsets,
-                               cols[order], vals[order])
 
 
 def pair_keys(n_rows: int, n_cols: int, rows: np.ndarray,

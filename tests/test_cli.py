@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -360,6 +361,38 @@ class TestAblate:
         assert events[:3] == [("splits", 4), ("splits", 1), ("train",)]
         assert events.count(("train",)) == len(events) - 2
 
+    @pytest.mark.parametrize("command, out_file", [
+        (["ablate"], "ablation.json"),
+        (["sweep", "--param", "alpha", "--grid", "0.5,1.0"], "sweep.json"),
+    ], ids=["ablate", "sweep-alpha"])
+    def test_alpha_one_points_train_without_propagating(
+            self, dataset, tmp_path, monkeypatch, command, out_file):
+        """With alpha 1 the energy term has weight 0, so its steps cannot
+        change the parameters: such points train with steps 0, and their
+        rows are those of trainings that propagate."""
+        real_train = cli.train
+        calls = []
+
+        def recorded(graph, labels, splits, cfg, *args, **kwargs):
+            calls.append((cfg.alpha, cfg.steps))
+            return real_train(graph, labels, splits, cfg, *args, **kwargs)
+
+        def propagating(graph, labels, splits, cfg, *args, **kwargs):
+            if cfg.alpha == 1.0:
+                cfg = dataclasses.replace(cfg, steps=2)
+            return real_train(graph, labels, splits, cfg, *args, **kwargs)
+
+        argv = command + ["--data", str(dataset), "--ood-class", "3",
+                          "--seeds", "0,1", "--steps", "2"] + FAST
+        monkeypatch.setattr(cli, "train", recorded)
+        assert main(argv + ["--out", str(tmp_path / "fast")]) == 0
+        assert {steps for alpha, steps in calls if alpha == 1.0} == {0}
+        assert (0.5, 2) in calls
+        monkeypatch.setattr(cli, "train", propagating)
+        assert main(argv + ["--out", str(tmp_path / "slow")]) == 0
+        assert ((tmp_path / "fast" / out_file).read_bytes()
+                == (tmp_path / "slow" / out_file).read_bytes())
+
     def test_bad_seeds_entry_fails_before_training(self, dataset, monkeypatch,
                                                    capsys):
         def no_training(*args, **kwargs):
@@ -658,6 +691,32 @@ class TestOodClassWithSplitsFile:
         assert capsys.readouterr().err.splitlines() == [
             "error: checkpoint was trained with held-out class 2 but the "
             "dataset splits designate 3"]
+
+
+class TestNegativeListValues:
+    """A list flag whose first value is negative takes it as the "=" form
+    does; argparse alone would read "-5,-1" as an unknown flag."""
+
+    def test_space_and_equals_forms_write_the_same_sweep(self, dataset,
+                                                         tmp_path):
+        base = ["sweep", "--data", str(dataset), "--ood-class", "3",
+                "--param", "m_in", "--seeds", "0"] + FAST
+        assert main(base + ["--grid", "-5,-1",
+                            "--out", str(tmp_path / "space")]) == 0
+        assert main(base + ["--grid=-5,-1",
+                            "--out", str(tmp_path / "equals")]) == 0
+        assert ((tmp_path / "space" / "sweep.json").read_bytes()
+                == (tmp_path / "equals" / "sweep.json").read_bytes())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ablate", "--ood-class", "3", "--seeds", "-1,2"],
+         "error: --seeds: seed must be >= 0, got -1"),
+        (["bench", "--k-list", "-1,2"], "error: steps must be >= 0, got -1"),
+    ], ids=["ablate-seeds", "bench-k-list"])
+    def test_negative_entry_is_the_value_error(self, dataset, capsys, argv,
+                                               message):
+        assert main(argv[:1] + ["--data", str(dataset)] + argv[1:]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
 
 
 class TestCheckpointFormat:

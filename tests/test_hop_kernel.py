@@ -3,7 +3,7 @@
 HopKernel applies a hop through its 0/1 pattern and 1/deg. Its forward and
 dense products must agree with hop.matvec and hop @ x within 1e-12, and its
 adjoint must be bitwise hop.transpose().matvec, where hop is the valued
-hop_matrix(...).row_normalize() that compose_metapath uses. The hops come
+hop_matrix(...).row_normalize(), which no command forms. The hops come
 from small graphs: rows and columns are often empty, a hop may have no
 nonzeros, and two edge types of one signature may share pairs, which the
 hop unions.
@@ -25,6 +25,7 @@ from oodhg import (
     make_splits,
     train,
 )
+from oodhg import hetgraph, model, pipeline
 from oodhg.errors import ShapeMismatch
 from oodhg.hetgraph import HopKernel, hop_kernel, hop_matrix, resolve_paths
 from oodhg.sparse import SparseRowMatrix
@@ -152,12 +153,19 @@ def test_evaluate_never_builds_an_adjoint_pattern(monkeypatch):
 
 
 def test_train_and_evaluate_never_row_normalise(monkeypatch):
-    # each hop is applied as its 0/1 pattern and 1/deg; only the reference
-    # compose_metapath forms valued hop matrices
-    def refuse(self):
-        raise AssertionError("row_normalize called")
+    # each hop is applied as its 0/1 pattern and 1/deg through the operator;
+    # no valued hop matrix, sparse product or composed matrix is formed
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return refused
 
-    monkeypatch.setattr(SparseRowMatrix, "row_normalize", refuse)
+    monkeypatch.setattr(SparseRowMatrix, "row_normalize",
+                        refuse("row_normalize"))
+    monkeypatch.setattr(SparseRowMatrix, "matmul", refuse("matmul"))
+    for module in (hetgraph, model, pipeline):
+        monkeypatch.setattr(module, "compose_metapath",
+                            refuse(f"{module.__name__}.compose_metapath"))
     graph, labels = generate_synthetic(SynthConfig(nodes_per_class=20, seed=3))
     splits = make_splits(labels, 3, seed=0)
     feat, prop = resolve_paths(graph)

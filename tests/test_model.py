@@ -18,6 +18,7 @@ from oodhg import (
     run_experiment,
     train,
 )
+from oodhg import model
 from oodhg.errors import (
     EmptyTrainSet,
     LabelOutOfRange,
@@ -722,6 +723,20 @@ def test_train_is_bitwise_the_per_array_epoch_loop(alpha, steps, with_val):
 def test_train_agrees_with_the_textbook_encoder(alpha, steps, with_val):
     _assert_close_to_the_textbook_loop(
         *_epoch_loop_case(alpha, steps, with_val))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_no_active_hinge_skips_the_energy_adjoint(monkeypatch, alpha):
+    """With m_in above every energy no hinge is active and the energy
+    term's gradient is exactly zero: train never applies the adjoint, and
+    its results are bitwise those of the per-array loop, which does."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("propagate_transpose called")
+
+    monkeypatch.setattr(model, "propagate_transpose", refuse)
+    graph, labels, splits, cfg = _epoch_loop_case(alpha, 2, True)
+    _assert_bitwise_the_folded_loop(graph, labels, splits,
+                                    dataclasses.replace(cfg, m_in=100.0))
 
 
 @pytest.mark.parametrize("check", [_assert_bitwise_the_folded_loop,

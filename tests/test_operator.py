@@ -1,9 +1,11 @@
 """Property tests of the matrix-free meta-path operator.
 
-MetaPathOperator must be the same linear map as compose_metapath, repairs
-included, up to float summation order. The random graphs are sparse enough
-that intermediate nodes often have no onward edge (rows lose mass) and
-target nodes often have no path instance at all (isolated rows).
+MetaPathOperator is the one definition of A_hat: it must match a dense
+oracle of the hop chain and its two repairs, and compose_metapath must
+store exactly what it computes, column by column. The random graphs are
+sparse enough that intermediate nodes often have no onward edge (rows
+lose mass) and target nodes often have no path instance at all (isolated
+rows).
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from oodhg import (
     metapath_operator,
     propagate,
 )
+from oodhg import hetgraph
 from oodhg.energy import propagate_transpose
 from oodhg.errors import ShapeMismatch
 
@@ -45,7 +48,7 @@ def _graph(seed, counts, prob):
 
 
 def dense_operator(dense, seq) -> np.ndarray:
-    """A_hat from dense hops, with compose_metapath's two repairs."""
+    """A_hat from dense hops, with the operator's two repairs."""
     out = dense_row_normalize(dense[(seq[0], seq[1])])
     for hop in zip(seq[1:-1], seq[2:]):
         out = out @ dense_row_normalize(dense[hop])
@@ -120,6 +123,47 @@ def test_propagation_matches_composed_reference(seed, counts, prob, gamma, steps
                                    rtol=0, atol=TOL)
 
 
+@property_settings
+@given(graph_seeds, type_counts, edge_probs, st.integers(0, 4))
+def test_matmul_dense_columns_are_matvec_bitwise(seed, counts, prob, d):
+    graph, _, rng = _graph(seed, counts, prob)
+    for seq in PATHS:
+        op = metapath_operator(graph, seq)
+        x = rng.standard_normal((op.n_cols, d)) * 3
+        got = op.matmul_dense(x)
+        assert got.shape == (op.n_rows, d)
+        for j in range(d):
+            assert got[:, j].tobytes() == op.matvec(x[:, j]).tobytes()
+
+
+def test_compose_columns_are_the_operator_bitwise():
+    """On this graph a product of valued hop matrices rounds differently
+    from the operator in some entries of both paths."""
+    rng = np.random.default_rng(0)
+    graph, _ = random_typed_graph(rng, {"t": 12, "u": 9, "v": 7}, SIGNATURES,
+                                  0.3, "t")
+    for seq in PATHS:
+        op = metapath_operator(graph, seq)
+        composed = compose_metapath(graph, seq).to_dense()
+        for j, unit in enumerate(np.eye(op.n_cols)):
+            assert composed[:, j].tobytes() == op.matvec(unit).tobytes()
+
+
+def test_compose_does_not_depend_on_the_block_width(monkeypatch):
+    rng = np.random.default_rng(5)
+    graph, _ = random_typed_graph(rng, {"t": 20, "u": 15, "v": 9}, SIGNATURES,
+                                  0.2, "t")
+    # every path is narrower than one default block
+    whole = {seq: compose_metapath(graph, seq) for seq in PATHS}
+    for block in (1, 2, 7):
+        monkeypatch.setattr(hetgraph, "COMPOSE_BLOCK", block)
+        for seq in PATHS:
+            got = compose_metapath(graph, seq)
+            for name in ("row_offsets", "col_indices", "values"):
+                assert (getattr(got, name).tobytes()
+                        == getattr(whole[seq], name).tobytes())
+
+
 def test_both_repairs_are_applied():
     """Target 0 reaches dangling aux node 2 (half its mass is lost) and
     targets 2 and 4 have no path instance (self-loops)."""
@@ -146,5 +190,7 @@ def test_shape_checks():
         op.matvec(np.zeros(4))
     with pytest.raises(ShapeMismatch):
         op.rmatvec(np.zeros(2))
+    with pytest.raises(ShapeMismatch):
+        op.matmul_dense(np.zeros((4, 1)))
     with pytest.raises(ShapeMismatch):
         propagate(np.zeros(4), op, PropagationConfig(0.5, 1))

@@ -285,16 +285,3 @@ class TestStochasticChains:
                 product = m if product is None else product.matmul(m)
             dev, low = product.stochastic_stats()
             assert low >= 0.0 and dev <= 1e-12
-
-    def test_self_loop_repair(self):
-        arr = np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
-        repaired = SparseRowMatrix.from_dense(arr).with_unit_diagonal_on_empty_rows()
-        dense = repaired.to_dense()
-        assert dense[0, 0] == 1.0 and dense[2, 2] == 1.0
-        np.testing.assert_array_equal(dense[1], arr[1])
-        assert repaired.stochastic_stats() == (0.0, 0.5)
-
-    def test_self_loop_repair_requires_square(self):
-        m = SparseRowMatrix.from_dense(np.zeros((2, 3)))
-        with pytest.raises(ShapeMismatch):
-            m.with_unit_diagonal_on_empty_rows()

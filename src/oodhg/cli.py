@@ -64,14 +64,7 @@ def _load_config_file(args) -> dict:
     kinds = TRAIN_CONFIG_KINDS | ({"seeds": [int]} if hasattr(args, "seeds")
                                   else {})
     path = Path(args.config)
-    document = _read_document(path)
-    if type(document) is dict:
-        unknown = [key for key in document if key not in kinds]
-        if unknown:
-            raise ValidationError(
-                f"{path}: unknown config key {unknown[0]!r}; expected one "
-                f"of {sorted(kinds)}")
-    return _typed(document,
+    return _typed(_read_document(path),
                   {key: OptionalKey(kind) for key, kind in kinds.items()}, path)
 
 

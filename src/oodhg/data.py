@@ -73,6 +73,10 @@ from .sparse import sorted_distinct
 # ood_shift, so shift 0 makes it indistinguishable from its hidden class
 CLASS_SEP = 3.0
 
+# make_splits' train and val sizes, as fractions of all target nodes
+TRAIN_FRAC = 0.24
+VAL_FRAC = 0.06
+
 # edge coins are drawn this many (target, aux) cells at a time, so the
 # generator's coin buffer stays near 8 MB however large the graph grows
 COIN_BLOCK_CELLS = 1 << 20
@@ -80,7 +84,8 @@ COIN_BLOCK_CELLS = 1 << 20
 
 @dataclass(frozen=True)
 class Splits:
-    """Disjoint train/val/test node ids plus the held-out class label."""
+    """Disjoint train/val/test node ids plus the held-out class label;
+    a negative or repeated id is a ValidationError."""
 
     train_ids: np.ndarray
     val_ids: np.ndarray
@@ -91,6 +96,11 @@ class Splits:
         for name in ("train_ids", "val_ids", "test_ids"):
             object.__setattr__(self, name,
                                np.asarray(getattr(self, name), dtype=np.int64))
+        ids = np.concatenate([self.train_ids, self.val_ids, self.test_ids])
+        if ids.size and ids.min() < 0:
+            raise ValidationError(f"negative node id {ids.min()}")
+        if sorted_distinct(ids).size != ids.size:
+            raise ValidationError("splits overlap")
 
     def to_dict(self) -> dict:
         """The splits.json payload."""
@@ -140,27 +150,22 @@ def _fisher_yates(rng, arr: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=arr.dtype)
 
 
-def make_splits(labels: np.ndarray, ood_class: int, train_frac: float = 0.24,
-                val_frac: float = 0.06, seed: int = 0) -> Splits:
+def make_splits(labels: np.ndarray, ood_class: int, seed: int = 0) -> Splits:
     """Deterministic splits with every held-out-class node in the test set.
 
-    Cut sizes are floor(fraction * total node count), so the fractions are
-    taken against all target nodes, not just the in-distribution ones.
+    Cut sizes are floor(fraction * total node count) for TRAIN_FRAC and
+    VAL_FRAC, so the fractions are taken against all target nodes, not just
+    the in-distribution ones.
 
     Raises OodClassMissing when ood_class never occurs, FractionOverflow
     when the non-held-out nodes cannot fill the train and val quotas.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
-    # written as the negation of the valid range so that NaN fails it
-    if not (0 < train_frac and 0 < val_frac and train_frac + val_frac < 1):
-        raise FractionOverflow(
-            f"fractions train={train_frac}, val={val_frac} must be positive "
-            "and sum below 1")
     if not np.any(labels == ood_class):
         raise OodClassMissing(f"class {ood_class} does not occur in the labels")
-    n_train = int(n * train_frac + 1e-9)
-    n_val = int(n * val_frac + 1e-9)
+    n_train = int(n * TRAIN_FRAC + 1e-9)
+    n_val = int(n * VAL_FRAC + 1e-9)
     non_ood = np.flatnonzero(labels != ood_class)
     if n_train + n_val > non_ood.size:
         raise FractionOverflow(
@@ -721,13 +726,15 @@ def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
     if splits_path.exists():
         payload = _read_json(splits_path, {
             "train": [int], "val": [int], "test": [int], "ood_class": int})
-        splits = Splits(payload["train"], payload["val"], payload["test"],
-                        payload["ood_class"])
-        all_ids = np.concatenate([splits.train_ids, splits.val_ids, splits.test_ids])
+        all_ids = np.asarray(payload["train"] + payload["val"] + payload["test"],
+                             dtype=np.int64)
         if all_ids.size and (all_ids.min() < 0 or all_ids.max() >= n_target):
             raise ValidationError(f"{splits_path}: node id outside [0, {n_target})")
-        if sorted_distinct(all_ids).size != all_ids.size:
-            raise ValidationError(f"{splits_path}: splits overlap")
+        try:
+            splits = Splits(payload["train"], payload["val"], payload["test"],
+                            payload["ood_class"])
+        except ValidationError as exc:
+            raise ValidationError(f"{splits_path}: {exc}") from None
     return graph, labels, splits
 
 

@@ -582,17 +582,45 @@ def map_to_head(labels: np.ndarray, id_values: np.ndarray) -> np.ndarray:
     return out
 
 
+def label_space(labels: np.ndarray, splits) -> tuple[np.ndarray, np.ndarray]:
+    """The K+1 label protocol of splits, shared by train and evaluate.
+
+    Returns (classes, kplus1): classes are the K sorted distinct train+val
+    labels, and kplus1[i] is node i's head index, K for the held-out class
+    and -1 for any other label. Raises EmptyTrainSet for an empty train
+    split, OodLabelInTrainSet when train or val holds the held-out class,
+    and LabelOutOfRange when a test node's kplus1 would be -1.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if splits.train_ids.size == 0:
+        raise EmptyTrainSet("no training nodes")
+    ood = splits.ood_class
+    if np.any(labels[splits.train_ids] == ood) or np.any(
+            labels[splits.val_ids] == ood):
+        raise OodLabelInTrainSet(
+            f"held-out class {ood} occurs in the train or val split")
+    classes = id_class_values(labels, splits.train_ids, splits.val_ids)
+    kplus1 = map_to_head(labels, classes)
+    kplus1[labels == ood] = classes.size
+    bad = labels[splits.test_ids][kplus1[splits.test_ids] == -1]
+    if bad.size:
+        raise LabelOutOfRange(
+            f"test label {bad[0]} is neither a train/val class nor the "
+            f"held-out class {ood}")
+    return classes, kplus1
+
+
 def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
           feature_paths=None, prop_paths=None, *,
           stop_when_settled: bool = False) -> tuple[EncoderParams, TrainHistory]:
     """Full-batch Adam training; returns the best-validation parameters,
     which record the paths they were trained with and their classes.
 
-    Labels are raw dataset values; head classes are the sorted distinct
-    labels seen in train plus val. A path list left None comes from
-    resolve_paths(graph). Model selection keeps the parameters with the
-    highest validation micro-F1 (earliest epoch wins ties); with an empty
-    validation split the final parameters are returned.
+    Labels are raw dataset values; head classes are label_space's, the
+    sorted distinct labels seen in train plus val. A path list left None
+    comes from resolve_paths(graph). Model selection keeps the parameters
+    with the highest validation micro-F1 (earliest epoch wins ties); with an
+    empty validation split the final parameters are returned.
     The encoder runs once per epoch, plus once after the last epoch when the
     validation split is non-empty.
 
@@ -602,39 +630,19 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     run's and the history is a prefix of the full history, ending at that
     epoch. A divergence in the epochs skipped is then never reached.
 
-    Raises EmptyTrainSet, OodLabelInTrainSet and LabelOutOfRange (a test
-    label that is neither a train/val class nor the held-out class) on
-    protocol violations, before the first epoch, and TrainingDiverged once
-    the loss or a parameter stops being finite.
+    Raises label_space's errors on protocol violations, before the first
+    epoch, and TrainingDiverged once the loss or a parameter stops being
+    finite.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    train_ids = np.asarray(splits.train_ids, dtype=np.int64)
-    val_ids = np.asarray(splits.val_ids, dtype=np.int64)
-    if train_ids.size == 0:
-        raise EmptyTrainSet("no training nodes")
-    ood = splits.ood_class
-    if np.any(labels[train_ids] == ood) or (val_ids.size and np.any(labels[val_ids] == ood)):
-        raise OodLabelInTrainSet(
-            f"held-out class {ood} occurs in the train or val split")
+    id_values, y_head = label_space(labels, splits)
+    train_ids, val_ids = splits.train_ids, splits.val_ids
+    train_rows = _TrainRows.of(y_head, train_ids)
+    y_val = y_head[val_ids]
 
     if feature_paths is None or prop_paths is None:
         feat, prop = resolve_paths(graph)
         feature_paths = feat if feature_paths is None else feature_paths
         prop_paths = prop if prop_paths is None else prop_paths
-
-    id_values = id_class_values(labels, train_ids, val_ids)
-    # evaluation scores each test label as one of these or as the held-out
-    # class, so a model trained on other splits could never be evaluated
-    test_labels = labels[np.asarray(splits.test_ids, dtype=np.int64)]
-    near = np.searchsorted(id_values, test_labels).clip(max=id_values.size - 1)
-    unknown = (id_values[near] != test_labels) & (test_labels != ood)
-    if unknown.any():
-        raise LabelOutOfRange(
-            f"test label {test_labels[unknown][0]} is neither a train/val "
-            f"class nor the held-out class {ood}")
-    y_head = map_to_head(labels, id_values)
-    train_rows = _TrainRows.of(y_head, train_ids)
-    y_val = y_head[val_ids]
 
     xs = feature_tables(graph, feature_paths)
     a_hats = propagation_operators(graph, prop_paths, config.steps)

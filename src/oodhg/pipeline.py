@@ -2,7 +2,9 @@
 
 Covers post-training evaluation (detection metrics and K+1 classification
 at a threshold tau) and the versioned parameter checkpoint format
-"oodhg-ckpt-v1". A trained model is one EncoderParams: its arrays, its
+"oodhg-ckpt-v1". The K+1 classes of the test nodes are model.label_space's,
+the protocol train checks, so evaluate refuses exactly the splits train
+refuses. A trained model is one EncoderParams: its arrays, its
 feature and propagation paths, and the class value of each output column.
 The path policy, resolve_paths, is hetgraph's and is re-exported here.
 """
@@ -19,7 +21,7 @@ from .data import Splits, _read_json, _write_json
 # patches compose_metapath, propagate and sweep_threshold by name, and
 # perfbench/setup_probe.py imports resolve_paths
 from .energy import logit_pass, msp_score, propagate  # noqa: F401
-from .errors import LabelOutOfRange, ValidationError
+from .errors import ValidationError
 from .hetgraph import (
     HeteroGraph,
     MetaPath,
@@ -43,8 +45,7 @@ from .model import (
     TrainConfig,
     TrainHistory,
     forward,
-    id_class_values,
-    map_to_head,
+    label_space,
     propagated_energies,
     propagation_operators,
     train,
@@ -89,21 +90,6 @@ class EvalReport:
             **self.metrics, "micro_f1": micro_f1(kp), "macro_f1": macro_f1(kp)})
 
 
-def gold_kplus1(labels: np.ndarray, ids: np.ndarray, id_values: np.ndarray,
-                ood_class: int) -> np.ndarray:
-    """Gold classes in [0, K]: head index for ID labels, K for the held-out
-    class; any other value is a protocol violation."""
-    labels = np.asarray(labels, dtype=np.int64)[np.asarray(ids, dtype=np.int64)]
-    out = map_to_head(labels, id_values)
-    out[(out == -1) & (labels == ood_class)] = id_values.size
-    if np.any(out == -1):
-        bad = labels[out == -1][0]
-        raise LabelOutOfRange(
-            f"label {bad} is neither a train/val class nor the held-out "
-            f"class {ood_class}")
-    return out
-
-
 def evaluate(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
              params: EncoderParams, config: TrainConfig,
              tau: float = DEFAULT_TAU) -> EvalReport:
@@ -113,10 +99,12 @@ def evaluate(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
     Logits come from the feature tables of params.paths. Final energies come
     from the same propagate-then-average step training uses along
     params.prop_paths, so the path checks of training apply here too. Output
-    column j predicts class params.classes[j]; raises ValidationError when
-    the train/val classes of splits are not those classes.
+    column j predicts class params.classes[j]. Gold classes come from
+    label_space, so splits that train would refuse raise train's errors,
+    and a ValidationError follows when the train/val classes of splits are
+    not params.classes.
     """
-    seen = id_class_values(labels, splits.train_ids, splits.val_ids)
+    seen, kplus1 = label_space(labels, splits)
     if not np.array_equal(seen, params.classes):
         raise ValidationError(
             f"model class set {params.classes.tolist()} does not match the "
@@ -127,8 +115,8 @@ def evaluate(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
         e_raw, propagation_operators(graph, params.prop_paths, config.steps),
         config.propagation)
 
-    test_ids = np.asarray(splits.test_ids, dtype=np.int64)
-    gold = gold_kplus1(labels, test_ids, params.classes, splits.ood_class)
+    test_ids = splits.test_ids
+    gold = kplus1[test_ids]
     is_ood = gold == params.classes.size
     scored = BinaryScoredSet(e_final[test_ids], is_ood)
     max_soft = msp_score(probs)
@@ -138,7 +126,6 @@ def evaluate(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
         "aupr": aupr(scored),
         "fpr95": fpr_at_95tpr(scored),
         "auroc_msp": auroc(msp_scored),
-        "auroc_raw_energy": auroc(BinaryScoredSet(e_raw[test_ids], is_ood)),
     }
     return EvalReport(
         tau=float(tau), metrics=metrics, test_ids=test_ids, energy_raw=e_raw,
@@ -147,13 +134,12 @@ def evaluate(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
 
 
 def run_experiment(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
-                   config: TrainConfig, feature_paths=None, prop_paths=None,
-                   tau: float = DEFAULT_TAU
+                   config: TrainConfig
                    ) -> tuple[EncoderParams, TrainHistory, EvalReport]:
-    """Train, then evaluate on the test split; one seed, fully deterministic."""
-    params, history = train(graph, labels, splits, config,
-                            feature_paths, prop_paths)
-    report = evaluate(graph, labels, splits, params, config, tau)
+    """Train on resolve_paths(graph), then evaluate on the test split at
+    DEFAULT_TAU; one seed, fully deterministic."""
+    params, history = train(graph, labels, splits, config)
+    report = evaluate(graph, labels, splits, params, config)
     return params, history, report
 
 

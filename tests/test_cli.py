@@ -924,6 +924,10 @@ MUTATIONS = [
      "top level has unknown key 'extra'; expected one of ['feature_paths', "
      "'format', 'id_class_values', 'ood_class', 'params', 'prop_paths', "
      "'train_config']"),
+    ("cfg.json", ["epoch"], 5,
+     "top level has unknown key 'epoch'; expected one of ['alpha', "
+     "'d_hidden', 'epochs', 'gamma', 'learning_rate', 'm_in', 'seed', "
+     "'steps']"),
     # a well-typed value that TrainConfig rejects still names the file
     ("checkpoint.json", ["train_config", "epochs"], 0,
      "'train_config': epochs must be >= 1, got 0"),

@@ -84,16 +84,16 @@ class TestMakeSplits:
         with pytest.raises(FractionOverflow):
             make_splits(labels, ood_class=1, seed=0)
 
-    def test_fractions_must_sum_below_one(self):
-        with pytest.raises(FractionOverflow):
-            make_splits(np.array([0, 1]), 1, train_frac=0.8, val_frac=0.3)
-
-    @pytest.mark.parametrize("fractions", [
-        {"train_frac": float("nan")}, {"val_frac": float("nan")}],
-        ids=["train_frac", "val_frac"])
-    def test_nan_fraction_is_fraction_overflow(self, fractions):
-        with pytest.raises(FractionOverflow, match="must be positive"):
-            make_splits(np.array([0] * 50 + [1] * 50), 1, **fractions)
+    @pytest.mark.parametrize("ids, message", [
+        (([0, 1], [2], [3, -1]), "^negative node id -1$"),
+        (([0, 1], [2], [3, 1]), "^splits overlap$"),
+        (([0, 0], [], [3]), "^splits overlap$")],
+        ids=["negative", "across-splits", "within-a-split"])
+    def test_splits_refuse_a_negative_or_repeated_id(self, ids, message):
+        # a negative id would index labels from the end, and a repeated
+        # one would score a training node as a test node
+        with pytest.raises(ValidationError, match=message):
+            data.Splits(*ids, ood_class=2)
 
     def test_missing_ood_class(self):
         with pytest.raises(OodClassMissing):

@@ -473,7 +473,8 @@ class TestTrain:
         splits = self._splits(labels)
         ood_node = int(np.flatnonzero(labels == splits.ood_class)[0])
         bad = dataclasses.replace(
-            splits, train_ids=np.append(splits.train_ids, ood_node))
+            splits, train_ids=np.append(splits.train_ids, ood_node),
+            test_ids=splits.test_ids[splits.test_ids != ood_node])
         with pytest.raises(OodLabelInTrainSet):
             train(graph, labels, bad, TrainConfig(epochs=1))
 

@@ -14,7 +14,12 @@ from oodhg import (
     make_splits,
     train,
 )
-from oodhg.errors import LabelOutOfRange, ValidationError
+from oodhg.errors import (
+    EmptyTrainSet,
+    LabelOutOfRange,
+    OodLabelInTrainSet,
+    ValidationError,
+)
 from oodhg.pipeline import resolve_paths
 
 
@@ -81,6 +86,33 @@ def test_evaluate_rejects_a_test_label_outside_the_protocol():
     relabelled = labels.copy()
     node = next(int(i) for i in splits.test_ids if labels[i] != 3)
     relabelled[node] = 7
-    with pytest.raises(LabelOutOfRange, match=r"^label 7 is neither a "
+    with pytest.raises(LabelOutOfRange, match=r"^test label 7 is neither a "
                        r"train/val class nor the held-out class 3$"):
         evaluate(graph, relabelled, splits, params, cfg)
+
+
+@pytest.mark.parametrize("error", [
+    EmptyTrainSet, OodLabelInTrainSet, LabelOutOfRange])
+def test_train_and_evaluate_refuse_the_same_splits_alike(error):
+    # one protocol check serves both, so evaluate given splits that train
+    # refuses raises train's error with train's message
+    graph, labels = generate_synthetic(SynthConfig(nodes_per_class=25, seed=7))
+    splits = make_splits(labels, 3, seed=0)
+    cfg = TrainConfig(epochs=2, d_hidden=8)
+    params, _ = train(graph, labels, splits, cfg)
+    bad_labels = labels
+    if error is EmptyTrainSet:
+        splits = dataclasses.replace(splits, train_ids=[])
+    elif error is OodLabelInTrainSet:
+        ood_node = int(splits.test_ids[labels[splits.test_ids] == 3][0])
+        splits = dataclasses.replace(
+            splits, val_ids=np.append(splits.val_ids, ood_node),
+            test_ids=splits.test_ids[splits.test_ids != ood_node])
+    else:
+        bad_labels = labels.copy()
+        bad_labels[splits.test_ids[labels[splits.test_ids] != 3][0]] = 7
+    with pytest.raises(error) as by_train:
+        train(graph, bad_labels, splits, cfg)
+    with pytest.raises(error) as by_evaluate:
+        evaluate(graph, bad_labels, splits, params, cfg)
+    assert str(by_evaluate.value) == str(by_train.value)

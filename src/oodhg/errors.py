@@ -16,7 +16,8 @@ class UnknownType(OodhgError):
 
 
 class IndexOutOfRange(OodhgError):
-    """An edge endpoint index exceeds the count of its node type."""
+    """A node index (an edge endpoint or a split id) exceeds the count of
+    its node type."""
 
 
 class DimensionMismatch(OodhgError):

@@ -9,16 +9,19 @@ resolve_paths alone decides which meta-paths a model uses.
 Propagation never forms that product: metapath_operator applies the cached
 hops right to left (and their adjoints left to right), which costs the hops'
 nnz per product instead of the far denser composed matrix. That operator is
-the one definition of A_hat, repairs included; compose_metapath stores it.
+the one definition of A_hat, repairs included. compose_metapath stores it:
+column j of A_hat is the operator's matvec of the j-th unit vector, kept as
+row j of A_hat^T and transposed once, so no dense n x n array is formed.
 
 Every hop is H = diag(1/deg) B for the 0/1 pattern B that hop_matrix
-returns. Both the operator and metapath_features apply a hop through the
-HopKernel built from B: a segment sum over B and one scale by 1/deg per row,
-with no multiply per nonzero and no valued transpose; nothing here
-row-normalises B into a valued matrix. The adjoint is bitwise
-H.transpose().matvec; the forward and feature-table products sum before
-they scale and so round differently from the valued SparseRowMatrix
-products, within a few ulps.
+returns, applied through the HopKernel built from B: a segment sum over B
+and one scale by 1/deg per row, with no multiply per nonzero and no valued
+transpose; nothing here row-normalises B into a valued matrix. Every
+product with a hop chain is a chain of HopKernel.matvec (or rmatvec) calls:
+metapath_features applies the hops to one feature column at a time. The
+adjoint is bitwise H.transpose().matvec; the forward sums before it scales
+and so rounds differently from the valued SparseRowMatrix products, within a
+few ulps.
 
 A graph's nodes, edges and features do not change after construction. Hop
 kernels and meta-path feature tables are memoised lazily on the graph;
@@ -261,14 +264,14 @@ class HopKernel:
 
         H x   = (1/deg) * rowsum(x[cols])        (forward)
         H^T y = rowsum((y * (1/deg))[rows^T])    (adjoint)
-        H X   = the forward, one column of X at a time
 
     with rowsum a segment sum over the nonempty rows. The adjoint multiplies
     the same two factors per nonzero and sums them in the same order as
-    H.transpose().matvec(y), so it is bitwise that product. The forward and
-    dense products sum before they scale, so they round differently from
-    H.matvec, within a few ulps. The adjoint pattern is built on the first
-    rmatvec: evaluation never applies an adjoint and never pays for it.
+    H.transpose().matvec(y), so it is bitwise that product. The forward
+    sums before it scales, so it rounds differently from H.matvec, within a
+    few ulps. A product with a dense matrix is the forward of each column.
+    The adjoint pattern is built on the first rmatvec: evaluation never
+    applies an adjoint and never pays for it.
     Build with hop_kernel, which memoises one kernel per hop on the graph.
     """
 
@@ -329,20 +332,6 @@ class HopKernel:
         out = np.zeros(self.n_cols)
         out[nonempty_t] = sums
         return out
-
-    def matmul_dense(self, x: np.ndarray) -> np.ndarray:
-        """H @ x for a dense (n_cols, d) matrix: matvec of each column of x,
-        read from one contiguous copy of x.T. The result is the transpose of
-        the (d, n_rows) products, so a following hop reads its x.T without
-        a copy."""
-        if np.ndim(x) != 2 or np.shape(x)[0] != self.n_cols:
-            raise ShapeMismatch(
-                f"matmul_dense expects shape ({self.n_cols}, d), got {np.shape(x)}")
-        xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
-        out = np.empty((xt.shape[0], self.n_rows))
-        for j, col in enumerate(xt):
-            out[j] = self.matvec(col)
-        return out.T
 
 
 def hop_kernel(graph: HeteroGraph, src: str, dst: str) -> HopKernel:
@@ -413,7 +402,7 @@ class MetaPathOperator:
 
     def _chain(self, x: np.ndarray) -> np.ndarray:
         for hop in reversed(self.hops):
-            x = hop.matvec(x) if x.ndim == 1 else hop.matmul_dense(x)
+            x = hop.matvec(x)
         return x
 
     def stochastic_stats(self) -> tuple[float, float]:
@@ -427,18 +416,6 @@ class MetaPathOperator:
         if x.shape != (self.n_cols,):
             raise ShapeMismatch(f"matvec expects shape ({self.n_cols},), got {x.shape}")
         out = self._chain(x) * self._scale
-        out[self._loops] = x[self._loops]
-        return out
-
-    def matmul_dense(self, x: np.ndarray) -> np.ndarray:
-        """A_hat @ x for a dense (n_cols, d) matrix: the hop chain through
-        HopKernel.matmul_dense, each row times its scale, and the loop rows
-        copied from x, so column j is bitwise matvec(x[:, j])."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != self.n_cols:
-            raise ShapeMismatch(
-                f"matmul_dense expects shape ({self.n_cols}, d), got {x.shape}")
-        out = self._chain(x) * self._scale[:, None]
         out[self._loops] = x[self._loops]
         return out
 
@@ -466,35 +443,25 @@ def metapath_operator(graph: HeteroGraph, path) -> MetaPathOperator:
     return MetaPathOperator(path, [hop_kernel(graph, *hop) for hop in path.hops()])
 
 
-# columns of A_hat per operator product in compose_metapath
-COMPOSE_BLOCK = 256
-
-
 def compose_metapath(graph: HeteroGraph, path) -> SparseRowMatrix:
     """A_hat of metapath_operator(graph, path) as a SparseRowMatrix, exact
-    zeros dropped. The operator is applied to COMPOSE_BLOCK unit columns at
-    a time, so column j is bitwise its matvec of the j-th unit vector, and
-    no dense n_rows x n_cols array is formed once a path is wider."""
+    zeros dropped. Column j is the operator's matvec of the j-th unit
+    vector; its nonzeros are stored as row j of A_hat^T, which is
+    transposed once, so no dense n_rows x n_cols array is formed."""
     op = metapath_operator(graph, path)
-    blocks = []
-    for start in range(0, op.n_cols, COMPOSE_BLOCK):
-        # rows of a C-ordered eye: the hop kernels read its columns uncopied
-        unit = np.eye(min(COMPOSE_BLOCK, op.n_cols - start), op.n_cols, start)
-        product = op.matmul_dense(unit.T)
-        rows, cols = np.nonzero(product)
-        blocks.append((np.bincount(rows, minlength=op.n_rows), cols + start,
-                       product[rows, cols]))
-    offsets = np.concatenate([[0], np.cumsum(sum(b[0] for b in blocks))])
-    col_indices, values = np.empty(offsets[-1], np.int64), np.empty(offsets[-1])
-    # in each row a block's entries follow the earlier blocks'; pop frees it
-    fill = offsets[:-1]
-    while blocks:
-        counts, cols, vals = blocks.pop(0)
-        dest = np.repeat(fill - np.cumsum(counts) + counts, counts)
-        dest += np.arange(cols.size)
-        col_indices[dest], values[dest] = cols, vals
-        fill = fill + counts
-    return SparseRowMatrix(op.n_rows, op.n_cols, offsets, col_indices, values)
+    unit = np.zeros(op.n_cols)
+    rows, values = [], []
+    for j in range(op.n_cols):
+        unit[j] = 1.0
+        column = op.matvec(unit)
+        unit[j] = 0.0
+        nonzero = np.flatnonzero(column)
+        rows.append(nonzero)
+        values.append(column[nonzero])
+    offsets = np.zeros(op.n_cols + 1, np.int64)
+    np.cumsum([r.size for r in rows], out=offsets[1:])
+    return SparseRowMatrix(op.n_cols, op.n_rows, offsets, np.concatenate(rows),
+                           np.concatenate(values)).transpose()
 
 
 def candidate_metapaths(graph: HeteroGraph, max_hops: int) -> list[MetaPath]:
@@ -562,10 +529,10 @@ def metapath_features(graph: HeteroGraph, path) -> np.ndarray:
 
     Computes (product of row-normalized hop adjacencies) @ features(end).
     Zero rows are left as zeros here, not self-loop repaired: a node with no
-    path instances simply aggregates nothing. Evaluated right to left with
-    HopKernel.matmul_dense, so only sparse-by-dense products are formed. The
-    table is memoised on the graph
-    and returned read-only; every call for one path returns equal values.
+    path instances simply aggregates nothing. Each feature column goes
+    through the hops right to left as a chain of HopKernel.matvec calls, so
+    no product of hops is formed. The table is memoised on the graph and
+    returned read-only; every call for one path returns equal values.
     """
     path = validate_metapath(graph, path)
     cached = graph._feature_cache.get(path.types)
@@ -575,9 +542,15 @@ def metapath_features(graph: HeteroGraph, path) -> np.ndarray:
     if graph.feature_dim(end) == 0:
         raise FeaturelessEndType(
             f"meta-path {path} ends at featureless type {end!r}")
-    out = graph.features[end]
-    for src, dst in reversed(path.hops()):
-        out = hop_kernel(graph, src, dst).matmul_dense(out)
+    kernels = [hop_kernel(graph, *hop) for hop in reversed(path.hops())]
+    columns = np.ascontiguousarray(graph.features[end].T)
+    out = np.empty((columns.shape[0], graph.node_count(path.types[0])))
+    for j, column in enumerate(columns):
+        for kernel in kernels:
+            column = kernel.matvec(column)
+        out[j] = column
+    # column j of the (n, d) table is row j of out; .T copies nothing
+    out = out.T
     out.flags.writeable = False
     graph._feature_cache[path.types] = out
     return out

@@ -71,6 +71,7 @@ from .energy import (
 )
 from .errors import (
     EmptyTrainSet,
+    IndexOutOfRange,
     InvalidPath,
     LabelOutOfRange,
     OodLabelInTrainSet,
@@ -587,11 +588,17 @@ def label_space(labels: np.ndarray, splits) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (classes, kplus1): classes are the K sorted distinct train+val
     labels, and kplus1[i] is node i's head index, K for the held-out class
-    and -1 for any other label. Raises EmptyTrainSet for an empty train
-    split, OodLabelInTrainSet when train or val holds the held-out class,
-    and LabelOutOfRange when a test node's kplus1 would be -1.
+    and -1 for any other label. Raises IndexOutOfRange for a split id at
+    or past the node count, EmptyTrainSet for an empty train split,
+    OodLabelInTrainSet when train or val holds the held-out class, and
+    LabelOutOfRange when a test node's kplus1 would be -1.
     """
     labels = np.asarray(labels, dtype=np.int64)
+    for name in ("train_ids", "val_ids", "test_ids"):
+        ids = getattr(splits, name)
+        if ids.size and ids.max() >= labels.size:
+            raise IndexOutOfRange(
+                f"{name[:-4]} split id {ids.max()} outside [0, {labels.size})")
     if splits.train_ids.size == 0:
         raise EmptyTrainSet("no training nodes")
     ood = splits.ood_class
@@ -622,7 +629,8 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     with the highest validation micro-F1 (earliest epoch wins ties); with an
     empty validation split the final parameters are returned.
     The encoder runs once per epoch, plus once after the last epoch when the
-    validation split is non-empty.
+    validation split is non-empty, always in the one workspace train
+    allocates.
 
     With stop_when_settled and a non-empty validation split, training ends
     right after the first epoch whose validation micro-F1 is 1.0: no later
@@ -685,7 +693,7 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
                 state = _forward_backward(a_hats, params, train_rows, config, ws)
                 logits = state.logits
             elif val_ids.size:
-                logits = forward_from_features(xs, params)
+                logits = _encode(params, ws)
             if val_ids.size:
                 val_f1 = np.count_nonzero(
                     logits[val_ids].argmax(axis=1) == y_val) / val_ids.size

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oodhg import (
     EdgeTypeSchema,
@@ -298,3 +300,33 @@ class TestMetapathFeatures:
                         @ dense_row_normalize(dense[("u", "v")])
                         @ graph.features["v"])
             np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 6), n_cols=st.integers(1, 6),
+           d=st.integers(1, 4))
+    def test_one_hop_is_bitwise_the_gather_and_reduceat_form(
+            self, data, n_rows, n_cols, d):
+        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
+        mask = np.asarray(data.draw(st.lists(
+            st.lists(st.booleans(), min_size=n_cols, max_size=n_cols),
+            min_size=n_rows, max_size=n_rows)), dtype=bool)
+        x = np.asarray(data.draw(st.lists(finite, min_size=n_cols * d,
+                                          max_size=n_cols * d)),
+                       dtype=np.float64).reshape(n_cols, d)
+        graph = build_graph(
+            [NodeTypeSchema("s", n_rows), NodeTypeSchema("d", n_cols, d)],
+            [EdgeTypeSchema("sd", "s", "d")], {"sd": np.argwhere(mask)},
+            {"d": x}, "s")
+        m = hop_matrix(graph, "s", "d").row_normalize()
+        # the (nnz, d) form: gather x's rows, sum each matrix row, then scale
+        # it by 1 / its nonzero count
+        want = np.zeros((n_rows, d))
+        if m.nnz:
+            starts = m.row_offsets[:-1]
+            counts = m.row_counts()
+            nonempty = counts > 0
+            want[nonempty] = (np.add.reduceat(x[m.col_indices],
+                                              starts[nonempty], axis=0)
+                              * (1.0 / counts[nonempty])[:, None])
+        got = metapath_features(graph, ["s", "d"])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

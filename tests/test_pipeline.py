@@ -16,6 +16,7 @@ from oodhg import (
 )
 from oodhg.errors import (
     EmptyTrainSet,
+    IndexOutOfRange,
     LabelOutOfRange,
     OodLabelInTrainSet,
     ValidationError,
@@ -116,3 +117,21 @@ def test_train_and_evaluate_refuse_the_same_splits_alike(error):
     with pytest.raises(error) as by_evaluate:
         evaluate(graph, bad_labels, splits, params, cfg)
     assert str(by_evaluate.value) == str(by_train.value)
+
+
+@pytest.mark.parametrize("split", ["train_ids", "val_ids", "test_ids"])
+@pytest.mark.parametrize("node", [40, 45])
+def test_a_split_id_past_the_node_count_is_a_typed_error(split, node):
+    # Splits cannot check the bound, since it does not know the node count
+    graph, labels = generate_synthetic(SynthConfig(nodes_per_class=10))
+    assert labels.size == 40
+    splits = make_splits(labels, 3, seed=0)
+    cfg = TrainConfig(epochs=2, d_hidden=8)
+    params, _ = train(graph, labels, splits, cfg)
+    bad = dataclasses.replace(
+        splits, **{split: np.append(getattr(splits, split), node)})
+    message = rf"^{split[:-4]} split id {node} outside \[0, 40\)$"
+    with pytest.raises(IndexOutOfRange, match=message):
+        train(graph, labels, bad, cfg)
+    with pytest.raises(IndexOutOfRange, match=message):
+        evaluate(graph, labels, bad, params, cfg)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oodhg.errors import NegativeValue, ShapeMismatch, ValidationError
-from oodhg.hetgraph import HopKernel
 from oodhg.sparse import SparseRowMatrix, pair_keys
 
 from conftest import dense_row_normalize
@@ -217,42 +216,6 @@ class TestProducts:
             x = rng.standard_normal(11)
             got = SparseRowMatrix.from_dense(a).matvec(x)
             np.testing.assert_allclose(got, a @ x, atol=1e-13)
-
-    def test_matmul_dense_matches(self):
-        # the dense product moved to the hop kernel, which applies a
-        # matrix's 0/1 pattern row-normalised
-        rng = np.random.default_rng(9)
-        a = dense_row_normalize((rng.random((10, 6)) < 0.4).astype(float))
-        x = rng.standard_normal((6, 4))
-        got = HopKernel(SparseRowMatrix.from_dense(a)).matmul_dense(x)
-        np.testing.assert_allclose(got, a @ x, atol=1e-13)
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), n_rows=st.integers(1, 6), n_cols=st.integers(1, 6),
-           d=st.integers(0, 4))
-    def test_matmul_dense_is_bitwise_the_gather_and_reduceat_form(
-            self, data, n_rows, n_cols, d):
-        finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
-        mask = np.asarray(data.draw(st.lists(
-            st.lists(st.booleans(), min_size=n_cols, max_size=n_cols),
-            min_size=n_rows, max_size=n_rows)), dtype=bool)
-        x = np.asarray(data.draw(st.lists(finite, min_size=n_cols * d,
-                                          max_size=n_cols * d)),
-                       dtype=np.float64).reshape(n_cols, d)
-        m = SparseRowMatrix.from_edge_pairs(n_rows, n_cols,
-                                            np.argwhere(mask)).row_normalize()
-        # the (nnz, d) form: gather x's rows, sum each matrix row, then scale
-        # it by 1 / its nonzero count
-        want = np.zeros((n_rows, d))
-        if m.nnz:
-            starts = m.row_offsets[:-1]
-            counts = m.row_counts()
-            nonempty = counts > 0
-            want[nonempty] = (np.add.reduceat(x[m.col_indices],
-                                              starts[nonempty], axis=0)
-                              * (1.0 / counts[nonempty])[:, None])
-        got = HopKernel(m).matmul_dense(x)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_transpose_matches_dense(self):
         rng = np.random.default_rng(10)

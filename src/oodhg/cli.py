@@ -547,6 +547,11 @@ def main(argv=None) -> int:
     except (OodhgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's message names the allocation; a bare MemoryError has none
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

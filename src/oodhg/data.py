@@ -655,7 +655,8 @@ _SCHEMA = {
 
 def _read_schema(root: Path) -> dict:
     """schema.json of the directory root, read against _SCHEMA and checked:
-    every type it names is declared, metapaths is non-empty, max_hops >= 2."""
+    every type it names is declared, metapaths is non-empty and names no
+    path twice, max_hops >= 2."""
     path = root / "schema.json"
     schema = _read_json(path, _SCHEMA)
     declared = {e["name"] for e in schema["node_types"]}
@@ -668,8 +669,13 @@ def _read_schema(root: Path) -> dict:
     if schema["target_type"] not in declared:
         raise ValidationError(
             f"{path}: target_type {schema['target_type']!r} not declared")
-    if schema.get("metapaths") == []:
+    metapaths = schema.get("metapaths")
+    if metapaths == []:
         raise ValidationError(f"{path}: 'metapaths' must be a non-empty list, got []")
+    for i, seq in enumerate(metapaths or []):
+        if seq in metapaths[:i]:
+            raise ValidationError(f"{path}: 'metapaths[{i}]' repeats the "
+                                  f"meta-path {'->'.join(seq)}")
     if schema.get("max_hops", 2) < 2:
         raise ValidationError(f"{path}: 'max_hops' must be an integer >= 2, "
                               f"got {schema['max_hops']!r}")

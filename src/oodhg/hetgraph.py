@@ -44,7 +44,15 @@ from .errors import (
     UnknownType,
     ValidationError,
 )
-from .sparse import SparseRowMatrix, ascending, pair_keys
+from .sparse import (
+    RowLayout,
+    SparseRowMatrix,
+    ascending,
+    column_major_keys,
+    pair_keys,
+    row_layout,
+    segment_sum,
+)
 
 
 @dataclass(frozen=True)
@@ -260,13 +268,15 @@ class HopKernel:
 
     The constructor reads only the pattern of the matrix it is given (its
     row offsets and column indices, never its values) and works out
-    deg[r] as the nonzero count of row r. The products are:
+    degrees[r] as the nonzero count of row r. The products are:
 
         H x   = (1/deg) * rowsum(x[cols])        (forward)
         H^T y = rowsum((y * (1/deg))[rows^T])    (adjoint)
 
-    with rowsum a segment sum over the nonempty rows. The adjoint multiplies
-    the same two factors per nonzero and sums them in the same order as
+    with rowsum sparse.segment_sum over the row layout of the pattern or of
+    its transpose, whose nonzeros sparse.column_major_keys orders as
+    SparseRowMatrix.transpose does. The adjoint multiplies the same two
+    factors per nonzero and sums them in the same order as
     H.transpose().matvec(y), so it is bitwise that product. The forward
     sums before it scales, so it rounds differently from H.matvec, within a
     few ulps. A product with a dense matrix is the forward of each column.
@@ -277,16 +287,11 @@ class HopKernel:
 
     def __init__(self, pattern: SparseRowMatrix):
         self.n_rows, self.n_cols = pattern.shape
-        self._counts = pattern.row_counts()
-        nonempty = self._counts > 0
-        self._inv_deg = np.zeros(self.n_rows)
-        self._inv_deg[nonempty] = 1.0 / self._counts[nonempty]
+        self.degrees = pattern.row_counts()
+        self._inv_deg = np.divide(1.0, self.degrees, out=np.zeros(self.n_rows),
+                                  where=self.degrees > 0)
         self._cols = pattern.col_indices
-        self._starts = pattern.row_offsets[:-1][nonempty]
-        # None when no row is empty: the products skip the zero-fill and
-        # the scatter
-        self._nonempty = None if nonempty.all() else nonempty
-        self._row_scale = self._inv_deg[nonempty]
+        self._layout = row_layout(self.degrees)
         self._adjoint = None
 
     @property
@@ -297,41 +302,24 @@ class HopKernel:
         """H @ x."""
         if x.shape != (self.n_cols,):
             raise ShapeMismatch(f"matvec expects shape ({self.n_cols},), got {x.shape}")
-        sums = np.add.reduceat(x[self._cols], self._starts)
-        sums *= self._row_scale
-        if self._nonempty is None:
-            return sums
-        out = np.zeros(self.n_rows)
-        out[self._nonempty] = sums
+        out = segment_sum(x[self._cols], self._layout)
+        out *= self._inv_deg
         return out
 
-    def _adjoint_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(row index per nonzero of H^T, starts of its nonempty rows,
-        nonempty mask or None), built once. The pair keys col * n_rows + row
-        are unique, so one sort orders the nonzeros by column and then by
-        row, as SparseRowMatrix.transpose's stable argsort does."""
+    def _adjoint_pattern(self) -> tuple[np.ndarray, RowLayout]:
+        """(row index per nonzero of H^T, row layout of H^T), built once."""
         if self._adjoint is None:
-            rows = np.repeat(np.arange(self.n_rows, dtype=np.int64),
-                             self._counts)
-            rows_t = np.sort(self._cols * self.n_rows + rows) % self.n_rows
-            counts_t = np.bincount(self._cols, minlength=self.n_cols)
-            nonempty_t = counts_t > 0
-            starts_t = (np.cumsum(counts_t) - counts_t)[nonempty_t]
-            self._adjoint = (rows_t, starts_t,
-                             None if nonempty_t.all() else nonempty_t)
+            keys, layout_t = column_major_keys(self._layout.offsets,
+                                               self._cols, self.n_cols)
+            self._adjoint = (np.sort(keys) % self.n_rows, layout_t)
         return self._adjoint
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """H.T @ y, bitwise H.transpose().matvec(y)."""
         if y.shape != (self.n_rows,):
             raise ShapeMismatch(f"rmatvec expects shape ({self.n_rows},), got {y.shape}")
-        rows_t, starts_t, nonempty_t = self._adjoint_pattern()
-        sums = np.add.reduceat((y * self._inv_deg)[rows_t], starts_t)
-        if nonempty_t is None:
-            return sums
-        out = np.zeros(self.n_cols)
-        out[nonempty_t] = sums
-        return out
+        rows_t, layout_t = self._adjoint_pattern()
+        return segment_sum((y * self._inv_deg)[rows_t], layout_t)
 
 
 def hop_kernel(graph: HeteroGraph, src: str, dst: str) -> HopKernel:
@@ -391,9 +379,9 @@ class MetaPathOperator:
         sums[self._loops] = 1.0
         nonempty = sums > 0
         dev = float(np.abs(sums[nonempty] - 1.0).max()) if nonempty.any() else 0.0
-        # the least stored value of a hop is its least 1/deg
-        low = min((float(h._row_scale.min()) for h in self.hops
-                   if h._row_scale.size), default=0.0)
+        # the least stored value of a hop is 1 / its largest degree
+        low = min((1.0 / int(h.degrees.max()) for h in self.hops
+                   if h.degrees.any()), default=0.0)
         self._stochastic_stats = (dev, low)
 
     @property
@@ -458,8 +446,7 @@ def compose_metapath(graph: HeteroGraph, path) -> SparseRowMatrix:
         nonzero = np.flatnonzero(column)
         rows.append(nonzero)
         values.append(column[nonzero])
-    offsets = np.zeros(op.n_cols + 1, np.int64)
-    np.cumsum([r.size for r in rows], out=offsets[1:])
+    offsets = row_layout([r.size for r in rows]).offsets
     return SparseRowMatrix(op.n_cols, op.n_rows, offsets, np.concatenate(rows),
                            np.concatenate(values)).transpose()
 

@@ -625,7 +625,11 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
 
     Labels are raw dataset values; head classes are label_space's, the
     sorted distinct labels seen in train plus val. A path list left None
-    comes from resolve_paths(graph). Model selection keeps the parameters
+    comes from resolve_paths(graph), which enumerates the paths from the
+    graph alone: train never reads a dataset's schema.json, whose metapaths
+    and max_hops every CLI command applies. Pass the lists that
+    resolve_paths(graph, *load_path_config(d)) returns to train on the CLI's
+    paths for the dataset directory d. Model selection keeps the parameters
     with the highest validation micro-F1 (earliest epoch wins ties); with an
     empty validation split the final parameters are returned.
     The encoder runs once per epoch, plus once after the last epoch when the

@@ -10,11 +10,17 @@ All values are 64-bit floats. Products are accumulated row by row with a
 sparse (concatenate, sort, segment-reduce) accumulator, never through a dense
 intermediate, and the summation order inside every output row is fixed, so
 results are bitwise reproducible for a given input.
+
+This module alone does CSR index arithmetic, for SparseRowMatrix and
+HopKernel both: row_layout turns row counts into offsets and the starts of
+the nonempty rows, segment_sum sums values over each row of a layout, and
+column_major_keys gives the nonzero order and row layout of a transpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,9 +95,6 @@ class SparseRowMatrix:
         which are split back into rows and columns.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if pairs.size == 0:
-            return cls(n_rows, n_cols, np.zeros(n_rows + 1, np.int64),
-                       np.zeros(0, np.int64), np.zeros(0, np.float64))
         keys = ascending(pair_keys(n_rows, n_cols, pairs[:, 0], pairs[:, 1]))
         dup = keys[1:] == keys[:-1]
         if dup.any():
@@ -102,8 +105,7 @@ class SparseRowMatrix:
         # floor division by a scalar is several times faster than divmod
         rows = keys // n_cols
         cols = keys - rows * n_cols
-        offsets = np.zeros(n_rows + 1, np.int64)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=offsets[1:])
+        offsets = row_layout(np.bincount(rows, minlength=n_rows)).offsets
         return cls(n_rows, n_cols, offsets, cols, np.ones(cols.size, np.float64))
 
     @classmethod
@@ -113,8 +115,7 @@ class SparseRowMatrix:
         if arr.ndim != 2:
             raise ShapeMismatch("from_dense expects a 2-D array")
         rows, cols = np.nonzero(arr)
-        offsets = np.zeros(arr.shape[0] + 1, np.int64)
-        np.cumsum(np.bincount(rows, minlength=arr.shape[0]), out=offsets[1:])
+        offsets = row_layout(np.bincount(rows, minlength=arr.shape[0])).offsets
         return cls(arr.shape[0], arr.shape[1], offsets,
                    cols.astype(np.int64), arr[rows, cols])
 
@@ -133,11 +134,7 @@ class SparseRowMatrix:
         return np.diff(self.row_offsets)
 
     def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.n_rows, np.float64)
-        if self.nnz:
-            nonempty, starts = self._nonempty_starts()
-            out[nonempty] = np.add.reduceat(self.values, starts)
-        return out
+        return segment_sum(self.values, row_layout(self.row_counts()))
 
     def stochastic_stats(self) -> tuple[float, float]:
         """(max |row sum - 1| over nonempty rows, min value)."""
@@ -171,12 +168,11 @@ class SparseRowMatrix:
                                self.col_indices, scaled)
 
     def transpose(self) -> "SparseRowMatrix":
-        order = np.argsort(self.col_indices, kind="stable")
-        rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), self.row_counts())
-        offsets = np.zeros(self.n_cols + 1, np.int64)
-        np.cumsum(np.bincount(self.col_indices, minlength=self.n_cols), out=offsets[1:])
-        return SparseRowMatrix(self.n_cols, self.n_rows, offsets,
-                               rows[order], self.values[order])
+        keys, layout = column_major_keys(self.row_offsets, self.col_indices,
+                                         self.n_cols)
+        order = np.argsort(keys)
+        return SparseRowMatrix(self.n_cols, self.n_rows, layout.offsets,
+                               keys[order] % self.n_rows, self.values[order])
 
     # called by no command; kept because perfbench/tracer.py patches it by name
     def matmul(self, other: "SparseRowMatrix") -> "SparseRowMatrix":
@@ -226,25 +222,64 @@ class SparseRowMatrix:
                 else np.zeros(0, np.float64))
         return SparseRowMatrix(self.n_rows, other.n_cols, out_offsets, cols, vals)
 
-    def _nonempty_starts(self) -> tuple[np.ndarray, np.ndarray]:
-        starts = self.row_offsets[:-1]
-        nonempty = starts < self.row_offsets[1:]
-        return nonempty, starts[nonempty]
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_cols,):
             raise ShapeMismatch(f"matvec expects shape ({self.n_cols},), got {x.shape}")
-        out = np.zeros(self.n_rows, np.float64)
-        if self.nnz:
-            nonempty, starts = self._nonempty_starts()
-            out[nonempty] = np.add.reduceat(self.values * x[self.col_indices],
-                                            starts)
-        return out
+        return segment_sum(self.values * x[self.col_indices],
+                           row_layout(self.row_counts()))
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """Product self.T @ y."""
         return self.transpose().matvec(y)
+
+
+class RowLayout(NamedTuple):
+    """Where the rows of a CSR array lie: offsets (n_rows + 1 of them), the
+    offsets at which the nonempty rows start, and the mask of the nonempty
+    rows, None when no row is empty."""
+
+    offsets: np.ndarray
+    starts: np.ndarray
+    nonempty: np.ndarray | None
+
+
+def row_layout(counts) -> RowLayout:
+    """The RowLayout of rows that hold counts[r] nonzeros each."""
+    counts = np.asarray(counts, dtype=np.int64)
+    offsets = np.zeros(counts.size + 1, np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    nonempty = counts > 0
+    return RowLayout(offsets, offsets[:-1][nonempty],
+                     None if nonempty.all() else nonempty)
+
+
+def segment_sum(values: np.ndarray, layout: RowLayout) -> np.ndarray:
+    """Sum of values over each row of layout, in a fixed order per row; an
+    empty row sums to 0. With no empty row the sums are returned as
+    np.add.reduceat makes them, with no zero-fill or scatter."""
+    sums = np.add.reduceat(values, layout.starts)
+    if layout.nonempty is None:
+        return sums
+    out = np.zeros(layout.nonempty.size)
+    out[layout.nonempty] = sums
+    return out
+
+
+def column_major_keys(row_offsets: np.ndarray, col_indices: np.ndarray,
+                      n_cols: int) -> tuple[np.ndarray, RowLayout]:
+    """(keys, layout) of the transpose of a CSR pattern: the key
+    col * n_rows + row of each nonzero, which is pair_keys of the
+    transpose, and the RowLayout of the transpose's n_cols rows.
+
+    The keys are unique, so any sort of them orders the nonzeros by column
+    and then by row, which is the transpose's order and the permutation a
+    stable argsort of col_indices gives; key % n_rows is the row.
+    """
+    n_rows = row_offsets.size - 1
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(row_offsets))
+    return (pair_keys(n_cols, n_rows, col_indices, rows),
+            row_layout(np.bincount(col_indices, minlength=n_cols)))
 
 
 def pair_keys(n_rows: int, n_cols: int, rows: np.ndarray,

@@ -81,6 +81,26 @@ class TestTrain:
         assert code == 2
         assert "--ood-class" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 745. GiB for an array with shape "
+                     "(1000, 100000000000) and data type float64"),
+         "error: out of memory: Unable to allocate 745. GiB for an array "
+         "with shape (1000, 100000000000) and data type float64"),
+        (MemoryError(), "error: out of memory")], ids=["numpy", "bare"])
+    def test_out_of_memory_is_one_line_error(self, dataset, tmp_path, capsys,
+                                              monkeypatch, exc, line):
+        # the command's training call raises; nothing is allocated for real
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "train", fail)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(dataset), "--ood-class", "3",
+                     "--hidden", "100000000000", "--epochs", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+
     def test_defaults_mirror_protocol(self, dataset, tmp_path):
         out = tmp_path / "run"
         assert main(["train", "--data", str(dataset), "--ood-class", "3",

@@ -390,8 +390,11 @@ class TestDatasetIO:
         ([], "'metapaths' must be a non-empty list, got []"),
         ([["target", 3]], "'metapaths[0][1]' must be a string, got 3"),
         ([("target", "aux0", "target"), 7],
-         "'metapaths[1]' must be a list, got 7")],
-        ids=["number", "string", "empty", "non-string-type", "non-list-path"])
+         "'metapaths[1]' must be a list, got 7"),
+        ([("target", "aux0", "target"), ("target", "aux0", "target")],
+         "'metapaths[1]' repeats the meta-path target->aux0->target")],
+        ids=["number", "string", "empty", "non-string-type", "non-list-path",
+             "repeated-path"])
     def test_schema_metapaths_must_be_lists_of_type_names(self, tmp_path,
                                                           metapaths, message):
         graph, labels = generate_synthetic(SynthConfig(nodes_per_class=10, seed=1))

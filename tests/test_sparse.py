@@ -223,6 +223,26 @@ class TestProducts:
         got = SparseRowMatrix.from_dense(a).transpose().to_dense()
         np.testing.assert_array_equal(got, a.T)
 
+    def test_transpose_is_the_stable_argsort_construction(self):
+        # transpose sorts the unique column-major keys; the order must be
+        # the one a stable argsort of the column indices gives
+        rng = np.random.default_rng(13)
+        shapes = [(0, 0), (3, 0), (0, 4), (1, 1)] + [
+            tuple(int(v) for v in rng.integers(1, 40, 2)) for _ in range(60)]
+        for n_rows, n_cols in shapes:
+            density = rng.choice([0.0, 0.05, 0.3, 1.0])
+            m = SparseRowMatrix.from_dense(
+                _random_sparse(rng, n_rows, n_cols, density))
+            order = np.argsort(m.col_indices, kind="stable")
+            rows = np.repeat(np.arange(m.n_rows), m.row_counts())
+            got = m.transpose()
+            assert got.shape == (n_cols, n_rows)
+            assert got.row_offsets.tobytes() == np.concatenate(
+                [[0], np.cumsum(np.bincount(m.col_indices,
+                                            minlength=n_cols))]).tobytes()
+            assert got.col_indices.tobytes() == rows[order].tobytes()
+            assert got.values.tobytes() == m.values[order].tobytes()
+
     def test_matmul_deterministic(self):
         rng = np.random.default_rng(11)
         a = SparseRowMatrix.from_dense(_random_sparse(rng, 12, 12, density=0.5))

@@ -222,12 +222,16 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
-    graph, labels, file_splits, _, _ = _load_graph(args)
-    ood_class = args.ood_class
-    if ood_class is None and file_splits is None:
-        ood_class = ckpt.ood_class
-    splits = _splits_for_seed(ood_class, labels, file_splits, ckpt.config.seed)
-    if splits.ood_class != ckpt.ood_class:
+    if args.ood_class not in (None, ckpt.ood_class):
+        raise ValueError(
+            f"--ood-class {args.ood_class} differs from held-out class "
+            f"{ckpt.ood_class} of the checkpoint {args.ckpt}")
+    # scored along the checkpoint's own paths, so schema.json's path
+    # settings are not read
+    graph, labels, splits = load_dataset(args.data)
+    if splits is None:
+        splits = make_splits(labels, ckpt.ood_class, seed=ckpt.config.seed)
+    elif splits.ood_class != ckpt.ood_class:
         raise ValueError(
             f"checkpoint was trained with held-out class {ckpt.ood_class} "
             f"but the dataset splits designate {splits.ood_class}")
@@ -463,7 +467,8 @@ def _add_data_flags(p: argparse.ArgumentParser, splits: bool = True) -> None:
     if splits:
         p.add_argument("--ood-class", dest="ood_class", type=int,
                        help="label value of the held-out class (required without "
-                       "splits.json; eval defaults to the checkpoint's)")
+                       "splits.json; eval takes the checkpoint's and rejects "
+                       "any other)")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:

@@ -62,6 +62,7 @@ from .errors import (
     FractionOverflow,
     MissingFile,
     OodClassMissing,
+    OodhgError,
     ParseError,
     ValidationError,
 )
@@ -686,8 +687,12 @@ def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
     """Load and validate a dataset directory.
 
     Returns (graph, labels, splits) with splits None when splits.json is
-    absent. Every structural problem is reported with the offending file
-    (and line or key where applicable).
+    absent. Every error names the dataset. An error found in reading one
+    file starts with that file's path, and with its line or key where one
+    applies. An error build_graph raises over the tables read (a repeated
+    (src, dst) pair in an edge type, a node type count < 1, a repeated
+    type name, a non-finite feature value) keeps its class and starts with
+    the dataset directory.
     """
     root = Path(dir_path)
     schema = _read_schema(root)
@@ -719,8 +724,11 @@ def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
             features[s.name] = _load_features(root / "features", s.name,
                                               s.count, s.feature_dim)
 
-    graph = build_graph(node_types, edge_types, edges, features,
-                        schema["target_type"])
+    try:
+        graph = build_graph(node_types, edge_types, edges, features,
+                            schema["target_type"])
+    except OodhgError as exc:
+        raise type(exc)(f"{root}: {exc}") from None
 
     labels_path = root / "labels.tsv"
     pairs = _parse_int_pair_file(labels_path)

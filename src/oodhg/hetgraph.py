@@ -148,15 +148,16 @@ class HeteroGraph:
         self._feature_cache.clear()
 
 
-def build_graph(node_types, edge_types, edges, features=None,
-                target_type=None) -> HeteroGraph:
+def build_graph(node_types, edge_types, edges, features,
+                target_type) -> HeteroGraph:
     """Validate schemas, edges, and features, and assemble a HeteroGraph.
 
     Args:
         node_types: iterable of NodeTypeSchema.
         edge_types: iterable of EdgeTypeSchema.
         edges: mapping edge-type name -> iterable of (src, dst) index pairs.
-        features: mapping node-type name -> (count, feature_dim) matrix.
+        features: mapping node-type name -> (count, feature_dim) matrix;
+            None when no type has features.
         target_type: name of the node type under classification.
 
     Raises:
@@ -192,7 +193,7 @@ def build_graph(node_types, edge_types, edges, features=None,
                 raise UnknownType(
                     f"edge type {s.name!r} references unknown node type {end!r}")
 
-    if target_type is None or target_type not in by_name:
+    if target_type not in by_name:
         raise UnknownType(f"target_type {target_type!r} is not a declared node type")
 
     declared = set(edge_names)
@@ -258,8 +259,7 @@ def hop_matrix(graph: HeteroGraph, src: str, dst: str) -> SparseRowMatrix:
         raise InvalidPath(f"no declared edge type from {src!r} to {dst!r}")
     pairs = np.concatenate([graph.edges[n].reshape(-1, 2) for n in names])
     return SparseRowMatrix.from_edge_pairs(
-        graph.node_count(src), graph.node_count(dst), pairs,
-        duplicates="union")
+        graph.node_count(src), graph.node_count(dst), pairs)
 
 
 class HopKernel:

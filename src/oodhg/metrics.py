@@ -15,7 +15,7 @@ absent from both gold and prediction contributing zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,22 +60,20 @@ class BinaryScoredSet:
 
 @dataclass(frozen=True)
 class KPlusOnePrediction:
-    """Predicted and gold class ids in [0, n_classes); n_classes - 1 is OOD."""
+    """Predicted and gold class ids in [0, n_classes); n_classes - 1 is OOD.
+
+    n_classes is K + 1 and is never read off the ids: a class absent from
+    both still counts in macro-F1's mean."""
 
     predicted: np.ndarray
     gold: np.ndarray
-    n_classes: int = field(default=0)
+    n_classes: int
 
     def __post_init__(self):
         object.__setattr__(self, "predicted", np.asarray(self.predicted, dtype=np.int64))
         object.__setattr__(self, "gold", np.asarray(self.gold, dtype=np.int64))
         if self.predicted.shape != self.gold.shape or self.predicted.ndim != 1:
             raise LengthMismatch("predicted and gold must be equal-length 1-D arrays")
-        if self.n_classes == 0:
-            inferred = 0
-            if self.predicted.size:
-                inferred = int(max(self.predicted.max(), self.gold.max())) + 1
-            object.__setattr__(self, "n_classes", inferred)
 
 
 def _require_both_classes(s: BinaryScoredSet) -> None:
@@ -173,16 +171,17 @@ def macro_f1(p: KPlusOnePrediction) -> float:
     return total / p.n_classes
 
 
-def assemble_kplus1(probs: np.ndarray, energies: np.ndarray, tau: float,
-                    n_classes: int) -> np.ndarray:
-    """Predictions in [0, n_classes): argmax class, or the OOD bucket
-    (n_classes - 1) where energy.detect flags the node (-E_i <= tau).
+def assemble_kplus1(probs: np.ndarray, energies: np.ndarray,
+                    tau: float) -> np.ndarray:
+    """K+1 predictions from K-column probs: each node's argmax class, or
+    the OOD bucket K = probs.shape[1] where energy.detect flags the node
+    (-E_i <= tau).
 
     Raises ValueError when tau is not finite.
     """
     probs = np.asarray(probs, dtype=np.float64)
     pred = probs.argmax(axis=1).astype(np.int64)
-    pred[detect(energies, DetectorConfig(tau))] = n_classes - 1
+    pred[detect(energies, DetectorConfig(tau))] = probs.shape[1]
     return pred
 
 
@@ -205,7 +204,7 @@ def sweep_threshold(energies: np.ndarray, probs: np.ndarray, gold: np.ndarray,
     table = []
     best_tau, best_f1 = None, -1.0
     for tau in grid:
-        pred = assemble_kplus1(probs, energies, float(tau), n_classes)
+        pred = assemble_kplus1(probs, energies, float(tau))
         f1 = micro_f1(KPlusOnePrediction(pred, gold, n_classes))
         table.append((float(tau), f1))
         if f1 > best_f1:

@@ -501,39 +501,39 @@ def _forward_backward(a_hats: list[MetaPathOperator],
     return _ForwardState(logits, lp.energy, l_c, l_e, total, grads)
 
 
-def _graph_pass(graph: HeteroGraph, feature_paths, prop_paths,
-                params: EncoderParams, labels: np.ndarray,
+def _graph_pass(graph: HeteroGraph, params: EncoderParams, labels: np.ndarray,
                 train_ids: np.ndarray, config: TrainConfig) -> _ForwardState:
-    """_forward_backward on feature tables and operators built from graph,
-    into a fresh workspace."""
+    """_forward_backward on the feature tables of params.paths and the
+    operators of params.prop_paths, built from graph, into a fresh
+    workspace."""
     labels = np.asarray(labels, dtype=np.int64)
     train_ids = np.asarray(train_ids, dtype=np.int64)
     _check_head_labels(labels, train_ids, params.n_classes)
-    xs = feature_tables(graph, feature_paths)
-    a_hats = propagation_operators(graph, prop_paths, config.steps)
+    xs = feature_tables(graph, params.paths)
+    a_hats = propagation_operators(graph, params.prop_paths, config.steps)
     return _forward_backward(a_hats, params, _TrainRows.of(labels, train_ids),
                              config, _Workspace(xs, params))
 
 
-def gradients(graph: HeteroGraph, feature_paths, prop_paths,
-              params: EncoderParams, labels: np.ndarray,
+def gradients(graph: HeteroGraph, params: EncoderParams, labels: np.ndarray,
               train_ids: np.ndarray, config: TrainConfig) -> EncoderParams:
     """Exact gradient of the joint loss for every parameter, shaped like
-    params.
+    params, with the encoder reading params.paths and the energies
+    propagating along params.prop_paths, as forward and evaluate do.
 
     labels must already be head-space class ids in [0, K); the energy term
     differentiates through the propagation chain via its transpose.
     """
-    return _graph_pass(graph, feature_paths, prop_paths, params, labels,
-                       train_ids, config).grads
+    return _graph_pass(graph, params, labels, train_ids, config).grads
 
 
-def training_loss(graph: HeteroGraph, feature_paths, prop_paths,
-                  params: EncoderParams, labels: np.ndarray,
-                  train_ids: np.ndarray, config: TrainConfig) -> tuple[float, float, float]:
-    """(total, classification, energy) loss; the finite-difference target."""
-    state = _graph_pass(graph, feature_paths, prop_paths, params, labels,
-                        train_ids, config)
+def training_loss(graph: HeteroGraph, params: EncoderParams,
+                  labels: np.ndarray, train_ids: np.ndarray,
+                  config: TrainConfig) -> tuple[float, float, float]:
+    """(total, classification, energy) loss of the model params, on its own
+    feature and propagation paths; the finite-difference target of
+    gradients."""
+    state = _graph_pass(graph, params, labels, train_ids, config)
     return state.total_loss, state.class_loss, state.energy_loss
 
 

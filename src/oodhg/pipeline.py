@@ -82,10 +82,9 @@ class EvalReport:
     def at(self, tau: float) -> EvalReport:
         """This report at threshold tau: -E <= tau is OOD. Raises ValueError
         when tau is not finite."""
-        n = self.probs.shape[1] + 1
         predicted = assemble_kplus1(self.probs[self.test_ids],
-                                    self.energy_final[self.test_ids], tau, n)
-        kp = KPlusOnePrediction(predicted, self.gold, n)
+                                    self.energy_final[self.test_ids], tau)
+        kp = KPlusOnePrediction(predicted, self.gold, self.probs.shape[1] + 1)
         return replace(self, tau=float(tau), predicted=predicted, metrics={
             **self.metrics, "micro_f1": micro_f1(kp), "macro_f1": macro_f1(kp)})
 

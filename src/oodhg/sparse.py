@@ -85,22 +85,17 @@ class SparseRowMatrix:
     # constructors
 
     @classmethod
-    def from_edge_pairs(cls, n_rows: int, n_cols: int, pairs,
-                        duplicates: str = "error") -> "SparseRowMatrix":
-        """Binary matrix with a 1.0 at every (row, col) pair.
-
-        duplicates: "error" rejects repeated pairs, naming the first in
-        row-major order; "union" collapses them. The pairs are ordered by
-        sorting their pair_keys (skipped when they are already in order),
-        which are split back into rows and columns.
+    def from_edge_pairs(cls, n_rows: int, n_cols: int,
+                        pairs) -> "SparseRowMatrix":
+        """Binary matrix with a 1.0 at every (row, col) pair; a pair given
+        more than once is stored once. The pairs are ordered by sorting
+        their pair_keys (skipped when they are already in order), which are
+        split back into rows and columns.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         keys = ascending(pair_keys(n_rows, n_cols, pairs[:, 0], pairs[:, 1]))
         dup = keys[1:] == keys[:-1]
         if dup.any():
-            if duplicates != "union":
-                row, col = divmod(int(keys[dup.argmax()]), n_cols)
-                raise ValidationError(f"duplicate edge pair ({row}, {col})")
             keys = keys[np.concatenate([[True], ~dup])]
         # floor division by a scalar is several times faster than divmod
         rows = keys // n_cols

@@ -112,13 +112,12 @@ def test_criterion_2_gradients_match_finite_differences():
         for seed in range(20):
             graph, labels = gradcheck_instance(seed, n_target=12)
             paths = [MetaPath(("target", "aux0", "target"))]
-            params = make_params(graph, paths, seed + 500, GRAD_CFG.d_hidden, 2)
+            params = make_params(graph, paths, seed + 500, GRAD_CFG.d_hidden,
+                                 2, paths)
             y_head = map_to_head(labels, np.array([0, 1]))
             train_ids = np.array([0, 1, 2, 4, 5, 6, 8, 9])
-            analytic = gradients(graph, paths, paths, params, y_head,
-                                 train_ids, GRAD_CFG)
-            fd = fd_gradients(graph, paths, paths, params, y_head,
-                              train_ids, GRAD_CFG)
+            analytic = gradients(graph, params, y_head, train_ids, GRAD_CFG)
+            fd = fd_gradients(graph, params, y_head, train_ids, GRAD_CFG)
             for a, f in zip(analytic.param_list(), fd):
                 err = np.abs(a - f)
                 tol = np.maximum(1e-7, 1e-4 * np.maximum(np.abs(a), np.abs(f)))

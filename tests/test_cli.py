@@ -662,7 +662,8 @@ class TestParallelSeeds:
 
 class TestOodClassWithSplitsFile:
     """A given --ood-class must be the held-out class of the dataset's
-    splits.json; it is never silently ignored."""
+    splits.json, and for eval that of its checkpoint; it is never silently
+    ignored."""
 
     @pytest.fixture
     def split_dataset(self, tmp_path):
@@ -698,9 +699,12 @@ class TestOodClassWithSplitsFile:
         ckpt = str(run / "checkpoint.json")
         assert load_checkpoint(ckpt).ood_class == 3
         capsys.readouterr()
+        # the flag is checked against the checkpoint, before the dataset
         assert main(["eval", "--ckpt", ckpt, "--data", str(split_dataset),
                      "--ood-class", "2", "--out", str(tmp_path / "o")]) == 2
-        self._one_line_error(capsys, 2)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --ood-class 2 differs from held-out class 3 of the "
+            f"checkpoint {ckpt}"]
         # without the flag, a checkpoint that holds out another class than
         # the splits file is reported as before
         ckpt_json = json.loads(Path(ckpt).read_text())
@@ -751,10 +755,34 @@ class TestCheckpointFormat:
         run = tmp_path / "run"
         assert main(["train", "--data", str(dataset), "--ood-class", "3",
                      "--out", str(run)] + FAST) == 0
-        assert main(["eval", "--ckpt", str(run / "checkpoint.json"),
-                     "--data", str(dataset), "--ood-class", "2",
-                     "--out", str(tmp_path / "o")]) == 2
-        assert "held-out class" in capsys.readouterr().err
+        ckpt = run / "checkpoint.json"
+        capsys.readouterr()
+        # 9 is no label at all; either is checked against the checkpoint
+        for flag in ("2", "9"):
+            assert main(["eval", "--ckpt", str(ckpt), "--data", str(dataset),
+                         "--ood-class", flag,
+                         "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: --ood-class {flag} differs from held-out class 3 "
+                f"of the checkpoint {ckpt}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_schema_metapaths_are_not_read(self, dataset, tmp_path):
+        """eval scores along the checkpoint's own paths."""
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(dataset), "--ood-class", "3",
+                     "--out", str(run)] + FAST) == 0
+        ckpt = str(run / "checkpoint.json")
+        assert main(["eval", "--ckpt", ckpt, "--data", str(dataset),
+                     "--out", str(tmp_path / "a")]) == 0
+        # a schema with no feature path, on which train exits 2
+        schema = json.loads((dataset / "schema.json").read_text())
+        schema["metapaths"] = [["target", "aux0"]]
+        (dataset / "schema.json").write_text(json.dumps(schema))
+        assert main(["eval", "--ckpt", ckpt, "--data", str(dataset),
+                     "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "scores.tsv").read_bytes()
+                == (tmp_path / "b" / "scores.tsv").read_bytes())
 
 
     @pytest.mark.parametrize("corrupt, needle", [

@@ -674,6 +674,47 @@ class TestSidecars:
         np.testing.assert_array_equal(labels, want[1])
 
 
+def _edit_schema(root: Path, edit) -> None:
+    schema = json.loads((root / "schema.json").read_text())
+    edit(schema)
+    (root / "schema.json").write_text(json.dumps(schema))
+
+
+def _repeat_first_edge(root: Path) -> None:
+    path = root / "edges" / "target_aux0.tsv"
+    text = path.read_text()
+    path.write_text(text + text.splitlines()[0] + "\n")
+
+
+def _nan_first_feature(root: Path) -> None:
+    path = root / "features" / "target.csv"
+    first, rest = path.read_text().split(",", 1)
+    path.write_text("nan," + rest)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_repeat_first_edge,
+     "duplicate (src, dst) pair in edge type 'target_aux0'"),
+    (lambda root: _edit_schema(root, lambda s: s["node_types"].append(
+        {"name": "z", "count": 0})),
+     "node type 'z' must have count >= 1"),
+    (_nan_first_feature, "non-finite feature value for node type 'target'"),
+    (lambda root: _edit_schema(root, lambda s: s["node_types"].append(
+        s["node_types"][1])),
+     "duplicate node type names"),
+], ids=["repeated-edge", "zero-count", "nan-feature", "repeated-type"])
+def test_graph_level_load_error_names_the_dataset(tmp_path, corrupt, message):
+    """An error build_graph raises reaches the caller of load_dataset with
+    the dataset directory in front and its class unchanged."""
+    root = _gen(tmp_path / "d", "--per-class", "10")
+    _drop_sidecars(root)
+    corrupt(root)
+    with pytest.raises(ValidationError) as info:
+        load_dataset(root)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"{root}: {message}"
+
+
 def _assign_labels_loop(path, pairs, n_target):
     """The row-by-row label assignment the vectorised one must reproduce."""
     labels = np.zeros(n_target, dtype=np.int64)

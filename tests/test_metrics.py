@@ -163,7 +163,7 @@ class TestFprAt95Tpr:
 
 class TestF1:
     def test_identity_prediction(self):
-        p = KPlusOnePrediction([0, 1, 2, 2], [0, 1, 2, 2])
+        p = KPlusOnePrediction([0, 1, 2, 2], [0, 1, 2, 2], 3)
         assert micro_f1(p) == 1.0
         assert macro_f1(p) == 1.0
 
@@ -245,5 +245,5 @@ class TestSweepThreshold:
 
     def test_assemble_boundary_is_ood(self):
         probs = np.array([[1.0, 0.0]])
-        pred = assemble_kplus1(probs, np.array([-1.45]), 1.45, 3)
+        pred = assemble_kplus1(probs, np.array([-1.45]), 1.45)
         assert pred[0] == 2

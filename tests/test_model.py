@@ -78,17 +78,18 @@ def gradcheck_instance(seed, n_target=12, n_aux=5, feature_dim=3, aux_dim=0):
     return graph, labels
 
 
-def make_params(graph, feature_paths, seed, d_hidden, n_classes):
+def make_params(graph, feature_paths, seed, d_hidden, n_classes,
+                prop_paths=()):
     rng = np.random.Generator(np.random.Philox(seed))
     dims = [x.shape[1] for x in feature_tables(graph, feature_paths)]
     return init_params(rng, feature_paths, dims, d_hidden,
-                       np.arange(n_classes), ())
+                       np.arange(n_classes), prop_paths)
 
 
 GRAD_CFG = TrainConfig(alpha=0.5, m_in=-2.0, gamma=0.6, steps=2, d_hidden=3)
 
 
-def fd_gradients(graph, feat, prop, params, labels, train_ids, cfg, step=1e-5):
+def fd_gradients(graph, params, labels, train_ids, cfg, step=1e-5):
     """Central finite differences over every scalar parameter."""
     out = []
     for arr in params.param_list():
@@ -97,9 +98,9 @@ def fd_gradients(graph, feat, prop, params, labels, train_ids, cfg, step=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            lp = training_loss(graph, feat, prop, params, labels, train_ids, cfg)[0]
+            lp = training_loss(graph, params, labels, train_ids, cfg)[0]
             flat[i] = orig - step
-            lm = training_loss(graph, feat, prop, params, labels, train_ids, cfg)[0]
+            lm = training_loss(graph, params, labels, train_ids, cfg)[0]
             flat[i] = orig
             gflat[i] = (lp - lm) / (2.0 * step)
         out.append(g)
@@ -197,13 +198,12 @@ class TestLosses:
         whose twelve target nodes all have a PROP_PATH neighbour."""
         graph, labels = gradcheck_instance(seed)
         params = make_params(graph, [PROP_PATH], seed, GRAD_CFG.d_hidden,
-                             n_classes)
+                             n_classes, [PROP_PATH])
         return graph, labels, params
 
     def _losses(self, graph, params, labels, train_ids, **changes):
         """(total, classification, energy) at GRAD_CFG with changes."""
-        return training_loss(graph, [PROP_PATH], [PROP_PATH], params, labels,
-                             np.asarray(train_ids),
+        return training_loss(graph, params, labels, np.asarray(train_ids),
                              dataclasses.replace(GRAD_CFG, **changes))
 
     def test_confident_correct_logits_vanish(self):
@@ -240,8 +240,7 @@ class TestLosses:
         with pytest.raises(LabelOutOfRange, match=r"label 5 outside \[0, 2\)"):
             self._losses(graph, params, labels, [0, 1])
         with pytest.raises(LabelOutOfRange):
-            gradients(graph, [PROP_PATH], [PROP_PATH], params, labels,
-                      np.array([0, 1]), GRAD_CFG)
+            gradients(graph, params, labels, np.array([0, 1]), GRAD_CFG)
 
     def test_energy_hinge_inactive(self):
         graph, labels, params = self._instance(2)
@@ -295,7 +294,8 @@ class TestGradients:
     def _setup(self, seed):
         graph, labels = gradcheck_instance(seed)
         paths = [PROP_PATH]
-        params = make_params(graph, paths, seed + 100, GRAD_CFG.d_hidden, 2)
+        params = make_params(graph, paths, seed + 100, GRAD_CFG.d_hidden, 2,
+                             [PROP_PATH])
         y_head = map_to_head(labels, np.array([0, 1]))
         train_ids = np.array([0, 1, 2, 4, 5, 6])
         return graph, paths, params, y_head, train_ids
@@ -305,7 +305,8 @@ class TestGradients:
         the bias terms of the folded hidden layer carry weight."""
         graph, labels = gradcheck_instance(seed, aux_dim=2)
         paths = [MetaPath(("target", "aux0")), PROP_PATH]
-        params = make_params(graph, paths, seed + 100, GRAD_CFG.d_hidden, 2)
+        params = make_params(graph, paths, seed + 100, GRAD_CFG.d_hidden, 2,
+                             [PROP_PATH])
         rng = np.random.default_rng(seed)
         for b in params.proj_biases + [params.hidden_bias, params.out_bias]:
             b[...] = rng.uniform(-0.5, 0.5, b.shape)
@@ -320,18 +321,15 @@ class TestGradients:
 
     def test_matches_finite_differences(self):
         for graph, paths, params, y_head, train_ids in self._inputs():
-            got = gradients(graph, paths, [PROP_PATH], params, y_head,
-                            train_ids, GRAD_CFG)
-            fd = fd_gradients(graph, paths, [PROP_PATH], params, y_head,
-                              train_ids, GRAD_CFG)
+            got = gradients(graph, params, y_head, train_ids, GRAD_CFG)
+            fd = fd_gradients(graph, params, y_head, train_ids, GRAD_CFG)
             for a, f in zip(got.param_list(), fd, strict=True):
                 denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-3)
                 assert np.all(np.abs(a - f) <= np.maximum(1e-7, 1e-4 * denom))
 
     def test_matches_the_textbook_encoder(self):
         for graph, paths, params, y_head, train_ids in self._inputs():
-            got = gradients(graph, paths, [PROP_PATH], params, y_head,
-                            train_ids, GRAD_CFG)
+            got = gradients(graph, params, y_head, train_ids, GRAD_CFG)
             xs = feature_tables(graph, paths)
             a_hats = propagation_operators(graph, [PROP_PATH], GRAD_CFG.steps)
             _, want = _ref_forward_backward(xs, a_hats, params, y_head,
@@ -342,15 +340,15 @@ class TestGradients:
     def test_inactive_hinge_pure_energy_gradient_is_zero(self):
         graph, paths, params, y_head, train_ids = self._setup(0)
         cfg = dataclasses.replace(GRAD_CFG, alpha=0.0, m_in=100.0)
-        got = gradients(graph, paths, paths, params, y_head, train_ids, cfg)
+        got = gradients(graph, params, y_head, train_ids, cfg)
         for g in got.param_list():
             assert np.all(g == 0.0)
 
     def test_gamma_one_equals_no_propagation(self):
         graph, paths, params, y_head, train_ids = self._setup(1)
-        g_ident = gradients(graph, paths, paths, params, y_head, train_ids,
+        g_ident = gradients(graph, params, y_head, train_ids,
                             dataclasses.replace(GRAD_CFG, gamma=1.0))
-        g_off = gradients(graph, paths, paths, params, y_head, train_ids,
+        g_off = gradients(graph, params, y_head, train_ids,
                           dataclasses.replace(GRAD_CFG, steps=0))
         for a, b in zip(g_ident.param_list(), g_off.param_list()):
             np.testing.assert_array_equal(a, b)

@@ -17,7 +17,7 @@ def _random_sparse(rng, n_rows, n_cols, density=0.3, negative=False):
     return arr
 
 
-def _argsort_from_edge_pairs(n_rows, n_cols, pairs, duplicates):
+def _argsort_from_edge_pairs(n_rows, n_cols, pairs):
     """The construction from_edge_pairs used before it sorted the keys
     themselves: a stable argsort of the keys, then three gathers."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -28,30 +28,20 @@ def _argsort_from_edge_pairs(n_rows, n_cols, pairs, duplicates):
     keys = pair_keys(n_rows, n_cols, rows, cols)
     order = np.argsort(keys, kind="stable")
     rows, cols, keys = rows[order], cols[order], keys[order]
-    dup = keys[1:] == keys[:-1]
-    if np.any(dup):
-        if duplicates == "union":
-            keep = np.concatenate([[True], ~dup])
-            rows, cols = rows[keep], cols[keep]
-        else:
-            i = int(np.flatnonzero(dup)[0])
-            raise ValidationError(f"duplicate edge pair ({rows[i]}, {cols[i]})")
+    keep = np.concatenate([[True], keys[1:] != keys[:-1]])
+    rows, cols = rows[keep], cols[keep]
     offsets = np.zeros(n_rows + 1, np.int64)
     np.cumsum(np.bincount(rows, minlength=n_rows), out=offsets[1:])
     return SparseRowMatrix(n_rows, n_cols, offsets, cols,
                            np.ones(cols.size, np.float64))
 
 
-def _built_or_error(build, *args):
-    try:
-        m = build(*args)
-    except ValidationError as exc:
-        return str(exc)
+def _built(build, *args):
+    m = build(*args)
     return m.row_offsets.tobytes(), m.col_indices.tobytes(), m.values.tobytes()
 
 
-@pytest.mark.parametrize("duplicates", ["union", "error"])
-def test_from_edge_pairs_matches_the_argsort_construction(duplicates):
+def test_from_edge_pairs_matches_the_argsort_construction():
     rng = np.random.default_rng(11)
     for trial in range(60):
         n_rows, n_cols = (int(v) for v in rng.integers(1, 40, 2))
@@ -70,13 +60,13 @@ def test_from_edge_pairs_matches_the_argsort_construction(duplicates):
             # already in key order, every pair twice
             pairs = np.repeat(pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))], 2,
                               axis=0)
-        args = (n_rows, n_cols, pairs, duplicates)
-        assert (_built_or_error(SparseRowMatrix.from_edge_pairs, *args)
-                == _built_or_error(_argsort_from_edge_pairs, *args))
+        args = (n_rows, n_cols, pairs)
+        assert (_built(SparseRowMatrix.from_edge_pairs, *args)
+                == _built(_argsort_from_edge_pairs, *args))
     for n_rows, n_cols in [(0, 0), (3, 0), (0, 4), (5, 5)]:
-        args = (n_rows, n_cols, np.zeros((0, 2), np.int64), duplicates)
-        assert (_built_or_error(SparseRowMatrix.from_edge_pairs, *args)
-                == _built_or_error(_argsort_from_edge_pairs, *args))
+        args = (n_rows, n_cols, np.zeros((0, 2), np.int64))
+        assert (_built(SparseRowMatrix.from_edge_pairs, *args)
+                == _built(_argsort_from_edge_pairs, *args))
 
 
 class TestConstruction:
@@ -86,13 +76,8 @@ class TestConstruction:
         assert m.nnz == 3
         assert m.to_dense().sum() == 3
 
-    def test_duplicate_pairs_rejected(self):
-        with pytest.raises(ValidationError, match="duplicate"):
-            SparseRowMatrix.from_edge_pairs(2, 2, [(0, 1), (0, 1)])
-
     def test_duplicate_pairs_union(self):
-        m = SparseRowMatrix.from_edge_pairs(2, 2, [(0, 1), (0, 1), (1, 0)],
-                                            duplicates="union")
+        m = SparseRowMatrix.from_edge_pairs(2, 2, [(0, 1), (0, 1), (1, 0)])
         assert m.nnz == 2
         assert m.to_dense()[0, 1] == 1.0
 
@@ -105,12 +90,8 @@ class TestConstruction:
         counts = np.zeros((n_rows, n_cols))
         for r, c in pairs:
             counts[r, c] += 1
-        m = SparseRowMatrix.from_edge_pairs(n_rows, n_cols, pairs,
-                                            duplicates="union")
+        m = SparseRowMatrix.from_edge_pairs(n_rows, n_cols, pairs)
         np.testing.assert_array_equal(m.to_dense(), (counts > 0).astype(float))
-        if counts.max(initial=0) > 1:
-            with pytest.raises(ValidationError, match="duplicate"):
-                SparseRowMatrix.from_edge_pairs(n_rows, n_cols, pairs)
 
     @pytest.mark.parametrize("pairs, needle", [
         ([(2, 0)], "row index"), ([(-1, 0)], "row index"),

@@ -75,9 +75,9 @@ def _train_config(args, config_file: dict) -> TrainConfig:
     file."""
     flags = {key: getattr(args, key) for key in TRAIN_CONFIG_KINDS
              if getattr(args, key, None) is not None}
-    TrainConfig.from_dict(flags)
+    TrainConfig(**flags)
     try:
-        return TrainConfig.from_dict({
+        return TrainConfig(**{
             k: v for k, v in config_file.items() if k in TRAIN_CONFIG_KINDS}
             | flags)
     except ValueError as exc:

@@ -26,11 +26,13 @@ the file and key path, never truncated or coerced.
 
 Text files are read as Python's int() and float() read each field, and
 blank lines are skipped; ids and labels must fit int64. numpy's C reader
-parses them, and a line-by-line reference parser takes over for any file
-that reader refuses or could read differently, so a bad field is reported
-as a ParseError naming its file and line. An out-of-range edge endpoint
-and an out-of-range or repeated label name their file line too. Text and
-JSON files are UTF-8; any other bytes are a ParseError naming the file.
+parses them, and one line-by-line reference parser (_parse_lines), for
+edge, label and feature tables alike, takes over for any file that reader
+refuses or could read differently and for any blank file, so a bad field
+is reported as a ParseError naming its file and line. An out-of-range
+edge endpoint and an out-of-range or repeated label name their file line
+too. Text and JSON files are UTF-8; any other bytes are a ParseError
+naming the file.
 
 Splits follow the transductive protocol: every node of the held-out class
 goes to the test set; the remaining nodes are shuffled by a seeded Philox
@@ -490,17 +492,17 @@ def _cached_table(path: Path, raw: bytes, dtype, width: int):
     return table.astype(dtype, copy=False).reshape(rows, cols)
 
 
-def _read_table(path: Path, dtype, delimiter: str, width: int,
-                parse_lines) -> np.ndarray:
+def _read_table(path: Path, dtype, delimiter: str, width: int) -> np.ndarray:
     """(rows, width) table of a delimited text file, read by np.loadtxt
     unless its sidecar holds the table for exactly these bytes.
 
-    parse_lines(path), the line-by-line reference parser, decides every file
-    the C reader refuses, reads at another width, or might read differently.
-    The reference accepts more (Python int/float syntax such as "1_0",
-    whitespace-only lines) and names the file line of a bad field, which
-    loadtxt's row numbers cannot give. Where loadtxt returns the table, the
-    reference returns the same values.
+    _parse_lines, the line-by-line reference parser, decides every file the
+    C reader refuses, reads at another width, or might read differently,
+    and every blank file, on which loadtxt would warn. The reference
+    accepts more (Python int/float syntax such as "1_0", whitespace-only
+    lines) and names the file line of a bad field, which loadtxt's row
+    numbers cannot give. Where loadtxt returns the table, the reference
+    returns the same values.
     """
     _require_file(path)
     raw = path.read_bytes()
@@ -511,18 +513,17 @@ def _read_table(path: Path, dtype, delimiter: str, width: int,
     # leading zeros included; one that still fits int64 has at most 19
     # digits after its zeros, so it holds a run of limit - 18 zeros
     limit = sys.get_int_max_str_digits()
-    if raw.translate(None, _PLAIN_TEXT) or (limit and b"0" * (limit - 18) in raw):
-        return parse_lines(path)
-    if not raw.strip():
-        # loadtxt would warn about a file without data
-        return np.zeros((0, width), dtype=dtype)
+    if (not raw.strip() or raw.translate(None, _PLAIN_TEXT)
+            or (limit and b"0" * (limit - 18) in raw)):
+        return _parse_lines(path, dtype, delimiter, width)
     try:
         table = np.loadtxt(path, dtype=dtype, delimiter=delimiter, ndmin=2,
                            comments=None)
     except ValueError:
-        return parse_lines(path)
-    return table if table.shape[1] == width else parse_lines(path)
-
+        return _parse_lines(path, dtype, delimiter, width)
+    if table.shape[1] == width:
+        return table
+    return _parse_lines(path, dtype, delimiter, width)
 
 
 def _text_lines(path: Path):
@@ -537,50 +538,38 @@ def _text_lines(path: Path):
             if line.strip()]
 
 
-def _parse_int_pair_lines(path: Path) -> np.ndarray:
-    """Reference parser of an int pair file: one "a<TAB>b" per line, blank
-    lines skipped, each field a Python int literal that fits int64."""
+def _parse_lines(path: Path, dtype, delimiter: str, width: int) -> np.ndarray:
+    """Reference parser of a delimited table: width fields on each line,
+    blank lines skipped. A field of an int64 table is read by int() and
+    must fit int64; any other field is read by float()."""
+    integer = np.dtype(dtype).kind == "i"
+    read = int if integer else float
     rows = []
     for lineno, line in _text_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 2 tab-separated "
-                             f"fields, got {len(parts)}")
+        parts = line.split(delimiter)
+        if len(parts) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} fields, "
+                             f"got {len(parts)}")
         try:
-            pair = (int(parts[0]), int(parts[1]))
+            row = [read(v) for v in parts]
         except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-integer field") from None
-        if not all(_INT64_MIN <= v <= _INT64_MAX for v in pair):
+            noun = "non-integer" if integer else "non-numeric"
+            raise ParseError(f"{path}:{lineno}: {noun} field") from None
+        if integer and not all(_INT64_MIN <= v <= _INT64_MAX for v in row):
             raise ParseError(f"{path}:{lineno}: integer field outside "
                              "the int64 range")
-        rows.append(pair)
-    return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+        rows.append(row)
+    return np.asarray(rows, dtype=dtype).reshape(-1, width)
 
 
 def _parse_int_pair_file(path: Path) -> np.ndarray:
-    return _read_table(path, np.int64, "\t", 2, _parse_int_pair_lines)
+    return _read_table(path, np.int64, "\t", 2)
 
 
 def _data_line(path: Path, row: int) -> int:
     """1-based line of path holding its row-th (0-based) data row; blank
     lines hold no row."""
     return _text_lines(path)[row][0]
-
-
-def _parse_feature_lines(path: Path, dim: int) -> np.ndarray:
-    """Reference parser of a feature csv: dim Python float literals per
-    line, blank lines skipped."""
-    rows = []
-    for lineno, line in _text_lines(path):
-        parts = line.split(",")
-        if len(parts) != dim:
-            raise ParseError(f"{path}:{lineno}: expected {dim} "
-                             f"columns, got {len(parts)}")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric field") from None
-    return np.asarray(rows, dtype=np.float64).reshape(-1, dim)
 
 
 def _load_features(feat_dir: Path, name: str, count: int, dim: int) -> np.ndarray:
@@ -591,8 +580,7 @@ def _load_features(feat_dir: Path, name: str, count: int, dim: int) -> np.ndarra
         raise ValidationError(f"{csv_path} and {f32_path} both hold the "
                               f"features of type {name!r}; keep one")
     if has_csv:
-        mat = _read_table(csv_path, np.float64, ",", dim,
-                          lambda path: _parse_feature_lines(path, dim))
+        mat = _read_table(csv_path, np.float64, ",", dim)
         if mat.shape[0] != count:
             raise ValidationError(f"{csv_path}: {mat.shape[0]} rows for "
                                   f"{count} nodes of type {name!r}")

@@ -294,10 +294,6 @@ class HopKernel:
         self._layout = row_layout(self.degrees)
         self._adjoint = None
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_cols)
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """H @ x."""
         if x.shape != (self.n_cols,):

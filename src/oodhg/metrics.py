@@ -126,8 +126,10 @@ def aupr(s: BinaryScoredSet) -> float:
 def fpr_at_95tpr(s: BinaryScoredSet) -> float:
     """Minimum FPR over all thresholds reaching TPR >= 0.95.
 
-    A node is predicted positive iff score >= t; candidate thresholds are
-    the distinct scores plus +infinity (predict nothing).
+    A node is predicted positive iff score >= t, for t each distinct score.
+    The lowest one predicts every node positive, so TPR 1.0 is always
+    reached; the +infinity threshold (predict nothing) reaches TPR 0 and
+    never enters the minimum.
     """
     _require_both_classes(s)
     order = np.argsort(-s.scores, kind="stable")
@@ -139,11 +141,7 @@ def fpr_at_95tpr(s: BinaryScoredSet) -> float:
     last = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))
     tpr = tp[last] / s.n_pos
     fpr = fp[last] / s.n_neg
-    feasible = tpr >= 0.95
-    if not np.any(feasible):
-        # only the +infinity threshold remains and it catches nothing
-        return 1.0
-    return float(fpr[feasible].min())
+    return float(fpr[tpr >= 0.95].min())
 
 
 def micro_f1(p: KPlusOnePrediction) -> float:

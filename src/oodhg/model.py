@@ -77,7 +77,6 @@ from .errors import (
     OodLabelInTrainSet,
     ShapeMismatch,
     TrainingDiverged,
-    ValidationError,
 )
 # compose_metapath is not called here; it stays importable as
 # model.compose_metapath because perfbench/tracer.py patches it by name
@@ -139,18 +138,6 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, values: dict) -> "TrainConfig":
-        """Config from field-name keys, the vocabulary of to_dict; absent
-        fields keep their defaults. Values are used as given (JSON is read
-        against TRAIN_CONFIG_KINDS); an unknown key is a ValidationError."""
-        unknown = sorted(set(values) - set(TRAIN_CONFIG_KINDS))
-        if unknown:
-            raise ValidationError(
-                f"unknown train config key {unknown[0]!r}; expected one of "
-                f"{sorted(TRAIN_CONFIG_KINDS)}")
-        return cls(**values)
 
 
 # the JSON kind (data._typed spec) of each TrainConfig field

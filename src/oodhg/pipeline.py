@@ -217,7 +217,7 @@ def _array(values: list, name: str, shape: tuple) -> np.ndarray:
 def _parse_checkpoint(payload: dict) -> Checkpoint:
     """Checkpoint of a payload already read against _CHECKPOINT."""
     try:
-        config = TrainConfig.from_dict(payload["train_config"])
+        config = TrainConfig(**payload["train_config"])
     except ValueError as exc:
         raise ValidationError(f"'train_config': {exc}") from None
     paths = tuple(MetaPath(p) for p in payload["feature_paths"])

@@ -1,11 +1,12 @@
 """Compressed sparse row matrices for adjacency chains.
 
 Implements construction from edge pairs, row normalization, CSR*CSR and
-CSR*vector products, and transposition. These are the general, valued
-products, which only the tests use as references: propagation, feature
-tables and compose_metapath apply each hop's 0/1 pattern, as
-from_edge_pairs builds it, through hetgraph.HopKernel, which never reads
-the values.
+CSR*vector products, and transposition. The package itself builds a
+SparseRowMatrix in two places: hetgraph.hop_matrix builds each hop's 0/1
+pattern with from_edge_pairs, which hetgraph.HopKernel applies without
+reading the values, and compose_metapath transposes the matrix it
+assembles from the operator's columns. The valued products (matmul,
+matvec, rmatvec) and row_normalize serve the tests as references.
 All values are 64-bit floats. Products are accumulated row by row with a
 sparse (concatenate, sort, segment-reduce) accumulator, never through a dense
 intermediate, and the summation order inside every output row is fixed, so

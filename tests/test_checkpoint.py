@@ -95,4 +95,4 @@ def test_loaded_feature_paths_keep_their_order(tmp_path):
 @property_settings
 @given(config=configs)
 def test_train_config_dict_roundtrip(config):
-    assert TrainConfig.from_dict(config.to_dict()) == config
+    assert TrainConfig(**config.to_dict()) == config

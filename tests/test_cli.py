@@ -980,6 +980,17 @@ MUTATIONS = [
     ("checkpoint.json", ["train_config", "epochs"], 0,
      "'train_config': epochs must be >= 1, got 0"),
     ("cfg.json", ["alpha"], 2.0, "alpha must be in [0, 1], got 2.0"),
+    # a well-typed value that the rest of the input contradicts
+    ("splits.json", ["train", 0], 999, "node id outside [0, 80)"),
+    ("schema.json", ["target_type"], "nope", "target_type 'nope' not declared"),
+    ("checkpoint.json", ["params", "projections"], [],
+     "checkpoint has 0 projections for 2 feature paths"),
+    ("checkpoint.json", ["params", "projections", 0, "path"],
+     ["target", "aux1", "target"],
+     "'params.projections[0].path' does not match feature path "
+     "target->aux0->target"),
+    ("checkpoint.json", ["params", "hidden_weight", 0], [0.0],
+     "'params.hidden_weight' has rows of unequal length"),
 ]
 
 
@@ -992,6 +1003,50 @@ def test_ill_typed_json_value_is_one_line_error(json_inputs, tmp_path, capsys,
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
+
+
+def _drop_last_feature_row(data: Path) -> str:
+    path = data / "features" / "target.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    return f"{path}: 79 rows for 80 nodes of type 'target'"
+
+
+def _short_f32_features(data: Path) -> str:
+    path = data / "features" / "target.f32"
+    path.with_suffix(".csv").unlink()
+    path.write_bytes(bytes(80 * 16 * 4 - 4))
+    return f"{path}: 5116 bytes, expected 5120"
+
+
+def _no_feature_file(data: Path) -> str:
+    (data / "features" / "target.csv").unlink()
+    return f"no target.csv or target.f32 in {data / 'features'}"
+
+
+def _narrow_features(data: Path) -> str:
+    """Keep the first 8 of the 16 feature columns the checkpoint reads."""
+    schema = json.loads((data / "schema.json").read_text())
+    schema["node_types"][0]["feature_dim"] = 8
+    (data / "schema.json").write_text(json.dumps(schema))
+    path = data / "features" / "target.csv"
+    path.write_text("".join(",".join(line.split(",")[:8]) + "\n"
+                            for line in path.read_text().splitlines()))
+    return "feature dim 8 does not match projection (16, 8)"
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_last_feature_row, _short_f32_features, _no_feature_file,
+    _narrow_features], ids=["csv-row-missing", "f32-length", "no-file",
+                            "feature-dim"])
+def test_unreadable_features_are_one_line_error(json_inputs, tmp_path,
+                                                capsys, edit):
+    data = tmp_path / "data"
+    shutil.copytree(json_inputs / "data", data)
+    message = edit(data)
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(json_inputs / "run" / "checkpoint.json"),
+                 "--data", str(data), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def _leaves(doc, keys=()):

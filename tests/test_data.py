@@ -477,14 +477,14 @@ _ODD_FEATURE_LINES = [
 def _int_pair_outcomes(path, text):
     path.write_bytes(text.encode())
     return (_outcome(data._parse_int_pair_file, path),
-            _outcome(data._parse_int_pair_lines, path))
+            _outcome(data._parse_lines, path, np.int64, "\t", 2))
 
 
 def _feature_outcomes(dir_path, text):
     """(_load_features, reference) outcomes of a 3-column features/t.csv."""
     path = dir_path / "t.csv"
     path.write_bytes(text.encode())
-    want = _outcome(data._parse_feature_lines, path, 3)
+    want = _outcome(data._parse_lines, path, np.float64, ",", 3)
     count = want.shape[0] if isinstance(want, np.ndarray) else 0
     return _outcome(data._load_features, dir_path, "t", count, 3), want
 

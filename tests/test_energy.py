@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oodhg import DetectorConfig, PropagationConfig, detect, fuse, msp_score, propagate
-from oodhg.energy import logit_pass
+from oodhg.energy import check_row_stochastic, logit_pass
 from oodhg.errors import (
     EmptyLogits,
     EmptyPathSet,
@@ -165,6 +165,13 @@ class TestPropagate:
         a = SparseRowMatrix.from_dense(np.array([[0.5, 0.4], [0.0, 1.0]]))
         with pytest.raises(NotRowStochastic):
             propagate(np.zeros(2), a, PropagationConfig(0.5, 1))
+
+    def test_negative_entry_is_not_row_stochastic(self):
+        # rows sum to 1, so only the sign check refuses it
+        a = SparseRowMatrix.from_dense(np.array([[1.5, -0.5], [0.0, 1.0]]))
+        with pytest.raises(NotRowStochastic) as info:
+            check_row_stochastic(a)
+        assert str(info.value) == "matrix has negative entries"
 
     def test_empty_rows_allowed_by_validation(self):
         # a user-supplied matrix may carry empty rows; only nonempty rows

@@ -97,6 +97,29 @@ class TestBuildGraph:
         with pytest.raises(ValidationError):
             build_graph([NodeTypeSchema("A", 0)], [], {}, None, "A")
 
+    @pytest.mark.parametrize("edit, error, message", [
+        ({"edges": {"AP": [(0, 2)]}}, IndexOutOfRange,
+         "edge type 'AP': dst index 2 outside [0, 2) for type 'P'"),
+        ({"node_types": [NodeTypeSchema("A", 3, -1), NodeTypeSchema("P", 2)]},
+         ValidationError, "node type 'A' has negative feature_dim"),
+        ({"edge_types": [EdgeTypeSchema("AP", "A", "P"),
+                         EdgeTypeSchema("AP", "P", "A")]},
+         ValidationError, "duplicate edge type names"),
+        ({"edges": {"PA": [(0, 0)]}}, UnknownType,
+         "edges given for undeclared edge type 'PA'"),
+        ({"features": {"Q": np.zeros((1, 1))}}, UnknownType,
+         "features given for unknown node type 'Q'"),
+    ], ids=["dst-out-of-range", "negative-feature-dim", "repeated-edge-type",
+            "undeclared-edge-type", "unknown-feature-type"])
+    def test_refused_input_is_named(self, edit, error, message):
+        args = {"node_types": [NodeTypeSchema("A", 3), NodeTypeSchema("P", 2)],
+                "edge_types": [EdgeTypeSchema("AP", "A", "P")],
+                "edges": {"AP": [(0, 0)]}, "features": {},
+                "target_type": "A"} | edit
+        with pytest.raises(error) as info:
+            build_graph(**args)
+        assert type(info.value) is error and str(info.value) == message
+
 
 class TestAdjacency:
     """hop_matrix: the 0/1 pattern of the edges between two node types."""
@@ -243,6 +266,16 @@ class TestCandidateMetapaths:
     def test_resolve_paths_never_replaces_a_given_empty_path_list(self):
         with pytest.raises(InvalidPath, match="no meta-path starts at the target"):
             resolve_paths(self._dblp_schema(), [])
+
+    def test_resolve_paths_needs_a_target_to_target_path(self):
+        graph = build_graph(
+            [NodeTypeSchema("A", 3), NodeTypeSchema("P", 2, 1)],
+            [EdgeTypeSchema("AP", "A", "P"), EdgeTypeSchema("PA", "P", "A")],
+            {"AP": [(0, 0)], "PA": [(0, 0)]}, {"P": np.ones((2, 1))}, "A")
+        with pytest.raises(InvalidPath) as info:
+            resolve_paths(graph, [("A", "P")])
+        assert str(info.value) == ("no target-to-target meta-path available "
+                                   "for energy propagation")
 
 
 class TestMetapathFeatures:

@@ -23,6 +23,7 @@ from oodhg.errors import (
     EmptyTrainSet,
     LabelOutOfRange,
     OodLabelInTrainSet,
+    ShapeMismatch,
     TrainingDiverged,
 )
 from oodhg.energy import fuse, logit_pass, propagate, propagate_transpose
@@ -384,6 +385,27 @@ class TestTrain:
     def test_epoch_count_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("learning_rate", 0.0, "learning_rate must be > 0, got 0.0"),
+        ("learning_rate", -1e-3, "learning_rate must be > 0, got -0.001"),
+        ("d_hidden", 0, "d_hidden must be >= 1, got 0"),
+    ], ids=["zero-rate", "negative-rate", "no-hidden-units"])
+    def test_config_refuses_value(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n_tables", [0, 2])
+    def test_workspace_needs_one_table_per_projection(self, n_tables):
+        graph, _ = small_instance()
+        paths = resolve_paths(graph)[0]
+        assert len(paths) == 1
+        params = make_params(graph, paths, 0, 4, 2)
+        xs = feature_tables(graph, paths) * n_tables
+        with pytest.raises(ShapeMismatch) as info:
+            model._Workspace(xs, params)
+        assert str(info.value) == f"{n_tables} feature tables for 1 projections"
 
     def test_default_feature_paths_are_resolve_paths(self):
         graph, labels = generate_synthetic(SynthConfig(nodes_per_class=10))

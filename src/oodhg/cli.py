@@ -29,13 +29,12 @@ from .data import (
     _write_json,
     generate_synthetic,
     load_dataset,
-    load_path_config,
     make_splits,
     save_dataset,
 )
 from .energy import DetectorConfig, PropagationConfig, propagate
 from .errors import OodhgError, ValidationError
-from .hetgraph import DEFAULT_MAX_HOPS, metapath_operator, resolve_paths
+from .hetgraph import metapath_operator, resolve_paths
 from .metrics import ENERGY_TAU_GRID
 from .model import TRAIN_CONFIG_KINDS, TrainConfig, train
 from .pipeline import (
@@ -117,14 +116,6 @@ _GEN_KEYS = {
 _SYNTH_DEFAULTS = SynthConfig()
 
 
-def _load_graph(args):
-    """Graph, labels, splits.json splits (or None), and the resolved feature
-    and propagation meta-paths of the dataset directory --data."""
-    graph, labels, splits = load_dataset(args.data)
-    feat, prop = resolve_paths(graph, *load_path_config(args.data))
-    return graph, labels, splits, feat, prop
-
-
 def _splits_for_seed(ood_class, labels, file_splits, seed: int):
     """File splits when present; otherwise made for ood_class and seed. An
     ood_class given with file splits must be the one they hold out."""
@@ -189,8 +180,7 @@ def cmd_gen(args) -> int:
     cfg = SynthConfig(**{field: getattr(args, key)
                          for key, field in _GEN_KEYS.items()})
     graph, labels = generate_synthetic(cfg)
-    save_dataset(out, graph, labels, feature_format=args.feature_format,
-                 schema_extra={"max_hops": DEFAULT_MAX_HOPS})
+    save_dataset(out, graph, labels, feature_format=args.feature_format)
     n_edges = sum(len(v) for v in graph.edges.values())
     print(f"wrote {out}: {graph.target_count} target nodes, "
           f"{cfg.n_aux_types} aux types, {n_edges} edges, "
@@ -200,10 +190,10 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     config_file = _load_config_file(args)
-    graph, labels, file_splits, feat, prop = _load_graph(args)
+    graph, labels, file_splits = load_dataset(args.data)
     cfg = _train_config(args, config_file)
     splits = _splits_for_seed(args.ood_class, labels, file_splits, cfg.seed)
-    params, history = train(graph, labels, splits, cfg, feat, prop)
+    params, history = train(graph, labels, splits, cfg)
 
     out = _out_dir(args)
     save_checkpoint(out / "checkpoint.json", params, cfg, splits.ood_class)
@@ -226,8 +216,8 @@ def cmd_eval(args) -> int:
         raise ValueError(
             f"--ood-class {args.ood_class} differs from held-out class "
             f"{ckpt.ood_class} of the checkpoint {args.ckpt}")
-    # scored along the checkpoint's own paths, so schema.json's path
-    # settings are not read
+    # scored along the checkpoint's own paths; the graph's path settings
+    # are checked as they load, and not used
     graph, labels, splits = load_dataset(args.data)
     if splits is None:
         splits = make_splits(labels, ckpt.ood_class, seed=ckpt.config.seed)
@@ -294,7 +284,7 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
     OODHG_THREADS, and reads its taus off that one report with
     EvalReport.at.
     """
-    graph, labels, file_splits, feat, prop = data
+    graph, labels, file_splits = data
     configs = [(dataclasses.replace(base, **overrides),
                 [DetectorConfig(t).tau for t in taus])
                for overrides, taus in points]
@@ -308,7 +298,7 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
             splits = seed_splits[seed]
             # at alpha = 1 steps cannot change the parameters, only the scores
             fit = dataclasses.replace(run, steps=0) if run.alpha == 1 else run
-            params, _ = train(graph, labels, splits, fit, feat, prop,
+            params, _ = train(graph, labels, splits, fit,
                               stop_when_settled=True)
             report = evaluate(graph, labels, splits, params, run, taus[0])
             return [{k: r.metrics[k] for k in _HEADLINE} | {"tau": r.tau}
@@ -321,7 +311,7 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
 
 def cmd_ablate(args) -> int:
     config_file = _load_config_file(args)
-    data = _load_graph(args)
+    data = load_dataset(args.data)
     base = _train_config(args, config_file)
     if base.alpha >= 1.0:
         raise ValueError("ablate needs alpha < 1 so the energy-loss arms differ")
@@ -364,7 +354,7 @@ def _sweep_value(param: str, value):
 
 def cmd_sweep(args) -> int:
     config_file = _load_config_file(args)
-    data = _load_graph(args)
+    data = load_dataset(args.data)
     base = _train_config(args, config_file)
     seeds = _seed_list(args, config_file, base)
     param = args.param
@@ -413,7 +403,8 @@ def _median_time(fn, repeats: int) -> float:
 
 
 def cmd_bench(args) -> int:
-    graph, labels, _, feat, prop = _load_graph(args)
+    graph, _, _ = load_dataset(args.data)
+    prop = resolve_paths(graph, graph.metapaths, graph.max_hops)[1]
     k_list = _number_list("--k-list", args.k_list, int)
     if not k_list:
         raise ValueError("--k-list lists no value")

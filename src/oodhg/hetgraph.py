@@ -3,7 +3,9 @@
 A graph holds typed node sets, one directed edge list per declared edge type,
 and optional per-type feature matrices. Meta-paths are node-type sequences;
 the adjacency of one is the product of the row-normalized per-hop
-adjacencies, a row-stochastic matrix between the endpoint types.
+adjacencies, a row-stochastic matrix between the endpoint types. A graph
+also carries its dataset's meta-path settings, an explicit metapaths list
+and the max_hops of the enumeration, which build_graph checks; from those,
 resolve_paths alone decides which meta-paths a model uses.
 
 Propagation never forms that product: metapath_operator applies the cached
@@ -40,6 +42,7 @@ from .errors import (
     FeaturelessEndType,
     IndexOutOfRange,
     InvalidPath,
+    OodhgError,
     ShapeMismatch,
     UnknownType,
     ValidationError,
@@ -103,7 +106,9 @@ class HeteroGraph:
 
     Build through build_graph; the constructor trusts its inputs. Edge lists
     are (m, 2) int64 arrays of indices local to each endpoint type. Feature
-    matrices are float64 with shape (count, feature_dim).
+    matrices are float64 with shape (count, feature_dim). metapaths and
+    max_hops are the dataset's meta-path settings, which build_graph sets
+    once it has checked them; None where the dataset sets none.
     """
 
     def __init__(self, node_types, edge_types, edges, features, target_type):
@@ -112,6 +117,8 @@ class HeteroGraph:
         self.edges: dict[str, np.ndarray] = dict(edges)
         self.features: dict[str, np.ndarray] = dict(features)
         self.target_type: str = target_type
+        self.metapaths: tuple[MetaPath, ...] | None = None
+        self.max_hops: int | None = None
         self._nodes_by_name = {s.name: s for s in self.node_types}
         pair_index: dict[tuple[str, str], list[str]] = {}
         for s in self.edge_types:
@@ -148,9 +155,10 @@ class HeteroGraph:
         self._feature_cache.clear()
 
 
-def build_graph(node_types, edge_types, edges, features,
-                target_type) -> HeteroGraph:
-    """Validate schemas, edges, and features, and assemble a HeteroGraph.
+def build_graph(node_types, edge_types, edges, features, target_type,
+                metapaths=None, max_hops=None) -> HeteroGraph:
+    """Validate schemas, edges, features and meta-path settings, and
+    assemble a HeteroGraph.
 
     Args:
         node_types: iterable of NodeTypeSchema.
@@ -159,15 +167,22 @@ def build_graph(node_types, edge_types, edges, features,
         features: mapping node-type name -> (count, feature_dim) matrix;
             None when no type has features.
         target_type: name of the node type under classification.
+        metapaths: type-name sequences the models of this graph use, or
+            None to enumerate them (see resolve_paths).
+        max_hops: hop limit of that enumeration, or None for
+            DEFAULT_MAX_HOPS.
 
     Raises:
-        UnknownType: an edge schema, edges key, features key, or target_type
-            names an undeclared type.
+        UnknownType: an edge schema, edges key, features key, target_type or
+            meta-path names an undeclared type.
         IndexOutOfRange: an edge endpoint index is >= its type's count.
         DimensionMismatch: a feature matrix has the wrong shape.
+        InvalidPath: a meta-path has fewer than 2 types, or a hop with no
+            declared edge type.
         ValidationError: duplicate names, duplicate edge pairs, count < 1,
-            missing features for a featured type, non-finite features, or
-            an edge type whose count(src) * count(dst) does not fit int64.
+            missing features for a featured type, non-finite features, an
+            edge type whose count(src) * count(dst) does not fit int64, an
+            empty metapaths, a meta-path listed twice, or max_hops < 2.
     """
     node_types = tuple(node_types)
     edge_types = tuple(edge_types)
@@ -243,8 +258,25 @@ def build_graph(node_types, edge_types, edges, features,
             raise ValidationError(f"non-finite feature value for node type {s.name!r}")
         checked_features[s.name] = mat
 
-    return HeteroGraph(node_types, edge_types, checked_edges,
-                       checked_features, target_type)
+    if max_hops is not None and max_hops < 2:
+        raise ValidationError(f"max_hops must be an integer >= 2, got {max_hops!r}")
+    graph = HeteroGraph(node_types, edge_types, checked_edges,
+                        checked_features, target_type)
+    graph.max_hops = max_hops
+    if metapaths is not None:
+        paths = []
+        for i, seq in enumerate(metapaths):
+            try:
+                path = validate_metapath(graph, seq)
+            except OodhgError as exc:
+                raise type(exc)(f"metapaths[{i}]: {exc}") from None
+            if path in paths:
+                raise ValidationError(f"metapaths[{i}] repeats the meta-path {path}")
+            paths.append(path)
+        if not paths:
+            raise ValidationError("metapaths must list at least one meta-path")
+        graph.metapaths = tuple(paths)
+    return graph
 
 
 def hop_matrix(graph: HeteroGraph, src: str, dst: str) -> SparseRowMatrix:
@@ -454,7 +486,7 @@ def candidate_metapaths(graph: HeteroGraph, max_hops: int) -> list[MetaPath]:
     is sorted lexicographically by type sequence and is deterministic.
     """
     if max_hops < 2:
-        raise ValueError(f"max_hops must be >= 2, got {max_hops}")
+        raise ValidationError(f"max_hops must be >= 2, got {max_hops}")
     successors: dict[str, list[str]] = {}
     for (src, dst) in graph._pair_index:
         successors.setdefault(src, []).append(dst)

@@ -605,18 +605,16 @@ def label_space(labels: np.ndarray, splits) -> tuple[np.ndarray, np.ndarray]:
 
 
 def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
-          feature_paths=None, prop_paths=None, *,
-          stop_when_settled: bool = False) -> tuple[EncoderParams, TrainHistory]:
+          *, stop_when_settled: bool = False
+          ) -> tuple[EncoderParams, TrainHistory]:
     """Full-batch Adam training; returns the best-validation parameters,
     which record the paths they were trained with and their classes.
 
     Labels are raw dataset values; head classes are label_space's, the
-    sorted distinct labels seen in train plus val. A path list left None
-    comes from resolve_paths(graph), which enumerates the paths from the
-    graph alone: train never reads a dataset's schema.json, whose metapaths
-    and max_hops every CLI command applies. Pass the lists that
-    resolve_paths(graph, *load_path_config(d)) returns to train on the CLI's
-    paths for the dataset directory d. Model selection keeps the parameters
+    sorted distinct labels seen in train plus val. The paths are
+    resolve_paths' for the graph's own metapaths and max_hops, so a graph
+    that load_dataset read trains on the paths of its schema.json, as every
+    CLI command that trains does. Model selection keeps the parameters
     with the highest validation micro-F1 (earliest epoch wins ties); with an
     empty validation split the final parameters are returned.
     The encoder runs once per epoch, plus once after the last epoch when the
@@ -638,11 +636,8 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     train_rows = _TrainRows.of(y_head, train_ids)
     y_val = y_head[val_ids]
 
-    if feature_paths is None or prop_paths is None:
-        feat, prop = resolve_paths(graph)
-        feature_paths = feat if feature_paths is None else feature_paths
-        prop_paths = prop if prop_paths is None else prop_paths
-
+    feature_paths, prop_paths = resolve_paths(graph, graph.metapaths,
+                                              graph.max_hops)
     xs = feature_tables(graph, feature_paths)
     a_hats = propagation_operators(graph, prop_paths, config.steps)
 

@@ -135,15 +135,9 @@ def evaluate(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
 def run_experiment(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
                    config: TrainConfig
                    ) -> tuple[EncoderParams, TrainHistory, EvalReport]:
-    """Train on resolve_paths(graph), then evaluate on the test split at
-    DEFAULT_TAU; one seed, fully deterministic.
-
-    The paths come from the graph alone, not from a dataset's schema.json:
-    on a dataset whose metapaths list only target->aux0->target, every CLI
-    command uses that one path, while this trains on the aux0 and the aux1
-    path. For the CLI's paths, call train with the lists
-    resolve_paths(graph, *load_path_config(d)) returns.
-    """
+    """Train along the graph's meta-paths, as train resolves them, then
+    evaluate on the test split at DEFAULT_TAU; one seed, fully
+    deterministic."""
     params, history = train(graph, labels, splits, config)
     report = evaluate(graph, labels, splits, params, config)
     return params, history, report

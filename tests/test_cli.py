@@ -124,6 +124,43 @@ class TestTrain:
         assert [p.types for p in ckpt.params.prop_paths] == [
             ("target", "aux0", "target"), ("target", "aux1", "target")]
 
+    def test_library_train_uses_the_schema_paths_as_the_cli_does(
+            self, dataset, tmp_path):
+        from oodhg import TrainConfig, load_dataset, make_splits, train
+        from oodhg.pipeline import save_checkpoint
+        schema = json.loads((dataset / "schema.json").read_text())
+        schema["metapaths"] = [["target", "aux0", "target"]]
+        (dataset / "schema.json").write_text(json.dumps(schema))
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(dataset), "--ood-class", "3",
+                     "--out", str(run)] + FAST) == 0
+        graph, labels, _ = load_dataset(dataset)
+        cfg = TrainConfig(epochs=5, d_hidden=8)
+        params, _ = train(graph, labels, make_splits(labels, 3, seed=0), cfg)
+        save_checkpoint(tmp_path / "library.json", params, cfg, 3)
+        assert [p.types for p in params.prop_paths] == [
+            ("target", "aux0", "target")]
+        assert ((tmp_path / "library.json").read_bytes()
+                == (run / "checkpoint.json").read_bytes())
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--ood-class", "3", "--out", "run"] + FAST,
+        ["ablate", "--ood-class", "3", "--seeds", "0"] + FAST,
+        ["sweep", "--ood-class", "3", "--param", "gamma", "--grid", "0.5",
+         "--seeds", "0"] + FAST,
+        ["bench", "--k-list", "1", "--repeats", "1"],
+    ], ids=["train", "ablate", "sweep", "bench"])
+    def test_each_command_reads_the_schema_once(self, dataset, tmp_path,
+                                                monkeypatch, command):
+        from oodhg import data
+        reads = []
+        real = data._read_schema
+        monkeypatch.setattr(data, "_read_schema",
+                            lambda root: reads.append(root) or real(root))
+        monkeypatch.chdir(tmp_path)
+        assert main(command[:1] + ["--data", str(dataset)] + command[1:]) == 0
+        assert reads == [dataset]
+
     @pytest.mark.parametrize("label", [-1, -2])
     def test_negative_label_is_one_line_error(self, dataset, tmp_path, capsys,
                                               label):
@@ -299,6 +336,17 @@ class TestEval:
             outs.append((out / "metrics.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_schema_path_settings_are_checked_on_load(self, dataset, trained,
+                                                       tmp_path, capsys):
+        schema = json.loads((dataset / "schema.json").read_text())
+        schema["metapaths"] = [["target", "aux0", "target"]] * 2
+        (dataset / "schema.json").write_text(json.dumps(schema))
+        assert main(["eval", "--ckpt", str(trained / "checkpoint.json"),
+                     "--data", str(dataset), "--out", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {dataset}: metapaths[1] repeats the meta-path "
+            f"target->aux0->target"]
+
     def test_held_out_class_defaults_to_the_checkpoints(self, dataset,
                                                         trained, tmp_path):
         outs = []
@@ -466,7 +514,7 @@ class TestSweep:
     def test_tau_sweep_trains_once_per_seed(self, dataset, tmp_path,
                                             monkeypatch):
         from oodhg import TrainConfig, load_dataset, make_splits
-        from oodhg.pipeline import resolve_paths, summarize_metric_rows
+        from oodhg.pipeline import summarize_metric_rows
         calls = {"train": 0, "evaluate": 0}
 
         def counted(name, fn):
@@ -486,12 +534,11 @@ class TestSweep:
         # reference: one evaluate per tau, as the sweep once ran
         monkeypatch.undo()
         graph, labels, _ = load_dataset(dataset)
-        feat, prop = resolve_paths(graph)
         tables = []
         for seed in (0, 1):
             cfg = TrainConfig(epochs=5, d_hidden=8, seed=seed)
             splits = make_splits(labels, 3, seed=seed)
-            params, _ = cli.train(graph, labels, splits, cfg, feat, prop)
+            params, _ = cli.train(graph, labels, splits, cfg)
             reports = [cli.evaluate(graph, labels, splits, params, cfg, tau)
                        for tau in taus]
             tables.append([{k: r.metrics[k] for k in cli._HEADLINE}

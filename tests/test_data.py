@@ -8,7 +8,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oodhg import SynthConfig, data, generate_synthetic, load_dataset, make_splits, save_dataset
+from oodhg import (
+    MetaPath,
+    SynthConfig,
+    build_graph,
+    data,
+    generate_synthetic,
+    load_dataset,
+    make_splits,
+    save_dataset,
+)
 from oodhg.data import load_path_config
 from oodhg.errors import (
     FractionOverflow,
@@ -302,6 +311,19 @@ class TestDatasetIO:
         assert str(info.value) == (
             f"{path}: byte 4 is not valid UTF-8 (invalid start byte)")
 
+    def test_bad_byte_past_the_first_read_chunk_names_its_file_offset(
+            self, tmp_path, mini_dataset_dir):
+        # text-mode reads decode in chunks of 8 KiB and more; the offset
+        # must be the byte's place in the file, not in its chunk
+        dst = tmp_path / "bad"
+        shutil.copytree(mini_dataset_dir, dst)
+        path = dst / "edges" / "user_item.tsv"
+        path.write_bytes(b"0\t0\n" * 5000 + b"\xff\n")
+        with pytest.raises(ParseError) as info:
+            load_dataset(dst)
+        assert str(info.value) == (
+            f"{path}: byte 20000 is not valid UTF-8 (invalid start byte)")
+
     @pytest.mark.parametrize("name, text, line", [
         ("edges/user_item.tsv", "0\t0\n\n0\t99999999999999999999\n", 3),
         ("edges/user_item.tsv", "-9223372036854775809\t0\n", 1),
@@ -374,47 +396,78 @@ class TestDatasetIO:
         assert len(graph.node_types) == 4
         assert np.unique(labels).size == 4
 
-    @pytest.mark.parametrize("max_hops", [0, 1, 2.0, True, "2"])
+    @pytest.mark.parametrize("max_hops, message", [
+        (0, "{root}: max_hops must be an integer >= 2, got 0"),
+        (1, "{root}: max_hops must be an integer >= 2, got 1"),
+        (2.0, "{schema}: 'max_hops' must be an integer, got 2.0"),
+        (True, "{schema}: 'max_hops' must be an integer, got True"),
+        ("2", "{schema}: 'max_hops' must be an integer, got '2'")],
+        ids=["0", "1", "2.0", "True", "2"])
     def test_schema_max_hops_must_be_an_integer_of_two_or_more(
-            self, tmp_path, max_hops):
-        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=10, seed=1))
-        save_dataset(tmp_path / "d", graph, labels,
-                     schema_extra={"max_hops": max_hops})
-        with pytest.raises(ValidationError, match=r"schema\.json: 'max_hops' "
-                           r"must be an integer( >= 2)?, got "):
-            load_path_config(tmp_path / "d")
+            self, tmp_path, max_hops, message):
+        root = _gen(tmp_path / "d", "--per-class", "10")
+        _edit_schema(root, lambda s: s.update(max_hops=max_hops))
+        with pytest.raises(ValidationError) as info:
+            load_dataset(root)
+        assert str(info.value) == message.format(root=root,
+                                                 schema=root / "schema.json")
 
     @pytest.mark.parametrize("metapaths, message", [
-        (5, "'metapaths' must be a list, got 5"),
-        ("target", "'metapaths' must be a list, got 'target'"),
-        ([], "'metapaths' must be a non-empty list, got []"),
-        ([["target", 3]], "'metapaths[0][1]' must be a string, got 3"),
+        (5, "{schema}: 'metapaths' must be a list, got 5"),
+        ("target", "{schema}: 'metapaths' must be a list, got 'target'"),
+        ([], "{root}: metapaths must list at least one meta-path"),
+        ([["target", 3]], "{schema}: 'metapaths[0][1]' must be a string, got 3"),
         ([("target", "aux0", "target"), 7],
-         "'metapaths[1]' must be a list, got 7"),
+         "{schema}: 'metapaths[1]' must be a list, got 7"),
         ([("target", "aux0", "target"), ("target", "aux0", "target")],
-         "'metapaths[1]' repeats the meta-path target->aux0->target")],
+         "{root}: metapaths[1] repeats the meta-path target->aux0->target")],
         ids=["number", "string", "empty", "non-string-type", "non-list-path",
              "repeated-path"])
     def test_schema_metapaths_must_be_lists_of_type_names(self, tmp_path,
                                                           metapaths, message):
-        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=10, seed=1))
-        save_dataset(tmp_path / "d", graph, labels,
-                     schema_extra={"metapaths": metapaths})
+        root = _gen(tmp_path / "d", "--per-class", "10")
+        _edit_schema(root, lambda s: s.update(metapaths=metapaths))
         with pytest.raises(ValidationError) as info:
-            load_path_config(tmp_path / "d")
-        assert str(info.value) == f"{tmp_path / 'd' / 'schema.json'}: {message}"
+            load_dataset(root)
+        assert str(info.value) == message.format(root=root,
+                                                 schema=root / "schema.json")
 
     def test_explicit_metapaths_override_enumeration(self, tmp_path):
         from oodhg.pipeline import resolve_paths
-        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=10, seed=1))
-        save_dataset(tmp_path / "d", graph, labels,
-                     schema_extra={"metapaths": [["target", "aux1", "target"]]})
-        g2, _, _ = load_dataset(tmp_path / "d")
-        metapaths, max_hops = load_path_config(tmp_path / "d")
-        assert metapaths == [("target", "aux1", "target")]
-        feat, prop = resolve_paths(g2, metapaths, max_hops)
+        root = _gen(tmp_path / "d", "--per-class", "10")
+        _edit_schema(root, lambda s: s.update(
+            metapaths=[["target", "aux1", "target"]]))
+        graph, _, _ = load_dataset(root)
+        assert graph.metapaths == (MetaPath(("target", "aux1", "target")),)
+        assert graph.max_hops == 2
+        feat, prop = resolve_paths(graph, graph.metapaths, graph.max_hops)
         assert [p.types for p in prop] == [("target", "aux1", "target")]
         assert [p.types for p in feat] == [("target", "aux1", "target")]
+
+    def test_save_of_a_loaded_dataset_keeps_its_path_settings(self, tmp_path):
+        root = _gen(tmp_path / "d", "--per-class", "10")
+        _edit_schema(root, lambda s: s.update(
+            metapaths=[["target", "aux0", "target"]], max_hops=3))
+        data._write_json(root / "schema.json",
+                         json.loads((root / "schema.json").read_text()))
+        graph, labels, _ = load_dataset(root)
+        copy = save_dataset(tmp_path / "copy", graph, labels)
+        assert ((copy / "schema.json").read_bytes()
+                == (root / "schema.json").read_bytes())
+        assert load_path_config(copy) == ([("target", "aux0", "target")], 3)
+
+    @pytest.mark.parametrize("max_hops", [None, 2])
+    def test_save_writes_max_hops_only_when_the_graph_sets_it(self, tmp_path,
+                                                               max_hops):
+        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=5))
+        assert graph.max_hops == 2 and graph.metapaths is None
+        graph = build_graph(graph.node_types, graph.edge_types, graph.edges,
+                            graph.features, graph.target_type,
+                            max_hops=max_hops)
+        root = save_dataset(tmp_path / "d", graph, labels)
+        schema = json.loads((root / "schema.json").read_text())
+        assert schema.get("max_hops") == max_hops
+        assert "metapaths" not in schema
 
 
 # ----------------------------------------------------------------------

@@ -207,6 +207,48 @@ class TestComposeMetapath:
         np.testing.assert_allclose(dense[1], [1.0, 0.0, 0.0])
 
 
+class TestPathSettings:
+    """build_graph keeps a dataset's meta-path settings on the graph, and
+    refuses any it could not train on, for library and loaded input alike."""
+
+    def _build(self, **settings):
+        return build_graph(
+            [NodeTypeSchema("A", 2), NodeTypeSchema("P", 2)],
+            [EdgeTypeSchema("AP", "A", "P"), EdgeTypeSchema("PA", "P", "A")],
+            {"AP": [(0, 0)], "PA": [(0, 0)]}, None, "A", **settings)
+
+    def test_settings_are_kept_as_given(self):
+        graph = self._build(metapaths=[["A", "P", "A"], ("A", "P")],
+                            max_hops=3)
+        assert graph.metapaths == (MetaPath(("A", "P", "A")), MetaPath(("A", "P")))
+        assert graph.max_hops == 3
+        unset = self._build()
+        assert unset.metapaths is None and unset.max_hops is None
+
+    @pytest.mark.parametrize("settings, error, message", [
+        ({"metapaths": []}, ValidationError,
+         "metapaths must list at least one meta-path"),
+        ({"metapaths": [("A", "P", "A"), ["A", "P", "A"]]}, ValidationError,
+         "metapaths[1] repeats the meta-path A->P->A"),
+        ({"max_hops": 1}, ValidationError,
+         "max_hops must be an integer >= 2, got 1"),
+        ({"max_hops": 0, "metapaths": [("A", "P", "A")]}, ValidationError,
+         "max_hops must be an integer >= 2, got 0"),
+        ({"metapaths": [("A",)]}, InvalidPath,
+         "metapaths[0]: meta-path needs at least 2 types, got ('A',)"),
+        ({"metapaths": [("A", "P", "A"), ("A", "X", "A")]}, UnknownType,
+         "metapaths[1]: unknown node type 'X'"),
+        ({"metapaths": [("A", "A")]}, InvalidPath,
+         "metapaths[0]: meta-path A->A: no declared edge type from 'A' to 'A'"),
+    ], ids=["empty", "repeated", "max-hops-1", "max-hops-0", "one-type",
+            "unknown-type", "no-edge-type"])
+    def test_refused_settings(self, settings, error, message):
+        with pytest.raises(error) as info:
+            self._build(**settings)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
 class TestCandidateMetapaths:
     def _dblp_schema(self):
         node_types = [NodeTypeSchema("A", 2), NodeTypeSchema("P", 2),
@@ -251,7 +293,7 @@ class TestCandidateMetapaths:
         assert all(p[0] == "A" and p[-1] == "A" and len(p) - 1 <= 4 for p in first)
 
     def test_max_hops_below_two_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             candidate_metapaths(self._dblp_schema(), 1)
 
     def test_metapath_of_a_metapath_is_equal(self):
@@ -260,7 +302,7 @@ class TestCandidateMetapaths:
 
     @pytest.mark.parametrize("max_hops", [0, 1])
     def test_resolve_paths_never_replaces_a_given_max_hops(self, max_hops):
-        with pytest.raises(ValueError, match="max_hops must be >= 2"):
+        with pytest.raises(ValidationError, match="max_hops must be >= 2"):
             resolve_paths(self._dblp_schema(), None, max_hops)
 
     def test_resolve_paths_never_replaces_a_given_empty_path_list(self):

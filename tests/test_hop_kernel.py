@@ -26,7 +26,7 @@ from oodhg import (
 )
 from oodhg import hetgraph, model, pipeline
 from oodhg.errors import ShapeMismatch
-from oodhg.hetgraph import HopKernel, hop_kernel, hop_matrix, resolve_paths
+from oodhg.hetgraph import HopKernel, hop_kernel, hop_matrix
 from oodhg.sparse import SparseRowMatrix
 
 TOL = 1e-12
@@ -122,9 +122,8 @@ def test_kernel_shape_checks():
 def test_evaluate_never_builds_an_adjoint_pattern(monkeypatch):
     graph, labels = generate_synthetic(SynthConfig(nodes_per_class=20, seed=3))
     splits = make_splits(labels, 3, seed=0)
-    feat, prop = resolve_paths(graph)
     cfg = TrainConfig(epochs=3, d_hidden=8)
-    params, _ = train(graph, labels, splits, cfg, feat, prop)
+    params, _ = train(graph, labels, splits, cfg)
     # a fresh graph: the kernels training built are not reused
     graph, labels = generate_synthetic(SynthConfig(nodes_per_class=20, seed=3))
 
@@ -155,8 +154,7 @@ def test_train_and_evaluate_never_row_normalise(monkeypatch):
                             refuse(f"{module.__name__}.compose_metapath"))
     graph, labels = generate_synthetic(SynthConfig(nodes_per_class=20, seed=3))
     splits = make_splits(labels, 3, seed=0)
-    feat, prop = resolve_paths(graph)
     cfg = TrainConfig(epochs=3, d_hidden=8)
-    params, _ = train(graph, labels, splits, cfg, feat, prop)
+    params, _ = train(graph, labels, splits, cfg)
     report = evaluate(graph, labels, splits, params, cfg, 1.0)
     assert np.isfinite(report.energy_final).all()

@@ -21,7 +21,6 @@ from oodhg.errors import (
     OodLabelInTrainSet,
     ValidationError,
 )
-from oodhg.pipeline import resolve_paths
 
 
 def _bits(value):
@@ -38,9 +37,8 @@ def _bits(value):
 def scored():
     graph, labels = generate_synthetic(SynthConfig(nodes_per_class=25, seed=7))
     splits = make_splits(labels, 3, seed=0)
-    feat, prop = resolve_paths(graph)
     cfg = TrainConfig(epochs=5, d_hidden=8)
-    params, _ = train(graph, labels, splits, cfg, feat, prop)
+    params, _ = train(graph, labels, splits, cfg)
     return lambda tau: evaluate(graph, labels, splits, params, cfg, tau)
 
 

@@ -122,7 +122,7 @@ def _splits_for_seed(ood_class, labels, file_splits, seed: int):
     if file_splits is not None:
         if ood_class is not None and ood_class != file_splits.ood_class:
             raise ValueError(
-                f"--ood-class {ood_class} differs from held-out class "
+                f"held-out class {ood_class} differs from held-out class "
                 f"{file_splits.ood_class} of the dataset's splits.json")
         return file_splits
     if ood_class is None:
@@ -218,13 +218,9 @@ def cmd_eval(args) -> int:
             f"{ckpt.ood_class} of the checkpoint {args.ckpt}")
     # scored along the checkpoint's own paths; the graph's path settings
     # are checked as they load, and not used
-    graph, labels, splits = load_dataset(args.data)
-    if splits is None:
-        splits = make_splits(labels, ckpt.ood_class, seed=ckpt.config.seed)
-    elif splits.ood_class != ckpt.ood_class:
-        raise ValueError(
-            f"checkpoint was trained with held-out class {ckpt.ood_class} "
-            f"but the dataset splits designate {splits.ood_class}")
+    graph, labels, file_splits = load_dataset(args.data)
+    splits = _splits_for_seed(ckpt.ood_class, labels, file_splits,
+                              ckpt.config.seed)
     tau = DEFAULT_TAU if args.tau is None else args.tau
     report = evaluate(graph, labels, splits, ckpt.params, ckpt.config, tau)
 
@@ -411,8 +407,8 @@ def cmd_bench(args) -> int:
     repeats = args.repeats
     if repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {repeats}")
-    gamma = args.gamma if args.gamma is not None else 0.5
-    configs = [PropagationConfig(gamma=gamma, steps=k) for k in k_list]
+    # every gamma in (0, 1) does the same hop work per step
+    configs = [PropagationConfig(gamma=0.5, steps=k) for k in k_list]
 
     def build_all():
         graph.clear_caches()
@@ -525,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time operator build vs warm propagation")
     _add_data_flags(p, splits=False)
     p.add_argument("--k-list", dest="k_list", default="1,2,4,8")
-    p.add_argument("--gamma", type=float)
     p.add_argument("--repeats", type=int, default=9)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)

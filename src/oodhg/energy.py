@@ -129,9 +129,9 @@ def msp_score(probs: np.ndarray) -> np.ndarray:
     return probs.max(axis=1)
 
 
-def check_row_stochastic(a_hat: SparseRowMatrix | MetaPathOperator) -> None:
-    """Raise NotRowStochastic unless nonempty rows sum to 1 within
-    ROW_SUM_TOL."""
+def check_row_stochastic(a_hat: SparseRowMatrix) -> None:
+    """Raise NotRowStochastic unless a_hat's entries are >= 0 and its
+    nonempty rows sum to 1 within ROW_SUM_TOL."""
     dev, low = a_hat.stochastic_stats()
     if low < 0.0:
         raise NotRowStochastic("matrix has negative entries")
@@ -155,9 +155,10 @@ def propagate(e0: np.ndarray, a_hat: SparseRowMatrix | MetaPathOperator,
               config: PropagationConfig) -> np.ndarray:
     """Apply E <- gamma E + (1 - gamma) A_hat E for config.steps iterations.
 
-    a_hat is a SparseRowMatrix or a hetgraph.MetaPathOperator; it must be
-    square and row-stochastic (validated on entry, within 1e-9). With
-    gamma = 1 or steps = 0 the input is returned unchanged.
+    a_hat is a square SparseRowMatrix or hetgraph.MetaPathOperator. A
+    MetaPathOperator is row-stochastic by construction; a SparseRowMatrix
+    is checked on entry (check_row_stochastic). With gamma = 1 or steps = 0
+    the input is returned unchanged.
     """
     e = np.asarray(e0, dtype=np.float64)
     if a_hat.n_rows != a_hat.n_cols:
@@ -165,7 +166,8 @@ def propagate(e0: np.ndarray, a_hat: SparseRowMatrix | MetaPathOperator,
     if e.shape != (a_hat.n_rows,):
         raise ShapeMismatch(
             f"energy vector shape {e.shape} does not match matrix {a_hat.shape}")
-    check_row_stochastic(a_hat)
+    if isinstance(a_hat, SparseRowMatrix):
+        check_row_stochastic(a_hat)
     return _iterate(e, a_hat.matvec, config)
 
 

@@ -33,6 +33,7 @@ value. Memoised feature tables are read-only arrays.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,7 +171,7 @@ def build_graph(node_types, edge_types, edges, features, target_type,
         metapaths: type-name sequences the models of this graph use, or
             None to enumerate them (see resolve_paths).
         max_hops: hop limit of that enumeration, or None for
-            DEFAULT_MAX_HOPS.
+            DEFAULT_MAX_HOPS; any integer type, stored as a Python int.
 
     Raises:
         UnknownType: an edge schema, edges key, features key, target_type or
@@ -182,7 +183,8 @@ def build_graph(node_types, edge_types, edges, features, target_type,
         ValidationError: duplicate names, duplicate edge pairs, count < 1,
             missing features for a featured type, non-finite features, an
             edge type whose count(src) * count(dst) does not fit int64, an
-            empty metapaths, a meta-path listed twice, or max_hops < 2.
+            empty metapaths, a meta-path listed twice, or a max_hops that
+            is not an integer >= 2 (a bool or a float such as 3.0 is not).
     """
     node_types = tuple(node_types)
     edge_types = tuple(edge_types)
@@ -258,8 +260,16 @@ def build_graph(node_types, edge_types, edges, features, target_type,
             raise ValidationError(f"non-finite feature value for node type {s.name!r}")
         checked_features[s.name] = mat
 
-    if max_hops is not None and max_hops < 2:
-        raise ValidationError(f"max_hops must be an integer >= 2, got {max_hops!r}")
+    if max_hops is not None:
+        # any integer type, stored as a Python int; a bool indexes as 0 or 1
+        try:
+            hops = operator.index(max_hops)
+        except TypeError:
+            hops = 0
+        if hops < 2:
+            raise ValidationError(
+                f"max_hops must be an integer >= 2, got {max_hops!r}")
+        max_hops = hops
     graph = HeteroGraph(node_types, edge_types, checked_edges,
                         checked_features, target_type)
     graph.max_hops = max_hops
@@ -319,11 +329,11 @@ class HopKernel:
 
     def __init__(self, pattern: SparseRowMatrix):
         self.n_rows, self.n_cols = pattern.shape
-        self.degrees = pattern.row_counts()
-        self._inv_deg = np.divide(1.0, self.degrees, out=np.zeros(self.n_rows),
-                                  where=self.degrees > 0)
+        degrees = pattern.row_counts()
+        self._inv_deg = np.divide(1.0, degrees, out=np.zeros(self.n_rows),
+                                  where=degrees > 0)
         self._cols = pattern.col_indices
-        self._layout = row_layout(self.degrees)
+        self._layout = row_layout(degrees)
         self._adjoint = None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -383,13 +393,16 @@ class MetaPathOperator:
 
         A_hat x = scale * (H_1 (H_2 (... (H_k x)))) + loop * x
 
-    Two repairs keep A_hat row-stochastic on any graph. They are diagonal
-    terms fixed at build time from the chain applied to a ones vector:
-    scale is 1 / (row sum) on rows that lost mass to a dangling
-    intermediate node and 1 elsewhere, and loop is 1 on rows that are
-    empty when the path starts and ends at the same type (such rows of the
-    chain give 0, so A_hat x copies x there). Each H_i is applied through
-    its HopKernel. Build with metapath_operator.
+    Two repairs make A_hat row-stochastic by construction, on any graph.
+    They are diagonal terms fixed at build time from the chain applied to a
+    ones vector: scale is 1 / (row sum) on rows that lost mass to a
+    dangling intermediate node and 1 elsewhere, and loop is 1 on rows that
+    are empty when the path starts and ends at the same type (such rows of
+    the chain give 0, so A_hat x copies x there). Every other nonempty row
+    already sums to 1 within LOST_MASS_TOL, and every entry is a product
+    of positive 1/deg factors, so energy.propagate checks no operator built
+    here. Each H_i is applied through its HopKernel. Build with
+    metapath_operator.
     """
 
     def __init__(self, path: MetaPath, hops: list[HopKernel]):
@@ -403,14 +416,6 @@ class MetaPathOperator:
         self._loops = (np.flatnonzero(sums == 0)
                        if path.types[0] == path.types[-1]
                        else np.zeros(0, np.int64))
-        sums = sums * self._scale
-        sums[self._loops] = 1.0
-        nonempty = sums > 0
-        dev = float(np.abs(sums[nonempty] - 1.0).max()) if nonempty.any() else 0.0
-        # the least stored value of a hop is 1 / its largest degree
-        low = min((1.0 / int(h.degrees.max()) for h in self.hops
-                   if h.degrees.any()), default=0.0)
-        self._stochastic_stats = (dev, low)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -420,11 +425,6 @@ class MetaPathOperator:
         for hop in reversed(self.hops):
             x = hop.matvec(x)
         return x
-
-    def stochastic_stats(self) -> tuple[float, float]:
-        """(max |row sum - 1| over nonempty rows, min entry), as
-        SparseRowMatrix.stochastic_stats; taken from A_hat 1 at build time."""
-        return self._stochastic_stats
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A_hat @ x."""

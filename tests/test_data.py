@@ -469,6 +469,14 @@ class TestDatasetIO:
         assert schema.get("max_hops") == max_hops
         assert "metapaths" not in schema
 
+    def test_numpy_integer_max_hops_round_trips(self, tmp_path):
+        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=5))
+        graph = build_graph(graph.node_types, graph.edge_types, graph.edges,
+                            graph.features, graph.target_type,
+                            max_hops=np.int64(3))
+        root = save_dataset(tmp_path / "d", graph, labels)
+        assert load_dataset(root)[0].max_hops == 3
+
 
 # ----------------------------------------------------------------------
 # the numpy table reader against the line-by-line reference parsers

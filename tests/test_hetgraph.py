@@ -234,14 +234,18 @@ class TestPathSettings:
          "max_hops must be an integer >= 2, got 1"),
         ({"max_hops": 0, "metapaths": [("A", "P", "A")]}, ValidationError,
          "max_hops must be an integer >= 2, got 0"),
+        ({"max_hops": 3.0}, ValidationError,
+         "max_hops must be an integer >= 2, got 3.0"),
+        ({"max_hops": True}, ValidationError,
+         "max_hops must be an integer >= 2, got True"),
         ({"metapaths": [("A",)]}, InvalidPath,
          "metapaths[0]: meta-path needs at least 2 types, got ('A',)"),
         ({"metapaths": [("A", "P", "A"), ("A", "X", "A")]}, UnknownType,
          "metapaths[1]: unknown node type 'X'"),
         ({"metapaths": [("A", "A")]}, InvalidPath,
          "metapaths[0]: meta-path A->A: no declared edge type from 'A' to 'A'"),
-    ], ids=["empty", "repeated", "max-hops-1", "max-hops-0", "one-type",
-            "unknown-type", "no-edge-type"])
+    ], ids=["empty", "repeated", "max-hops-1", "max-hops-0", "max-hops-float",
+            "max-hops-bool", "one-type", "unknown-type", "no-edge-type"])
     def test_refused_settings(self, settings, error, message):
         with pytest.raises(error) as info:
             self._build(**settings)

@@ -9,12 +9,22 @@ coverage.py is not required.
     python tools/linecov.py                  # runs `pytest tests`
     python tools/linecov.py tests/test_data.py -k sidecar
 
-Arguments, when given, replace "tests" as pytest's arguments. A statement
-line is the first line of an ast statement, save docstrings and
-nonlocal/global declarations, which raise no line event. Code run only in a
-child process (the CLI tests that start one) is not seen, so its lines are
-listed. The hook makes the suite about 1.5 times as slow (51 s against
-33 s for tier-1's tests on 2 cores). The exit status is pytest's.
+Arguments, when given, replace "tests" as pytest's arguments. pytest also
+gets --hypothesis-seed=0 (a later --hypothesis-seed argument overrides it),
+so the property tests draw the same examples on every run and two runs list
+the same lines (under a fresh seed, a line that only some draws reach would
+come and go). A statement line is the first line of an ast statement, save
+docstrings and nonlocal/global declarations, which raise no line event.
+Code run only in a child process (the CLI tests that start one) is not
+seen, so its lines are listed. The hook makes the suite about 1.5 times as
+slow (51 s against 33 s for tier-1's tests on 2 cores). The exit status is
+pytest's.
+
+The hook slows timed loops unevenly, so a timing test can fail under it
+and not without it: tests/test_acceptance.py's
+test_criterion_10_bench_linearity once read a warm k=8/k=1 ratio of 3.91,
+below its floor of 4. Rerun a test that fails here under plain pytest
+before taking the exit status as a fault.
 """
 
 from __future__ import annotations
@@ -73,7 +83,8 @@ def traced_pytest(args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
 
 def main(argv: list[str]) -> int:
-    status, executed = traced_pytest(argv or [str(ROOT / "tests")])
+    status, executed = traced_pytest(
+        ["--hypothesis-seed=0", *(argv or [str(ROOT / "tests")])])
     total = 0
     counts = []
     for path in sorted(PACKAGE.glob("*.py")):

@@ -39,10 +39,11 @@ validation split.
 An epoch allocates no large array. train keeps every parameter as a view
 into one flat vector and every gradient as a view into a second one, so an
 Adam step and the finite check are a few in-place operations on the whole
-vector. Activations, their gradients and the logit statistics are written
-into one _Workspace that each train call allocates for itself, and one
-pass over the logits (energy.logit_pass) gives the softmax, the raw energy
-and the cross-entropy. All of it is elementwise the same arithmetic as a
+vector, and the best epoch's snapshot is one copy of that vector.
+Activations, their gradients and the logit statistics are written into one
+_Workspace that each train call allocates for itself, and one pass over the
+logits (energy.logit_pass) gives the softmax, the raw energy and the
+cross-entropy. All of it is elementwise the same arithmetic as a
 per-array loop with fresh arrays that computes the folded products above,
 so results are bitwise equal to that loop.
 
@@ -182,14 +183,6 @@ class EncoderParams:
         out.extend([self.hidden_weight, self.hidden_bias,
                     self.out_weight, self.out_bias])
         return out
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            self.paths, self.prop_paths, self.classes,
-            [w.copy() for w in self.proj_weights],
-            [b.copy() for b in self.proj_biases],
-            self.hidden_weight.copy(), self.hidden_bias.copy(),
-            self.out_weight.copy(), self.out_bias.copy())
 
 
 @dataclass(frozen=True)
@@ -653,7 +646,7 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     finite = np.empty(flat.size, dtype=bool)
 
     history = TrainHistory()
-    best_params = None
+    best = None
     best_f1 = -np.inf
     # The finite check below turns overflow and NaN into TrainingDiverged,
     # so numpy's warnings on the way there only add noise.
@@ -689,10 +682,8 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
                 epoch=epoch, val_micro_f1=val_f1, **losses))
             if val_ids.size and val_f1 > best_f1:
                 best_f1 = val_f1
-                best_params = params.copy()
+                best = flat.copy()
                 if stop_when_settled and best_f1 == 1.0:
                     break
 
-    if best_params is None:
-        best_params = params.copy()
-    return best_params, history
+    return _param_views(init, flat if best is None else best), history

@@ -132,14 +132,6 @@ class SparseRowMatrix:
     def row_sums(self) -> np.ndarray:
         return segment_sum(self.values, row_layout(self.row_counts()))
 
-    def stochastic_stats(self) -> tuple[float, float]:
-        """(max |row sum - 1| over nonempty rows, min value)."""
-        sums = self.row_sums()
-        nonempty = self.row_counts() > 0
-        dev = float(np.abs(sums[nonempty] - 1.0).max()) if nonempty.any() else 0.0
-        low = float(self.values.min()) if self.nnz else 0.0
-        return (dev, low)
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols), np.float64)
         rows = np.repeat(np.arange(self.n_rows), self.row_counts())

@@ -173,6 +173,13 @@ class TestPropagate:
             check_row_stochastic(a)
         assert str(info.value) == "matrix has negative entries"
 
+    def test_negative_entry_is_reported_before_a_bad_row_sum(self):
+        # row 0 sums to 0.5 and holds a negative entry: the sign is named
+        a = SparseRowMatrix.from_dense(np.array([[1.0, -0.5], [0.0, 1.0]]))
+        with pytest.raises(NotRowStochastic) as info:
+            check_row_stochastic(a)
+        assert str(info.value) == "matrix has negative entries"
+
     def test_empty_rows_allowed_by_validation(self):
         # a user-supplied matrix may carry empty rows; only nonempty rows
         # must sum to one

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -679,8 +680,8 @@ def _ref_train(graph, labels, splits, cfg, folded):
         records.append(EpochRecord(epoch, total, l_c, l_e, val_f1,
                                    float(e_raw[train_ids].mean())))
         if val_ids.size and val_f1 > best_f1:
-            best_f1, best = val_f1, params.copy()
-    return (best or params.copy()), records
+            best_f1, best = val_f1, copy.deepcopy(params)
+    return (best or copy.deepcopy(params)), records
 
 
 def _epoch_loop_case(alpha, steps, with_val):

@@ -11,8 +11,9 @@ from oodhg import data, make_splits, philox
 from oodhg.model import init_params
 from oodhg.philox import PhiloxGenerator, seed_key
 
+# 2 ** 130 + 3 has five 32-bit entropy words, one past seed_key's pool
 SEEDS = [0, 1, 5, 303, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1, 2 ** 64 + 5,
-         2 ** 100]
+         2 ** 100, 2 ** 130 + 3]
 
 # the weight shapes of one default init_params, in draw order: two 16-wide
 # feature paths, the hidden layer over both, a 3-class head

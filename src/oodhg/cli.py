@@ -224,7 +224,7 @@ def cmd_eval(args) -> int:
     tau = DEFAULT_TAU if args.tau is None else args.tau
     report = evaluate(graph, labels, splits, ckpt.params, ckpt.config, tau)
 
-    to_label = np.append(ckpt.params.classes, ckpt.ood_class)
+    to_label = np.append(ckpt.params.classes, ckpt.ood_class).tolist()
 
     out = _out_dir(args)
     echo = {"command": "eval", "data": str(args.data), "ckpt": str(args.ckpt),
@@ -244,18 +244,18 @@ def cmd_eval(args) -> int:
         "n_ood": int(np.sum(gold[splits.test_ids] == ckpt.ood_class)),
         "config_echo": echo})
 
+    # each final energy is formatted once, for both tables
+    final = [repr(e) for e in report.energy_final.tolist()]
+    softmax, gold_of = report.max_softmax.tolist(), gold.tolist()
     lines = ["node_id\tenergy\tmax_softmax\tpredicted\tgold\n"]
-    for pos, node in enumerate(report.test_ids):
-        pred_label = int(to_label[report.predicted[pos]])
-        lines.append(f"{int(node)}\t{float(report.energy_final[node])!r}\t"
-                     f"{float(report.max_softmax[node])!r}\t{pred_label}\t"
-                     f"{int(gold[node])}\n")
+    lines.extend(f"{node}\t{final[node]}\t{softmax[node]!r}\t{to_label[pred]}\t"
+                 f"{gold_of[node]}\n" for node, pred
+                 in zip(report.test_ids.tolist(), report.predicted.tolist()))
     (out / "scores.tsv").write_text("".join(lines))
 
     raw = ["node_id\tenergy_raw\tenergy_final\n"]
-    raw.extend(f"{i}\t{float(report.energy_raw[i])!r}\t"
-               f"{float(report.energy_final[i])!r}\n"
-               for i in range(graph.target_count))
+    raw.extend(f"{i}\t{e!r}\t{final[i]}\n"
+               for i, e in enumerate(report.energy_raw.tolist()))
     (out / "raw_energy.tsv").write_text("".join(raw))
 
     m = report.metrics
@@ -269,26 +269,25 @@ _HEADLINE = ("auroc", "aupr", "fpr95", "micro_f1", "macro_f1", "auroc_msp")
 
 
 def _grid(args, data, base: TrainConfig, seeds: list[int],
-          points: list[tuple[dict, list[float]]]) -> list[dict]:
+          points: list[dict], taus: list[float]) -> list[dict]:
     """Per-seed headline rows and their summary for each (point, tau) pair,
-    point-major. A point is (TrainConfig overrides on base, taus).
+    point-major. A point is a dict of TrainConfig overrides on base.
 
-    Every point's TrainConfig and DetectorConfig, and every seed's splits,
-    are built before any training, so a bad grid value or split fails at
-    once; the splits depend only on the seed, so every point shares them.
-    Each point trains and evaluates each seed once, seeds in parallel under
-    OODHG_THREADS, and reads its taus off that one report with
+    The taus, every point's TrainConfig and every seed's splits are checked
+    before any training, so a bad grid value or split fails at once; the
+    splits depend only on the seed, so every point shares them. Each point
+    trains and evaluates each seed once, seeds in parallel under
+    OODHG_THREADS, and reads the taus off that one report with
     EvalReport.at.
     """
     graph, labels, file_splits = data
-    configs = [(dataclasses.replace(base, **overrides),
-                [DetectorConfig(t).tau for t in taus])
-               for overrides, taus in points]
+    taus = [DetectorConfig(t).tau for t in taus]
+    configs = [dataclasses.replace(base, **overrides) for overrides in points]
     seed_splits = {seed: _splits_for_seed(args.ood_class, labels,
                                           file_splits, seed)
                    for seed in dict.fromkeys(seeds)}
     cells = []
-    for cfg, taus in configs:
+    for cfg in configs:
         def one(seed):
             run = dataclasses.replace(cfg, seed=seed)
             splits = seed_splits[seed]
@@ -322,9 +321,9 @@ def cmd_ablate(args) -> int:
         ("no_ep", {"alpha": base.alpha, "steps": 0}),
         ("full", {"alpha": base.alpha, "steps": base.steps}),
     ]
-    points = [(overrides, [DEFAULT_TAU]) for _, overrides in arms]
-    results = [{"arm": name, **overrides, **cell} for (name, overrides), cell
-               in zip(arms, _grid(args, data, base, seeds, points))]
+    cells = _grid(args, data, base, seeds, [o for _, o in arms], [DEFAULT_TAU])
+    results = [{"arm": name, **overrides, **cell}
+               for (name, overrides), cell in zip(arms, cells)]
 
     echo = {"command": "ablate", "data": str(args.data),
             "train_config": base.to_dict(), "seeds": seeds}
@@ -360,10 +359,11 @@ def cmd_sweep(args) -> int:
             raise ValueError("--grid lists no value")
     else:
         grid = _SWEEP_DEFAULT_GRIDS[param]
-    points = ([({}, grid)] if param == "tau" else
-              [({param: _sweep_value(param, v)}, [DEFAULT_TAU]) for v in grid])
+    taus = grid if param == "tau" else [DEFAULT_TAU]
+    points = ([{}] if param == "tau" else
+              [{param: _sweep_value(param, v)} for v in grid])
     rows_per_value = [{"value": value, **cell} for value, cell
-                      in zip(grid, _grid(args, data, base, seeds, points))]
+                      in zip(grid, _grid(args, data, base, seeds, points, taus))]
 
     echo = {"command": "sweep", "data": str(args.data), "param": param,
             "grid": grid, "train_config": base.to_dict(), "seeds": seeds}

@@ -18,12 +18,12 @@ row j of A_hat^T and transposed once, so no dense n x n array is formed.
 Every hop is H = diag(1/deg) B for the 0/1 pattern B that hop_matrix
 returns, applied through the HopKernel built from B: a segment sum over B
 and one scale by 1/deg per row, with no multiply per nonzero and no valued
-transpose; nothing here row-normalises B into a valued matrix. Every
-product with a hop chain is a chain of HopKernel.matvec (or rmatvec) calls:
-metapath_features applies the hops to one feature column at a time. The
-adjoint is bitwise H.transpose().matvec; the forward sums before it scales
-and so rounds differently from the valued SparseRowMatrix products, within a
-few ulps.
+transpose; nothing here row-normalises B into a valued matrix. One
+function, _chain, applies a path's hops right to left, for MetaPathOperator
+and for metapath_features (one feature column at a time). A hop's adjoint
+is bitwise H.transpose().matvec; its forward sums before it scales and so
+rounds differently from the valued SparseRowMatrix products, within a few
+ulps.
 
 A graph's nodes, edges and features do not change after construction. Hop
 kernels and meta-path feature tables are memoised lazily on the graph;
@@ -382,6 +382,14 @@ def validate_metapath(graph: HeteroGraph, path) -> MetaPath:
     return path
 
 
+def _chain(hops, x: np.ndarray) -> np.ndarray:
+    """H_1 (H_2 (... (H_k x))) for hops H_1 ... H_k: the hops' matvecs
+    applied right to left, so no product of hops is formed."""
+    for hop in reversed(hops):
+        x = hop.matvec(x)
+    return x
+
+
 # a composed row whose sum drifts from 1 beyond this lost real mass to a
 # dangling intermediate node (float noise stays orders of magnitude below)
 LOST_MASS_TOL = 1e-9
@@ -409,7 +417,7 @@ class MetaPathOperator:
         self.hops = tuple(hops)
         self.n_rows = self.hops[0].n_rows
         self.n_cols = self.hops[-1].n_cols
-        sums = self._chain(np.ones(self.n_cols))
+        sums = _chain(self.hops, np.ones(self.n_cols))
         lossy = (sums > 0) & (np.abs(sums - 1.0) > LOST_MASS_TOL)
         self._scale = np.where(lossy, 1.0 / np.where(sums > 0, sums, 1.0), 1.0)
         # entries are positive, so a chain row sums to 0 only if it is empty
@@ -421,17 +429,12 @@ class MetaPathOperator:
     def shape(self) -> tuple[int, int]:
         return (self.n_rows, self.n_cols)
 
-    def _chain(self, x: np.ndarray) -> np.ndarray:
-        for hop in reversed(self.hops):
-            x = hop.matvec(x)
-        return x
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A_hat @ x."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n_cols,):
             raise ShapeMismatch(f"matvec expects shape ({self.n_cols},), got {x.shape}")
-        out = self._chain(x) * self._scale
+        out = _chain(self.hops, x) * self._scale
         out[self._loops] = x[self._loops]
         return out
 
@@ -545,9 +548,9 @@ def metapath_features(graph: HeteroGraph, path) -> np.ndarray:
     Computes (product of row-normalized hop adjacencies) @ features(end).
     Zero rows are left as zeros here, not self-loop repaired: a node with no
     path instances simply aggregates nothing. Each feature column goes
-    through the hops right to left as a chain of HopKernel.matvec calls, so
-    no product of hops is formed. The table is memoised on the graph and
-    returned read-only; every call for one path returns equal values.
+    through _chain, the hop chain MetaPathOperator applies, so no product
+    of hops is formed. The table is memoised on the graph and returned
+    read-only; every call for one path returns equal values.
     """
     path = validate_metapath(graph, path)
     cached = graph._feature_cache.get(path.types)
@@ -557,15 +560,10 @@ def metapath_features(graph: HeteroGraph, path) -> np.ndarray:
     if graph.feature_dim(end) == 0:
         raise FeaturelessEndType(
             f"meta-path {path} ends at featureless type {end!r}")
-    kernels = [hop_kernel(graph, *hop) for hop in reversed(path.hops())]
+    hops = [hop_kernel(graph, *hop) for hop in path.hops()]
     columns = np.ascontiguousarray(graph.features[end].T)
-    out = np.empty((columns.shape[0], graph.node_count(path.types[0])))
-    for j, column in enumerate(columns):
-        for kernel in kernels:
-            column = kernel.matvec(column)
-        out[j] = column
-    # column j of the (n, d) table is row j of out; .T copies nothing
-    out = out.T
+    # column j of the (n, d) table is row j of the stack; .T copies nothing
+    out = np.stack([_chain(hops, column) for column in columns]).T
     out.flags.writeable = False
     graph._feature_cache[path.types] = out
     return out

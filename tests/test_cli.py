@@ -796,6 +796,12 @@ class TestNegativeListValues:
         assert capsys.readouterr().err.splitlines() == [message]
 
 
+def _feature_path_from_aux0(ckpt):
+    """Feature path 0, and the projection that reads it, go aux0->target."""
+    ckpt["feature_paths"][0] = ["aux0", "target"]
+    ckpt["params"]["projections"][0]["path"] = ["aux0", "target"]
+
+
 class TestCheckpointFormat:
     def test_wrong_format_tag_rejected(self, dataset, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -843,6 +849,10 @@ class TestCheckpointFormat:
         (lambda c: [row.append(0.0) for row in c["params"]["out_weight"]],
          "'params.out_weight' has shape"),
         (lambda c: c.update(prop_paths=[]), "no target-to-target meta-path"),
+        (_feature_path_from_aux0,
+         "feature meta-path aux0->target must start at target type 'target'"),
+        (lambda c: c.update(prop_paths=[["target", "aux0"]]),
+         "propagation meta-path target->aux0 must start and end at 'target'"),
     ])
     def test_corrupt_checkpoint_is_one_line_error(self, dataset, tmp_path,
                                                   capsys, corrupt, needle):

@@ -218,6 +218,12 @@ class TestDatasetIO:
                                    f"(schema.json); save into a new directory")
         assert _tree_bytes(tmp_path / "d") == before
 
+    def test_save_refuses_an_unknown_feature_format(self, tmp_path):
+        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=5, seed=1))
+        with pytest.raises(ValueError, match="unknown feature format 'x'"):
+            save_dataset(tmp_path / "d", graph, labels, feature_format="x")
+        assert not (tmp_path / "d").exists()
+
     def test_csv_and_f32_features_of_one_type_are_refused(self, tmp_path):
         graph, labels = generate_synthetic(SynthConfig(nodes_per_class=5, seed=1))
         root = save_dataset(tmp_path / "d", graph, labels)

@@ -94,6 +94,10 @@ class TestMspScore:
         with pytest.raises(NotADistribution):
             msp_score(np.array([[0.5, 0.6]]))
 
+    def test_needs_two_dimensions(self):
+        with pytest.raises(NotADistribution, match=r"got \(3,\)"):
+            msp_score(np.full(3, 1 / 3))
+
     def test_negative_entry_is_named(self):
         # the row sums to 1, so only the entry check can reject it
         with pytest.raises(NotADistribution, match=r"entry \(0, 1\) is -0.5"):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from oodhg import BinaryScoredSet, KPlusOnePrediction, aupr, auroc, fpr_at_95tpr, macro_f1, micro_f1, sweep_threshold
-from oodhg.errors import DegenerateLabels, EmptyPredictions, NonFiniteScore
+from oodhg.errors import (
+    DegenerateLabels,
+    EmptyPredictions,
+    LengthMismatch,
+    NonFiniteScore,
+)
 from oodhg.metrics import ENERGY_TAU_GRID, assemble_kplus1
 
 
@@ -68,6 +73,12 @@ class TestBinaryScoredSet:
     def test_non_finite_score_rejected(self, bad):
         with pytest.raises(NonFiniteScore, match="score 1"):
             BinaryScoredSet([0.5, bad, 1.0], [True, False, False])
+
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.5, 1.0], [True]), ([[0.5, 1.0]], [[True, False]])])
+    def test_unequal_or_not_1d_rejected(self, scores, labels):
+        with pytest.raises(LengthMismatch, match="equal-length 1-D"):
+            BinaryScoredSet(scores, labels)
 
 
 class TestAuroc:
@@ -211,6 +222,16 @@ class TestF1:
         with pytest.raises(EmptyPredictions):
             micro_f1(KPlusOnePrediction([], [], 2))
 
+    def test_macro_empty_rejected(self):
+        with pytest.raises(EmptyPredictions):
+            macro_f1(KPlusOnePrediction([], [], 2))
+
+    @pytest.mark.parametrize("predicted, gold", [
+        ([0, 1], [0]), ([[0, 1]], [[0, 1]])])
+    def test_unequal_or_not_1d_rejected(self, predicted, gold):
+        with pytest.raises(LengthMismatch, match="equal-length 1-D"):
+            KPlusOnePrediction(predicted, gold, 2)
+
 
 class TestSweepThreshold:
     def test_default_grid_has_21_points(self):
@@ -226,6 +247,11 @@ class TestSweepThreshold:
         tau, table = sweep_threshold(energies, probs, gold, 3, grid=[1.3])
         assert tau == 1.3
         assert len(table) == 1
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            sweep_threshold(np.array([-3.0]), np.array([[0.9, 0.1]]),
+                            np.array([0]), 3, grid=[])
 
     def test_recovers_planted_threshold(self):
         # ID nodes sit at -E = 1.61, OOD at -E = 1.18: any tau in

@@ -22,6 +22,7 @@ from oodhg import (
 from oodhg import model
 from oodhg.errors import (
     EmptyTrainSet,
+    InvalidPath,
     LabelOutOfRange,
     OodLabelInTrainSet,
     ShapeMismatch,
@@ -117,6 +118,11 @@ class TestForward:
         for arr in params.param_list():
             arr[...] = 0.0
         assert np.all(forward(graph, params) == 0.0)
+
+    def test_feature_tables_need_a_path(self):
+        graph, _ = small_instance()
+        with pytest.raises(InvalidPath, match="at least one feature meta-path"):
+            feature_tables(graph, [])
 
     def test_identity_composition_single_feature(self):
         # one path, 1x1 identity projections, identity head, non-negative

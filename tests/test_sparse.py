@@ -125,6 +125,23 @@ class TestConstruction:
             SparseRowMatrix(2, 2, np.array([0, 2, 1]), np.array([0, 1]),
                             np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("shape, offsets, cols, values, error, needle", [
+        ((-1, 2), [], [], [], ShapeMismatch, r"negative shape \(-1, 2\)"),
+        ((2, 2), [0, 1], [0], [1.0], ValidationError, r"length n_rows \+ 1"),
+        ((3, 2), [0, 2, 1, 2], [0, 1], [1.0, 1.0], ValidationError, "monotone"),
+        ((1, 2), [0, 1], [0], [1.0, 2.0], ValidationError, "equal length"),
+    ], ids=["negative-shape", "offsets-length", "offsets-decrease",
+            "values-length"])
+    def test_malformed_parts_rejected(self, shape, offsets, cols, values,
+                                      error, needle):
+        with pytest.raises(error, match=needle):
+            SparseRowMatrix(*shape, np.array(offsets, np.int64),
+                            np.array(cols, np.int64), np.array(values))
+
+    def test_from_dense_needs_two_dimensions(self):
+        with pytest.raises(ShapeMismatch, match="2-D"):
+            SparseRowMatrix.from_dense(np.ones(3))
+
     def test_column_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             SparseRowMatrix(1, 2, np.array([0, 1]), np.array([2]), np.array([1.0]))
@@ -190,6 +207,11 @@ class TestProducts:
         a = SparseRowMatrix.from_dense(np.ones((2, 3)))
         with pytest.raises(ShapeMismatch):
             a.matmul(a)
+
+    def test_matvec_shape_mismatch(self):
+        a = SparseRowMatrix.from_dense(np.ones((2, 3)))
+        with pytest.raises(ShapeMismatch, match=r"expects shape \(3,\), got \(2,\)"):
+            a.matvec(np.ones(2))
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(8)

@@ -180,7 +180,7 @@ def cmd_gen(args) -> int:
     cfg = SynthConfig(**{field: getattr(args, key)
                          for key, field in _GEN_KEYS.items()})
     graph, labels = generate_synthetic(cfg)
-    save_dataset(out, graph, labels, feature_format=args.feature_format)
+    save_dataset(out, graph, labels)
     n_edges = sum(len(v) for v in graph.edges.values())
     print(f"wrote {out}: {graph.target_count} target nodes, "
           f"{cfg.n_aux_types} aux types, {n_edges} edges, "
@@ -481,8 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
         default = getattr(_SYNTH_DEFAULTS, field)
         p.add_argument("--" + key.replace("_", "-"), dest=key,
                        type=type(default), default=default)
-    p.add_argument("--feature-format", dest="feature_format",
-                   choices=("csv", "f32"), default="csv")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_gen)
 

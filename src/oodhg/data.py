@@ -7,8 +7,7 @@ Directory format:
                   enumeration when metapaths is absent); the graph carries
                   these two, and build_graph checks them.
     edges/<edge_type>.tsv      one "src<TAB>dst" pair of 0-based ids per line.
-    features/<node_type>.csv   count x feature_dim decimal floats, or
-             <node_type>.f32   raw little-endian float32, row major.
+    features/<node_type>.csv   count x feature_dim decimal floats.
     labels.tsv                 one "node_id<TAB>label" per target node.
     splits.json (optional)     {train, val, test, ood_class}.
     <table>.bin (optional)     beside each .tsv and .csv table that
@@ -281,20 +280,17 @@ def _int_pair_text(pairs: np.ndarray) -> str:
     return ("{}\t{}\n" * (len(flat) // 2)).format(*flat)
 
 
-def save_dataset(dir_path, graph: HeteroGraph, labels=None, splits=None,
-                 feature_format: str = "csv") -> Path:
+def save_dataset(dir_path, graph: HeteroGraph, labels=None,
+                 splits=None) -> Path:
     """Write a dataset directory; the inverse of load_dataset.
 
     schema.json holds the graph's metapaths and max_hops where they are
-    set. feature_format "csv" stores floats via repr (lossless for float64);
-    "f32" stores raw little-endian float32, losing precision beyond 32 bits
-    but round-tripping bitwise once loaded and saved again. Each text table
-    gets a binary sidecar beside it (see _write_table). Raises
-    ValidationError when dir_path already holds a schema.json: the old
-    dataset's files would outlive the ones this call replaces.
+    set. Feature csv files store each float via repr, so load_dataset gives
+    the features back bitwise. Each text table gets a binary sidecar
+    beside it (see _write_table). Raises ValidationError when dir_path
+    already holds a schema.json: the old dataset's files would outlive the
+    ones this call replaces.
     """
-    if feature_format not in ("csv", "f32"):
-        raise ValueError(f"unknown feature format {feature_format!r}")
     root = Path(dir_path)
     if (root / "schema.json").exists():
         raise ValidationError(f"{root} already holds a dataset (schema.json); "
@@ -327,13 +323,9 @@ def save_dataset(dir_path, graph: HeteroGraph, labels=None, splits=None,
         if s.feature_dim == 0:
             continue
         mat = graph.features[s.name]
-        if feature_format == "csv":
-            text = "".join(",".join(repr(float(v)) for v in row) + "\n"
-                           for row in mat)
-            _write_table(feat_dir / f"{s.name}.csv", text, mat)
-        else:
-            (feat_dir / f"{s.name}.f32").write_bytes(
-                np.ascontiguousarray(mat, dtype="<f4").tobytes())
+        text = "".join(",".join(repr(float(v)) for v in row) + "\n"
+                       for row in mat)
+        _write_table(feat_dir / f"{s.name}.csv", text, mat)
 
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
@@ -583,26 +575,12 @@ def _data_line(path: Path, row: int) -> int:
 
 
 def _load_features(feat_dir: Path, name: str, count: int, dim: int) -> np.ndarray:
-    csv_path = feat_dir / f"{name}.csv"
-    f32_path = feat_dir / f"{name}.f32"
-    has_csv = csv_path.is_file()
-    if has_csv and f32_path.is_file():
-        raise ValidationError(f"{csv_path} and {f32_path} both hold the "
-                              f"features of type {name!r}; keep one")
-    if has_csv:
-        mat = _read_table(csv_path, np.float64, ",", dim)
-        if mat.shape[0] != count:
-            raise ValidationError(f"{csv_path}: {mat.shape[0]} rows for "
-                                  f"{count} nodes of type {name!r}")
-        return mat
-    if f32_path.is_file():
-        raw = f32_path.read_bytes()
-        expected = count * dim * 4
-        if len(raw) != expected:
-            raise ValidationError(f"{f32_path}: {len(raw)} bytes, expected {expected}")
-        # widen 32-bit payloads to the 64-bit working type
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(count, dim)
-    raise MissingFile(f"no {csv_path.name} or {f32_path.name} in {feat_dir}")
+    path = feat_dir / f"{name}.csv"
+    mat = _read_table(path, np.float64, ",", dim)
+    if mat.shape[0] != count:
+        raise ValidationError(f"{path}: {mat.shape[0]} rows for "
+                              f"{count} nodes of type {name!r}")
+    return mat
 
 
 def _assign_labels(path: Path, pairs: np.ndarray, n_target: int) -> np.ndarray:

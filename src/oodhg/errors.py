@@ -21,7 +21,8 @@ class IndexOutOfRange(OodhgError):
 
 
 class DimensionMismatch(OodhgError):
-    """A feature matrix does not match the declared (count, feature_dim)."""
+    """A feature matrix does not match the declared (count, feature_dim),
+    or features are given for a featureless node type (build_graph)."""
 
 
 class ValidationError(OodhgError):
@@ -65,13 +66,17 @@ class EmptyPathSet(OodhgError):
 
 
 class LengthMismatch(OodhgError):
-    """Per-path energy vectors have different lengths."""
+    """Per-path energy vectors have different lengths, or the arrays of a
+    BinaryScoredSet or a KPlusOnePrediction are not equal-length 1-D
+    arrays."""
 
 
 # training
 
 class LabelOutOfRange(OodhgError):
-    """A training label falls outside the class range of the head."""
+    """A training label falls outside the class range of the head, or a
+    test label is neither a train/val class nor the held-out class of the
+    K+1 protocol (model.label_space)."""
 
 
 class EmptyTrainSet(OodhgError):
@@ -103,7 +108,9 @@ class NonFiniteScore(OodhgError):
 # dataset io
 
 class MissingFile(OodhgError):
-    """A required dataset file is absent."""
+    """A required input file is absent or not a regular file: a dataset
+    table, schema.json, a checkpoint or a --config file. Raised only by
+    data._require_file."""
 
 
 class ParseError(OodhgError):

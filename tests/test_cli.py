@@ -73,6 +73,14 @@ class TestGen:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
+    def test_takes_no_feature_format(self, tmp_path):
+        """Features are written only as csv."""
+        out = tmp_path / "data"
+        with pytest.raises(SystemExit) as exc:
+            main(GEN + ["--feature-format", "f32", "-o", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
 
 class TestTrain:
     def test_missing_ood_class_is_an_error(self, dataset, tmp_path, capsys):
@@ -1074,16 +1082,20 @@ def _drop_last_feature_row(data: Path) -> str:
     return f"{path}: 79 rows for 80 nodes of type 'target'"
 
 
-def _short_f32_features(data: Path) -> str:
-    path = data / "features" / "target.f32"
-    path.with_suffix(".csv").unlink()
-    path.write_bytes(bytes(80 * 16 * 4 - 4))
-    return f"{path}: 5116 bytes, expected 5120"
-
-
 def _no_feature_file(data: Path) -> str:
-    (data / "features" / "target.csv").unlink()
-    return f"no target.csv or target.f32 in {data / 'features'}"
+    path = data / "features" / "target.csv"
+    path.unlink()
+    return f"{path} not found"
+
+
+def _f32_features_only(data: Path) -> str:
+    """Replace the csv and its sidecar by the raw float32 file that earlier
+    versions could write, which is not read."""
+    path = data / "features" / "target.csv"
+    path.unlink()
+    (data / "features" / "target.csv.bin").unlink()
+    (data / "features" / "target.f32").write_bytes(bytes(80 * 16 * 4))
+    return f"{path} not found"
 
 
 def _narrow_features(data: Path) -> str:
@@ -1097,18 +1109,22 @@ def _narrow_features(data: Path) -> str:
     return "feature dim 8 does not match projection (16, 8)"
 
 
-@pytest.mark.parametrize("edit", [
-    _drop_last_feature_row, _short_f32_features, _no_feature_file,
-    _narrow_features], ids=["csv-row-missing", "f32-length", "no-file",
-                            "feature-dim"])
+@pytest.mark.parametrize("edit, command", [
+    (_drop_last_feature_row, "eval"), (_no_feature_file, "eval"),
+    (_narrow_features, "eval"), (_f32_features_only, "train"),
+    (_f32_features_only, "eval")], ids=[
+    "csv-row-missing", "no-file", "feature-dim", "f32-only-train",
+    "f32-only-eval"])
 def test_unreadable_features_are_one_line_error(json_inputs, tmp_path,
-                                                capsys, edit):
+                                                capsys, edit, command):
     data = tmp_path / "data"
     shutil.copytree(json_inputs / "data", data)
     message = edit(data)
     capsys.readouterr()
-    assert main(["eval", "--ckpt", str(json_inputs / "run" / "checkpoint.json"),
-                 "--data", str(data), "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "out"
+    argv = (["train", "--ood-class", "3"] if command == "train" else
+            ["eval", "--ckpt", str(json_inputs / "run" / "checkpoint.json")])
+    assert main(argv + ["--data", str(data), "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 

@@ -9,7 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oodhg import (
+    EdgeTypeSchema,
     MetaPath,
+    NodeTypeSchema,
     SynthConfig,
     build_graph,
     data,
@@ -26,6 +28,8 @@ from oodhg.errors import (
     ParseError,
     ValidationError,
 )
+
+from conftest import random_typed_graph
 
 
 def _tree_bytes(root: Path) -> dict:
@@ -192,18 +196,54 @@ class TestDatasetIO:
         assert splits is None
         assert load_path_config(mini_dataset_dir) == (None, 2)
 
-    def test_roundtrip_csv_exact(self, tmp_path):
-        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=15, seed=2))
-        splits = make_splits(labels, 3, seed=2)
-        save_dataset(tmp_path / "d", graph, labels, splits)
-        g2, l2, s2 = load_dataset(tmp_path / "d")
-        assert g2.edges.keys() == graph.edges.keys()
-        for name, pairs in graph.edges.items():
-            np.testing.assert_array_equal(g2.edges[name], pairs)
-        np.testing.assert_array_equal(graph.features["target"], g2.features["target"])
-        np.testing.assert_array_equal(labels, l2)
-        np.testing.assert_array_equal(splits.train_ids, s2.train_ids)
-        assert s2.ood_class == 3
+    def test_roundtrip_csv_exact(self, tmp_path, monkeypatch):
+        synth, synth_labels = generate_synthetic(
+            SynthConfig(nodes_per_class=15, seed=2))
+        synth_splits = make_splits(synth_labels, 3, seed=2)
+        # two featured types and the empty edge type v__t
+        rng = np.random.default_rng(11)
+        typed, _ = random_typed_graph(
+            rng, {"t": 6, "u": 4, "v": 3}, [("t", "u"), ("u", "t"), ("t", "v")],
+            0.5, "t", feature_dims={"t": 3, "u": 2})
+        typed = build_graph(
+            typed.node_types,
+            [*typed.edge_types, EdgeTypeSchema("v__t", "v", "t")],
+            {**typed.edges, "v__t": np.empty((0, 2), dtype=np.int64)},
+            typed.features, "t", metapaths=[["t", "u", "t"], ["t", "v", "t"]])
+        # values whose shortest repr is long, subnormal, signed zero or at
+        # the edge of the float64 range; 9007199254740993.0 reads as 2**53
+        extremes = np.array([
+            [-0.0, 5e-324], [2.5e-310, 1.7976931348623157e+308],
+            [-1.7976931348623157e+308, 1e22], [1e23, 9007199254740993.0]])
+        extreme = build_graph(
+            [NodeTypeSchema("t", 4, 2)], [EdgeTypeSchema("t__t", "t", "t")],
+            {"t__t": [[0, 1], [1, 0], [2, 3]]}, {"t": extremes}, "t",
+            max_hops=3)
+        cases = [(synth, synth_labels, synth_splits),
+                 (typed, rng.integers(0, 3, 6), None),
+                 (extreme, np.array([0, 1, 0, 1]), None)]
+        for i, (graph, labels, splits) in enumerate(cases):
+            root = save_dataset(tmp_path / str(i), graph, labels, splits)
+            with monkeypatch.context() as patch:
+                _no_text_parse(patch)
+                served = load_dataset(root)
+            assert _drop_sidecars(root)
+            for g2, l2, s2 in (served, load_dataset(root)):
+                assert g2.edges.keys() == graph.edges.keys()
+                for name, pairs in graph.edges.items():
+                    np.testing.assert_array_equal(g2.edges[name], pairs)
+                assert g2.features.keys() == graph.features.keys()
+                for name, mat in graph.features.items():
+                    np.testing.assert_array_equal(g2.features[name].view(np.int64),
+                                                  mat.view(np.int64))
+                np.testing.assert_array_equal(labels, l2)
+                assert g2.metapaths == graph.metapaths
+                assert g2.max_hops == graph.max_hops
+                if splits is None:
+                    assert s2 is None
+                else:
+                    np.testing.assert_array_equal(splits.train_ids, s2.train_ids)
+                    assert s2.ood_class == 3
 
     def test_save_refuses_a_directory_holding_a_dataset(self, tmp_path):
         # otherwise seed 1's csv features and splits.json would load with
@@ -213,37 +253,10 @@ class TestDatasetIO:
         before = _tree_bytes(tmp_path / "d")
         g2, l2 = generate_synthetic(SynthConfig(nodes_per_class=5, seed=2))
         with pytest.raises(ValidationError) as info:
-            save_dataset(tmp_path / "d", g2, l2, feature_format="f32")
+            save_dataset(tmp_path / "d", g2, l2)
         assert str(info.value) == (f"{tmp_path / 'd'} already holds a dataset "
                                    f"(schema.json); save into a new directory")
         assert _tree_bytes(tmp_path / "d") == before
-
-    def test_save_refuses_an_unknown_feature_format(self, tmp_path):
-        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=5, seed=1))
-        with pytest.raises(ValueError, match="unknown feature format 'x'"):
-            save_dataset(tmp_path / "d", graph, labels, feature_format="x")
-        assert not (tmp_path / "d").exists()
-
-    def test_csv_and_f32_features_of_one_type_are_refused(self, tmp_path):
-        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=5, seed=1))
-        root = save_dataset(tmp_path / "d", graph, labels)
-        feat = root / "features"
-        (feat / "target.f32").write_bytes(
-            graph.features["target"].astype("<f4").tobytes())
-        with pytest.raises(ValidationError) as info:
-            load_dataset(root)
-        assert str(info.value) == (
-            f"{feat / 'target.csv'} and {feat / 'target.f32'} both hold the "
-            f"features of type 'target'; keep one")
-
-    def test_f32_roundtrip_bitwise(self, tmp_path):
-        graph, labels = generate_synthetic(SynthConfig(nodes_per_class=15, seed=4))
-        save_dataset(tmp_path / "d1", graph, labels, feature_format="f32")
-        g2, l2, _ = load_dataset(tmp_path / "d1")
-        save_dataset(tmp_path / "d2", g2, l2, feature_format="f32")
-        a = (tmp_path / "d1" / "features" / "target.f32").read_bytes()
-        b = (tmp_path / "d2" / "features" / "target.f32").read_bytes()
-        assert a == b
 
     def test_missing_schema(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -648,10 +661,9 @@ class TestSidecars:
     @pytest.mark.parametrize("args", [
         ["--per-class", "10"],
         ["--per-class", "150"],
-        ["--per-class", "10", "--feature-format", "f32"],
         # every edge type empty
         ["--per-class", "10", "--intra", "0", "--inter", "0"],
-    ], ids=["10", "150", "f32", "no-edges"])
+    ], ids=["10", "150", "no-edges"])
     def test_sidecar_gives_what_the_parse_gives(self, tmp_path, monkeypatch, args):
         root = _gen(tmp_path / "d", *args)
         with monkeypatch.context() as patch:

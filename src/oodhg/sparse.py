@@ -1,16 +1,16 @@
 """Compressed sparse row matrices for adjacency chains.
 
-Implements construction from edge pairs, row normalization, CSR*CSR and
-CSR*vector products, and transposition. The package itself builds a
-SparseRowMatrix in two places: hetgraph.hop_matrix builds each hop's 0/1
-pattern with from_edge_pairs, which hetgraph.HopKernel applies without
-reading the values, and compose_metapath transposes the matrix it
-assembles from the operator's columns. The valued products (matmul,
-matvec, rmatvec) and row_normalize serve the tests as references.
-All values are 64-bit floats. Products are accumulated row by row with a
-sparse (concatenate, sort, segment-reduce) accumulator, never through a dense
-intermediate, and the summation order inside every output row is fixed, so
-results are bitwise reproducible for a given input.
+Implements construction from edge pairs, row normalization, CSR*vector
+products, and transposition. The package itself builds a SparseRowMatrix
+in two places: hetgraph.hop_matrix builds each hop's 0/1 pattern with
+from_edge_pairs, which hetgraph.HopKernel applies without reading the
+values, and compose_metapath transposes the matrix it assembles from the
+operator's columns. The valued products (matvec, rmatvec) and
+row_normalize serve the tests as references, and matmul is a dense
+reference product that no command runs: it multiplies through to_dense
+and keeps the nonzeros with from_dense. All values are 64-bit floats.
+matvec sums each row's terms with a segment reduction in a fixed order,
+so its results are bitwise reproducible for a given input.
 
 This module alone does CSR index arithmetic, for SparseRowMatrix and
 HopKernel both: row_layout turns row counts into offsets and the starts of
@@ -164,51 +164,12 @@ class SparseRowMatrix:
 
     # called by no command; kept because perfbench/tracer.py patches it by name
     def matmul(self, other: "SparseRowMatrix") -> "SparseRowMatrix":
-        """Sparse product self @ other, row by row (Gustavson style).
-
-        For each output row the contributing entries are concatenated,
-        stably sorted by column, and segment-summed, so the accumulation
-        order is a pure function of the operands.
-        """
+        """Product self @ other through a dense intermediate; a reference
+        for the tests, exact zeros (cancellations included) not stored."""
         if self.n_cols != other.n_rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
-        out_offsets = np.zeros(self.n_rows + 1, np.int64)
-        out_cols: list[np.ndarray] = []
-        out_vals: list[np.ndarray] = []
-        b_off, b_cols, b_vals = other.row_offsets, other.col_indices, other.values
-        for i in range(self.n_rows):
-            s, e = self.row_offsets[i], self.row_offsets[i + 1]
-            if s == e:
-                out_offsets[i + 1] = out_offsets[i]
-                continue
-            ks = self.col_indices[s:e]
-            a = self.values[s:e]
-            starts, ends = b_off[ks], b_off[ks + 1]
-            lens = ends - starts
-            total = int(lens.sum())
-            if total == 0:
-                out_offsets[i + 1] = out_offsets[i]
-                continue
-            block = np.repeat(np.arange(ks.size), lens)
-            within = np.arange(total) - np.repeat(np.cumsum(lens) - lens, lens)
-            idx = starts[block] + within
-            cat_cols = b_cols[idx]
-            cat_vals = b_vals[idx] * a[block]
-            order = np.argsort(cat_cols, kind="stable")
-            sc, sv = cat_cols[order], cat_vals[order]
-            group = np.empty(total, dtype=bool)
-            group[0] = True
-            group[1:] = sc[1:] != sc[:-1]
-            grp_starts = np.flatnonzero(group)
-            out_cols.append(sc[grp_starts])
-            out_vals.append(np.add.reduceat(sv, grp_starts))
-            out_offsets[i + 1] = out_offsets[i] + grp_starts.size
-        cols = (np.concatenate(out_cols) if out_cols
-                else np.zeros(0, np.int64))
-        vals = (np.concatenate(out_vals) if out_vals
-                else np.zeros(0, np.float64))
-        return SparseRowMatrix(self.n_rows, other.n_cols, out_offsets, cols, vals)
+        return SparseRowMatrix.from_dense(self.to_dense() @ other.to_dense())
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodhg import cli
+from oodhg import cli, hetgraph
 from oodhg.cli import main
 from oodhg.pipeline import load_checkpoint
 
@@ -660,6 +660,27 @@ class TestBench:
                     + flags) == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {needle}"]
         assert not (out / "bench.json").exists()
+
+    def test_builds_on_a_fresh_graph(self, dataset, monkeypatch):
+        """The cold builds never empty or fill the graph the dataset gave."""
+        loaded, seen = [], []
+        load, kernel = cli.load_dataset, hetgraph.hop_kernel
+
+        def recording_load(path):
+            graph, labels, splits = load(path)
+            loaded.append(graph)
+            return graph, labels, splits
+
+        def recording_kernel(graph, src, dst):
+            seen.append(graph)
+            return kernel(graph, src, dst)
+
+        monkeypatch.setattr(cli, "load_dataset", recording_load)
+        monkeypatch.setattr(hetgraph, "hop_kernel", recording_kernel)
+        assert main(["bench", "--data", str(dataset), "--k-list", "1",
+                     "--repeats", "2"]) == 0
+        assert len(loaded) == 1 and seen
+        assert all(graph is not loaded[0] for graph in seen)
 
     def test_takes_no_ood_class(self, dataset):
         with pytest.raises(SystemExit) as exc:

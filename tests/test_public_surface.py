@@ -43,10 +43,8 @@ UNREFERENCED = {
     "model.training_loss": "criterion 2's finite-difference target",
     "pipeline.run_experiment":
         "criterion 5's arms and README's library example call it",
-    "sparse.SparseRowMatrix.from_dense": "criterion 1 oracle",
     "sparse.SparseRowMatrix.matmul": "perfbench/tracer.py patches it by name",
     "sparse.SparseRowMatrix.row_normalize": "criterion 4 oracle",
-    "sparse.SparseRowMatrix.to_dense": "criterion 1 oracle",
 }
 
 UNPASSED_DEFAULTS = {

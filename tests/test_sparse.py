@@ -256,6 +256,21 @@ class TestProducts:
         assert np.array_equal(first.values, second.values)
         assert np.array_equal(first.col_indices, second.col_indices)
 
+    def test_matmul_is_the_dense_product(self):
+        # an exact cancellation is a zero, and from_dense stores no zero
+        row = SparseRowMatrix.from_dense([[1.0, -1.0]])
+        column = SparseRowMatrix.from_dense([[1.0], [1.0]])
+        product = row.matmul(column)
+        assert product.shape == (1, 1)
+        assert product.nnz == 0
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            n, k, m = (int(v) for v in rng.integers(1, 15, 3))
+            a = SparseRowMatrix.from_dense(_random_sparse(rng, n, k, negative=True))
+            b = SparseRowMatrix.from_dense(_random_sparse(rng, k, m, negative=True))
+            assert _built(a.matmul, b) == _built(
+                SparseRowMatrix.from_dense, a.to_dense() @ b.to_dense())
+
 
 class TestStochasticChains:
     def test_products_of_row_stochastic_stay_row_stochastic(self):

@@ -58,6 +58,8 @@ def versions() -> dict:
 def run_commands(workdir: Path) -> dict:
     """Run COMMANDS in workdir, which should be empty, and return the
     sha256 of every file under it, keyed by its relative POSIX path."""
+    # imported here: run as a script, the __main__ block puts src/ on the
+    # path first
     from oodhg.cli import main
 
     here = os.getcwd()

@@ -4,8 +4,7 @@ Subcommands: gen (synthetic dataset), train, eval, ablate, sweep, bench.
 Flag precedence is CLI flag > --config JSON file > built-in default, and
 every output embeds the resolved configuration under "config_echo" for
 provenance. Outputs are deterministic for fixed flags and seed; only the
-bench report contains wall-clock numbers. OODHG_THREADS, an integer >= 1
-(default 1), caps how many seeds run in parallel.
+bench report contains wall-clock numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import re
 import sys
 import time
@@ -149,21 +147,6 @@ def _seed_list(args, config_file: dict, base: TrainConfig) -> list[int]:
     return seeds
 
 
-def _map_seeds(fn, seeds: list[int]) -> list:
-    """[fn(s) for s in seeds], in the order given, on OODHG_THREADS threads."""
-    raw = os.environ.get("OODHG_THREADS", "1")
-    workers = int(raw) if raw.isdecimal() else 0
-    if workers < 1:
-        raise ValueError(f"OODHG_THREADS must be an integer >= 1, got {raw!r}")
-    if workers == 1:
-        return [fn(s) for s in seeds]
-    # imported here: concurrent.futures pulls in logging and queue, which a
-    # sequential run never needs
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -276,9 +259,8 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
     The taus, every point's TrainConfig and every seed's splits are checked
     before any training, so a bad grid value or split fails at once; the
     splits depend only on the seed, so every point shares them. Each point
-    trains and evaluates each seed once, seeds in parallel under
-    OODHG_THREADS, and reads the taus off that one report with
-    EvalReport.at.
+    trains and evaluates each seed once, in the order given, and reads the
+    taus off that one report with EvalReport.at.
     """
     graph, labels, file_splits = data
     taus = [DetectorConfig(t).tau for t in taus]
@@ -288,7 +270,8 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
                    for seed in dict.fromkeys(seeds)}
     cells = []
     for cfg in configs:
-        def one(seed):
+        by_seed = []
+        for seed in seeds:
             run = dataclasses.replace(cfg, seed=seed)
             splits = seed_splits[seed]
             # at alpha = 1 steps cannot change the parameters, only the scores
@@ -296,11 +279,11 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
             params, _ = train(graph, labels, splits, fit,
                               stop_when_settled=True)
             report = evaluate(graph, labels, splits, params, run, taus[0])
-            return [{k: r.metrics[k] for k in _HEADLINE} | {"tau": r.tau}
-                    for r in map(report.at, taus)]
+            by_seed.append([{k: r.metrics[k] for k in _HEADLINE}
+                            | {"tau": r.tau} for r in map(report.at, taus)])
         cells += [{"per_seed": list(rows),
                    "summary": summarize_metric_rows(rows)}
-                  for rows in zip(*_map_seeds(one, seeds))]
+                  for rows in zip(*by_seed)]
     return cells
 
 

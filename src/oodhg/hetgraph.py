@@ -26,9 +26,8 @@ rounds differently from the valued SparseRowMatrix products, within a few
 ulps.
 
 A graph's nodes, edges and features do not change after construction. Hop
-kernels and meta-path feature tables are memoised lazily on the graph;
-threads that fill the same entry at once each build and store an equal
-value. Memoised feature tables are read-only arrays.
+kernels and meta-path feature tables are memoised lazily on the graph.
+Memoised feature tables are read-only arrays.
 """
 
 from __future__ import annotations

@@ -269,8 +269,7 @@ class _Workspace:
     projections composed with the hidden layer, rebuilt from the parameters
     each pass, and d_folded is the gradient of F.
 
-    train allocates one per call and reuses it every epoch; it is never
-    shared, because seeds may train concurrently in threads. gradients,
+    train allocates one per call and reuses it every epoch. gradients,
     training_loss and forward_from_features make a fresh one per call. The
     arrays a pass returns live here, valid until the next pass into the same
     workspace.

@@ -5,7 +5,6 @@ import os
 import shutil
 import subprocess
 import sys
-import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -695,53 +694,6 @@ class TestBench:
         assert exc.value.code == 2
 
 
-class TestParallelSeeds:
-    def test_thread_pool_matches_sequential(self, dataset, tmp_path, monkeypatch):
-        results = {}
-        for name, workers in (("seq", "1"), ("par", "4")):
-            monkeypatch.setenv("OODHG_THREADS", workers)
-            out = tmp_path / name
-            assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
-                         "--seeds", "0,1", "--out", str(out)] + FAST) == 0
-            results[name] = (out / "ablation.json").read_bytes()
-        assert results["seq"] == results["par"]
-
-    def test_oversubscribed_fast_switching_threads_match_sequential(
-            self, dataset, tmp_path, monkeypatch):
-        # four workers on fewer cores, and a thread switch every microsecond,
-        # so the seeds of the first arm interleave inside the graph's empty
-        # hop and feature-table caches
-        args = ["ablate", "--data", str(dataset), "--ood-class", "3",
-                "--seeds", "0,1,2,3"] + FAST
-        monkeypatch.setenv("OODHG_THREADS", "1")
-        assert main(args + ["--out", str(tmp_path / "seq")]) == 0
-        monkeypatch.setenv("OODHG_THREADS", "4")
-        interval = sys.getswitchinterval()
-        start = time.monotonic()
-        sys.setswitchinterval(1e-6)
-        try:
-            assert main(args + ["--out", str(tmp_path / "par")]) == 0
-        finally:
-            sys.setswitchinterval(interval)
-        elapsed = time.monotonic() - start
-        assert ((tmp_path / "seq" / "ablation.json").read_bytes()
-                == (tmp_path / "par" / "ablation.json").read_bytes())
-        assert elapsed < 60.0, f"threaded ablate took {elapsed:.1f}s"
-
-    @pytest.mark.parametrize("workers", ["abc", "0", "-2", "1.5", ""])
-    def test_bad_thread_count_is_one_line_error(self, dataset, monkeypatch,
-                                                capsys, workers):
-        def no_training(*args, **kwargs):
-            raise AssertionError("ablate trained with a bad OODHG_THREADS")
-        monkeypatch.setattr(cli, "train", no_training)
-        monkeypatch.setenv("OODHG_THREADS", workers)
-        assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
-                     "--seeds", "0,1"] + FAST) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: OODHG_THREADS must be an integer >= 1, got {workers!r}"]
-
-
-
 class TestOodClassWithSplitsFile:
     """A given --ood-class must be the held-out class of the dataset's
     splits.json, and for eval that of its checkpoint; it is never silently
@@ -1217,12 +1169,27 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _child_env() -> dict:
-    """This environment with the source tree first on PYTHONPATH and
-    OODHG_THREADS unset."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    """This environment with the source tree first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    env.pop("OODHG_THREADS", None)
-    return env
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(dataset,
+                                                            tmp_path):
+    """The same train in a process whose OpenBLAS runs one thread and in one
+    whose OpenBLAS runs two writes the same checkpoint and history bytes."""
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "oodhg.cli", "train", "--data", str(dataset),
+             "--ood-class", "3", "--out", str(out)] + FAST,
+            capture_output=True, text=True, timeout=120,
+            env=_child_env() | {"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("checkpoint.json", "history.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_config_value_a_flag_overrides_is_never_read(dataset, tmp_path):
@@ -1234,14 +1201,14 @@ def test_config_value_a_flag_overrides_is_never_read(dataset, tmp_path):
 
 
 def test_commands_import_neither_numpy_ma_nor_concurrent_futures(tmp_path):
-    """A fresh sequential train, eval, ablate or sweep process leaves out
-    numpy.ma (np.unique's first call imports it), concurrent.futures (only
-    OODHG_THREADS > 1 needs it), numpy.random and hashlib. Splits and
-    initial weights are drawn from oodhg.philox, not numpy.random, whose
-    bit_generator imports secrets and so hashlib, which loads OpenSSL
-    (about 3.6 MB of RSS); the dataset sidecars are checked with
-    zlib.crc32. A process that only loads a dataset does not even compile
-    oodhg.philox."""
+    """A fresh train, eval, ablate or sweep process leaves out numpy.ma
+    (np.unique's first call imports it), concurrent.futures (it pulls in
+    logging and queue, and every command runs its seeds one after another),
+    numpy.random and hashlib. Splits and initial weights are drawn from
+    oodhg.philox, not numpy.random, whose bit_generator imports secrets and
+    so hashlib, which loads OpenSSL (about 3.6 MB of RSS); the dataset
+    sidecars are checked with zlib.crc32. A process that only loads a
+    dataset does not even compile oodhg.philox."""
     data, run = str(tmp_path / "data"), str(tmp_path / "run")
     assert main(["gen", "--per-class", "10", "-o", data]) == 0
     left_out = ("numpy.ma", "concurrent.futures", "numpy.random", "hashlib")

@@ -48,7 +48,7 @@ _SWEEP_DEFAULT_GRIDS = {
     "steps": [0, 1, 2, 4, 8],
     "alpha": [round(0.1 * i, 1) for i in range(0, 11)],
     "m_in": [-5.0, -4.0, -3.0, -2.0, -1.0, 0.0],
-    "tau": [float(t) for t in ENERGY_TAU_GRID],
+    "tau": ENERGY_TAU_GRID.tolist(),
 }
 
 
@@ -99,6 +99,12 @@ def _number_list(flag: str, text: str, kind: type) -> list:
             if v.strip()]
 
 
+# train flag (with "-" for "_") -> TrainConfig field; each flag takes the
+# kind of its field and no default, so an unset flag leaves the --config value
+_TRAIN_KEYS = {"lr": "learning_rate", "epochs": "epochs", "alpha": "alpha",
+               "m_in": "m_in", "gamma": "gamma", "steps": "steps",
+               "seed": "seed", "hidden": "d_hidden"}
+
 # gen flag (with "-" for "_") -> SynthConfig field; each flag takes the
 # type and default of its field
 _GEN_KEYS = {
@@ -132,14 +138,16 @@ def _splits_for_seed(ood_class, labels, file_splits, seed: int):
 def _seed_list(args, config_file: dict, base: TrainConfig) -> list[int]:
     """The --seeds entries, else the --config file's "seeds", else
     [base.seed]. Each is checked as base's seed before any training, and a
-    bad one is an error naming the flag or the file."""
+    bad or repeated one is an error naming the flag or the file."""
     if args.seeds is not None:
         seeds, source = _number_list("--seeds", args.seeds, int), "--seeds"
     else:
         seeds, source = config_file.get("seeds", [base.seed]), args.config
     if not seeds:
         raise ValueError("the seed list is empty")
-    for seed in seeds:
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ValueError(f"{source}: seed {seed} is listed twice")
         try:
             dataclasses.replace(base, seed=seed)
         except ValueError as exc:
@@ -266,8 +274,7 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
     taus = [DetectorConfig(t).tau for t in taus]
     configs = [dataclasses.replace(base, **overrides) for overrides in points]
     seed_splits = {seed: _splits_for_seed(args.ood_class, labels,
-                                          file_splits, seed)
-                   for seed in dict.fromkeys(seeds)}
+                                          file_splits, seed) for seed in seeds}
     cells = []
     for cfg in configs:
         by_seed = []
@@ -323,13 +330,6 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _sweep_value(param: str, value):
-    """A grid value as the TrainConfig field param holds it."""
-    if param == "steps" and not float(value).is_integer():
-        raise ValueError(f"steps must be an integer, got {value}")
-    return int(value) if param == "steps" else float(value)
-
-
 def cmd_sweep(args) -> int:
     config_file = _load_config_file(args)
     data = load_dataset(args.data)
@@ -337,14 +337,14 @@ def cmd_sweep(args) -> int:
     seeds = _seed_list(args, config_file, base)
     param = args.param
     if args.grid is not None:
-        grid = _number_list("--grid", args.grid, float)
+        grid = _number_list("--grid", args.grid,
+                            TRAIN_CONFIG_KINDS.get(param, float))
         if not grid:
             raise ValueError("--grid lists no value")
     else:
         grid = _SWEEP_DEFAULT_GRIDS[param]
     taus = grid if param == "tau" else [DEFAULT_TAU]
-    points = ([{}] if param == "tau" else
-              [{param: _sweep_value(param, v)} for v in grid])
+    points = [{}] if param == "tau" else [{param: v} for v in grid]
     rows_per_value = [{"value": value, **cell} for value, cell
                       in zip(grid, _grid(args, data, base, seeds, points, taus))]
 
@@ -444,14 +444,9 @@ def _add_data_flags(p: argparse.ArgumentParser, splits: bool = True) -> None:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--lr", type=float, dest="learning_rate")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--m-in", type=float, dest="m_in")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hidden", type=int, dest="d_hidden")
+    for key, field in _TRAIN_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=field,
+                       type=TRAIN_CONFIG_KINDS[field])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_train_flags(p)
     p.add_argument("--param", required=True,
-                   choices=("gamma", "steps", "alpha", "m_in", "tau"))
+                   choices=tuple(_SWEEP_DEFAULT_GRIDS))
     p.add_argument("--grid", help="comma-separated values")
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--out")

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import io
 import json
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from oodhg import cli, hetgraph
 from oodhg.cli import main
+from oodhg.model import TRAIN_CONFIG_KINDS
 from oodhg.pipeline import load_checkpoint
 
 GEN = ["gen", "--classes", "3", "--per-class", "25", "--seed", "7"]
@@ -432,7 +434,7 @@ class TestAblate:
         monkeypatch.setattr(cli, "make_splits", splits)
         monkeypatch.setattr(cli, "train", training)
         assert main(command + ["--data", str(dataset), "--ood-class", "3",
-                               "--seeds", "4,1,4"] + FAST) == 0
+                               "--seeds", "4,1"] + FAST) == 0
         assert events[:3] == [("splits", 4), ("splits", 1), ("train",)]
         assert events.count(("train",)) == len(events) - 2
 
@@ -494,6 +496,23 @@ class TestAblate:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "cfg.json: 'seeds" in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_repeated_seed_fails_before_training(self, dataset, tmp_path,
+                                                 monkeypatch, capsys, source):
+        """A repeated seed would count one training twice in the summary."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("ablate trained before checking its seeds")
+        monkeypatch.setattr(cli, "train", no_training)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"seeds": [2, 0, 2]}))
+        seeds = (["--seeds", "2,0,2"] if source == "flag"
+                 else ["--config", str(cfg_file)])
+        assert main(["ablate", "--data", str(dataset), "--ood-class", "3"]
+                    + seeds + FAST) == 2
+        where = "--seeds" if source == "flag" else str(cfg_file)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {where}: seed 2 is listed twice"]
+
 
 class TestSweep:
     def test_gamma_grid(self, dataset, tmp_path):
@@ -512,6 +531,22 @@ class TestSweep:
                      "--hidden", "8", "--out", str(out)]) == 0
         payload = json.loads((out / "sweep.json").read_text())
         assert [v["value"] for v in payload["values"]] == [0, 1, 2, 4, 8]
+
+    def test_steps_grid_values_are_integers(self, dataset, tmp_path, capsys):
+        """--grid entries take the kind of the swept field, as the default
+        grid does, in sweep.json and on stdout."""
+        out = tmp_path / "sw"
+        assert main(["sweep", "--data", str(dataset), "--ood-class", "3",
+                     "--param", "steps", "--grid", "0,2", "--seeds", "0",
+                     "--out", str(out)] + FAST) == 0
+        payload = json.loads((out / "sweep.json").read_text())
+        grid = payload["config_echo"]["grid"]
+        values = [v["value"] for v in payload["values"]]
+        assert grid == values == [0, 2]
+        assert all(type(v) is int for v in grid + values)
+        stdout = capsys.readouterr().out.splitlines()
+        assert stdout[0] == "sweep over steps: 0  2"
+        assert stdout[1].startswith("  steps=0: ")
 
     def test_default_gamma_grid_matches_axis(self, dataset, tmp_path):
         from oodhg.cli import _SWEEP_DEFAULT_GRIDS
@@ -576,12 +611,13 @@ class TestSweep:
         ("tau", "1.0,nan", "tau must be finite"),
         ("gamma", "0.5,0", "gamma must be in (0, 1], got 0.0"),
         ("steps", "2,-1", "steps must be >= 0, got -1"),
-        ("steps", "1.5", "steps must be an integer, got 1.5"),
+        ("steps", "1.5", "--grid entry must be an integer, got '1.5'"),
+        ("steps", "2.0", "--grid entry must be an integer, got '2.0'"),
         ("alpha", "0.5,2", "alpha must be in [0, 1], got 2.0"),
         ("m_in", "0,nan", "m_in must be finite, got nan"),
         ("gamma", "0.3,abc", "--grid entry must be a number, got 'abc'"),
-    ], ids=["tau", "gamma", "steps", "steps-fraction", "alpha", "m_in",
-            "not-a-number"])
+    ], ids=["tau", "gamma", "steps", "steps-fraction", "steps-float",
+            "alpha", "m_in", "not-a-number"])
     def test_non_finite_tau_grid_fails_before_training(
             self, dataset, monkeypatch, capsys, param, grid, needle):
         def no_training(*args, **kwargs):
@@ -593,6 +629,27 @@ class TestSweep:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and needle in err
 
+
+class TestParser:
+    @staticmethod
+    def _actions(command: str) -> list:
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return sub.choices[command]._actions
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+    def test_train_config_fields_are_the_flags_dests_and_types(self, command):
+        """Each TrainConfig field is set by exactly one flag, whose dest is
+        the field and whose type is the field's kind."""
+        actions = self._actions(command)
+        for field, kind in TRAIN_CONFIG_KINDS.items():
+            setters = [a for a in actions if a.dest == field]
+            assert len(setters) == 1, field
+            assert setters[0].option_strings and setters[0].type is kind
+
+    def test_sweep_params_are_the_default_grids(self):
+        param = next(a for a in self._actions("sweep") if a.dest == "param")
+        assert list(param.choices) == list(cli._SWEEP_DEFAULT_GRIDS)
 
 
 class TestSettledStop:

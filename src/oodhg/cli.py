@@ -93,8 +93,8 @@ def _number(text: str, kind: type, what: str):
 
 
 def _number_list(flag: str, text: str, kind: type) -> list:
-    """The comma-separated values of a list flag such as --seeds, --grid or
-    --k-list; blank entries are skipped."""
+    """The comma-separated values of --seeds or --grid; blank entries are
+    skipped."""
     return [_number(v, kind, f"{flag} entry") for v in text.split(",")
             if v.strip()]
 
@@ -250,7 +250,7 @@ def cmd_eval(args) -> int:
     (out / "raw_energy.tsv").write_text("".join(raw))
 
     m = report.metrics
-    print(f"tau={report.tau:.2f} auroc={m['auroc']:.4f} aupr={m['aupr']:.4f} "
+    print(f"tau={report.tau!r} auroc={m['auroc']:.4f} aupr={m['aupr']:.4f} "
           f"fpr95={m['fpr95']:.4f} micro_f1={m['micro_f1']:.4f} "
           f"macro_f1={m['macro_f1']:.4f}; wrote {out}/metrics.json")
     return 0
@@ -362,18 +362,21 @@ def cmd_sweep(args) -> int:
 
 
 _MIN_SAMPLE_S = 0.015
+# bench's step counts, ascending: warm_ratio_max_over_min is last over first
+_BENCH_STEPS = (1, 2, 4, 8)
+_BENCH_REPEATS = 9
 
 
-def _median_time(fn, repeats: int) -> float:
-    """Median per-call time; fast calls are batched so every timing sample
-    spans at least _MIN_SAMPLE_S of wall clock."""
+def _median_time(fn) -> float:
+    """Median per-call time of _BENCH_REPEATS samples; fast calls are
+    batched so every sample spans at least _MIN_SAMPLE_S of wall clock."""
     fn()  # warm caches and allocators outside the timed region
     t0 = time.perf_counter()
     fn()
     est = max(time.perf_counter() - t0, 1e-9)
     inner = max(1, int(np.ceil(_MIN_SAMPLE_S / est)))
     times = []
-    for _ in range(repeats):
+    for _ in range(_BENCH_REPEATS):
         t0 = time.perf_counter()
         for _ in range(inner):
             fn()
@@ -384,14 +387,6 @@ def _median_time(fn, repeats: int) -> float:
 def cmd_bench(args) -> int:
     graph, _, _ = load_dataset(args.data)
     prop = resolve_paths(graph, graph.metapaths, graph.max_hops)[1]
-    k_list = _number_list("--k-list", args.k_list, int)
-    if not k_list:
-        raise ValueError("--k-list lists no value")
-    repeats = args.repeats
-    if repeats < 1:
-        raise ValueError(f"--repeats must be >= 1, got {repeats}")
-    # every gamma in (0, 1) does the same hop work per step
-    configs = [PropagationConfig(gamma=0.5, steps=k) for k in k_list]
 
     def build_all():
         fresh = HeteroGraph(graph.node_types, graph.edge_types, graph.edges,
@@ -400,30 +395,31 @@ def cmd_bench(args) -> int:
 
     # compose_cold_s keeps its key: it times the operator build, hop kernels
     # included, on a fresh graph; propagation pays that before its first matvec
-    cold = _median_time(build_all, repeats)
+    cold = _median_time(build_all)
     a_hats = build_all()
 
     # deterministic stand-in energies; the cost model does not depend on values
     e0 = np.linspace(-5.0, 5.0, graph.target_count)
     warm = {}
-    for k, cfg in zip(k_list, configs):
-        def run_all(cfg=cfg):
+    for k in _BENCH_STEPS:
+        # every gamma in (0, 1) does the same hop work per step
+        def run_all(cfg=PropagationConfig(gamma=0.5, steps=k)):
             for a in a_hats:
                 propagate(e0, a, cfg)
 
-        warm[str(k)] = _median_time(run_all, repeats)
+        warm[str(k)] = _median_time(run_all)
 
     report = {
         "config_echo": {"command": "bench", "data": str(args.data),
-                        "k_list": k_list, "repeats": repeats},
+                        "k_list": list(_BENCH_STEPS),
+                        "repeats": _BENCH_REPEATS},
         "n_target": graph.target_count,
         "paths": [str(p) for p in prop],
         "compose_cold_s": cold,
         "propagate_warm_s": warm,
+        "warm_ratio_max_over_min":
+            warm[str(_BENCH_STEPS[-1])] / warm[str(_BENCH_STEPS[0])],
     }
-    if len(k_list) >= 2:
-        lo, hi = str(min(k_list)), str(max(k_list))
-        report["warm_ratio_max_over_min"] = warm[hi] / warm[lo]
     if args.out:
         _write_json(_out_dir(args) / "bench.json", report)
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -497,8 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time operator build vs warm propagation")
     _add_data_flags(p, splits=False)
-    p.add_argument("--k-list", dest="k_list", default="1,2,4,8")
-    p.add_argument("--repeats", type=int, default=9)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
     # "-" and a digit start a value: "--grid -5,-1" parses as "--grid=-5,-1"

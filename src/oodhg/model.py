@@ -30,6 +30,16 @@ its adjoint is the transposed update, so the hinge gradient reaches every
 logit that influenced a training node's final energy, including unlabeled
 neighbours.
 
+Without propagation (steps 0) the losses read the logits and raw energies
+of training nodes only, and model selection reads validation nodes only,
+so training runs the encoder on the feature-table rows of train and
+validation nodes alone. With propagation a training node's final energy
+reads every row its K-step neighbourhood reaches, so training encodes all
+target nodes. Either way the losses, gradients and selection are those of
+the all-rows pass. Only the backward's sums over rows (X^T d_pre and
+hidden^T d_logits) may group differently, since the dropped rows add
+exact zeros; where BLAS splits them, parameters move by about 1e-16.
+
 Each epoch runs the encoder once. The parameters leaving epoch t are the
 ones entering epoch t + 1, so the forward/backward pass that gives epoch
 t + 1 its gradients also scores epoch t on the validation split; only the
@@ -263,7 +273,9 @@ class _Workspace:
     """Every large array one forward/backward pass writes, allocated once.
 
     x is the feature tables side by side, [X_1 | ... | X_P] (n, sum d_i),
-    copied once from the memoised tables; rows[i] selects the rows of
+    copied once from the tables it is given: every target node's row, or
+    at steps 0 only the rows _encoder_rows keeps, so n counts the rows the
+    encoder reads, not the graph's target nodes. rows[i] selects the rows of
     path i's block in every (sum d_i, h) array. The encoder never forms the
     per-path projections: folded_weight F and folded_bias c are the
     projections composed with the hidden layer, rebuilt from the parameters
@@ -420,6 +432,18 @@ def propagated_energies(e_raw: np.ndarray, a_hats: list[MetaPathOperator],
     return fuse([propagate(e_raw, a, prop_cfg) for a in a_hats])
 
 
+def _encoder_rows(a_hats: list[MetaPathOperator], xs: list[np.ndarray],
+                  labels: np.ndarray, *ids: np.ndarray):
+    """(xs, labels, ids) cut to the rows a training pass reads. With
+    operators that is every row, returned unchanged; without, the rows of
+    the union of the id arrays, with each id array re-indexed into them."""
+    if a_hats:
+        return xs, labels, ids
+    rows = sorted_distinct(np.concatenate(ids))
+    return ([x[rows] for x in xs], labels[rows],
+            tuple(np.searchsorted(rows, i) for i in ids))
+
+
 def _forward_backward(a_hats: list[MetaPathOperator],
                       params: EncoderParams,
                       train_rows: _TrainRows,
@@ -490,6 +514,7 @@ def _graph_pass(graph: HeteroGraph, params: EncoderParams, labels: np.ndarray,
     _check_head_labels(labels, train_ids, params.n_classes)
     xs = feature_tables(graph, params.paths)
     a_hats = propagation_operators(graph, params.prop_paths, config.steps)
+    xs, labels, (train_ids,) = _encoder_rows(a_hats, xs, labels, train_ids)
     return _forward_backward(a_hats, params, _TrainRows.of(labels, train_ids),
                              config, _Workspace(xs, params))
 
@@ -611,7 +636,9 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     empty validation split the final parameters are returned.
     The encoder runs once per epoch, plus once after the last epoch when the
     validation split is non-empty, always in the one workspace train
-    allocates.
+    allocates. At steps 0 it reads only the feature-table rows of the train
+    and validation nodes, the only rows the losses and selection read; with
+    propagation it reads every target node's row.
 
     With stop_when_settled and a non-empty validation split, training ends
     right after the first epoch whose validation micro-F1 is 1.0: no later
@@ -624,14 +651,14 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     finite.
     """
     id_values, y_head = label_space(labels, splits)
-    train_ids, val_ids = splits.train_ids, splits.val_ids
-    train_rows = _TrainRows.of(y_head, train_ids)
-    y_val = y_head[val_ids]
-
     feature_paths, prop_paths = resolve_paths(graph, graph.metapaths,
                                               graph.max_hops)
     xs = feature_tables(graph, feature_paths)
     a_hats = propagation_operators(graph, prop_paths, config.steps)
+    xs, y_head, (train_ids, val_ids) = _encoder_rows(
+        a_hats, xs, y_head, splits.train_ids, splits.val_ids)
+    train_rows = _TrainRows.of(y_head, train_ids)
+    y_val = y_head[val_ids]
 
     # imported here, as in data.make_splits
     from .philox import PhiloxGenerator

@@ -166,6 +166,9 @@ class TestTrain:
         real = data._read_schema
         monkeypatch.setattr(data, "_read_schema",
                             lambda root: reads.append(root) or real(root))
+        # bench reads the schema once whatever it times; only bench reads
+        # the grid
+        monkeypatch.setattr(cli, "_BENCH_STEPS", (1, 2))
         monkeypatch.chdir(tmp_path)
         assert main(command[:1] + ["--data", str(dataset)] + command[1:]) == 0
         assert reads == [dataset]
@@ -724,6 +727,8 @@ class TestBench:
 
         monkeypatch.setattr(cli, "load_dataset", recording_load)
         monkeypatch.setattr(hetgraph, "hop_kernel", recording_kernel)
+        # every cold build is the same whatever the grid; two steps suffice
+        monkeypatch.setattr(cli, "_BENCH_STEPS", (1, 2))
         assert main(["bench", "--data", str(dataset)]) == 0
         assert len(loaded) == 1 and seen
         assert all(graph is not loaded[0] for graph in seen)
@@ -1244,6 +1249,38 @@ def test_train_bytes_do_not_depend_on_the_blas_thread_count(dataset,
         outputs.append([(out / name).read_bytes()
                         for name in ("checkpoint.json", "history.json")])
     assert outputs[0] == outputs[1]
+
+
+def _run_module(argv) -> subprocess.CompletedProcess:
+    """python -m oodhg.cli with its stdout block-buffered, as a pipe's is
+    unless PYTHONUNBUFFERED is set."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "oodhg.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+
+
+def test_module_run_writes_what_an_in_process_run_writes(dataset, tmp_path,
+                                                         capsys):
+    """python -m oodhg.cli exits without interpreter teardown; it still
+    writes every output byte and every buffered stdout line."""
+    argv = ["ablate", "--data", str(dataset), "--ood-class", "3",
+            "--seeds", "0,1"] + FAST
+    assert main(argv + ["--out", str(tmp_path / "in")]) == 0
+    want = capsys.readouterr().out
+    proc = _run_module(argv + ["--out", str(tmp_path / "child")])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == want and len(want.splitlines()) == 5
+    assert _tree_bytes(tmp_path / "child") == _tree_bytes(tmp_path / "in")
+
+
+def test_module_run_error_is_one_line_and_exit_2(tmp_path):
+    proc = _run_module(["train", "--data", str(tmp_path / "missing"),
+                        "--ood-class", "3", "--out", str(tmp_path / "run")])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
 
 
 def test_config_value_a_flag_overrides_is_never_read(dataset, tmp_path):

@@ -842,3 +842,74 @@ def test_stop_when_settled_still_reports_an_early_divergence():
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert messages[0].startswith("training diverged at epoch 1:")
+
+
+# Without propagation the losses read only the training rows and selection
+# only the validation rows, so the encoder runs on train ∪ val alone.
+
+def _workspace_rows(monkeypatch):
+    """Every workspace train or gradients builds, as its stacked table x."""
+    seen = []
+
+    class Spy(model._Workspace):
+        def __init__(self, xs, params):
+            super().__init__(xs, params)
+            seen.append(self.x.copy())
+
+    monkeypatch.setattr(model, "_Workspace", Spy)
+    return seen
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+def test_encoder_reads_train_and_val_rows_only_without_propagation(
+        monkeypatch, steps):
+    graph, labels, splits, cfg = _epoch_loop_case(0.5, steps, True)
+    full = np.concatenate(feature_tables(graph, resolve_paths(graph)[0]),
+                          axis=1)
+    seen = _workspace_rows(monkeypatch)
+    train(graph, labels, splits, cfg)
+    y = map_to_head(labels, id_class_values(labels, splits.train_ids,
+                                            splits.val_ids))
+    params = make_params(graph, resolve_paths(graph)[0], 0, cfg.d_hidden,
+                         int(y.max()) + 1, prop_paths=resolve_paths(graph)[1])
+    gradients(graph, params, y, splits.train_ids, cfg)
+    if steps == 0:
+        both = np.sort(np.concatenate([splits.train_ids, splits.val_ids]))
+        assert both.size < full.shape[0]
+        wants = [full[both], full[np.sort(splits.train_ids)]]
+    else:
+        wants = [full, full]
+    assert len(seen) == 2
+    for got, want in zip(seen, wants):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_train_without_propagation_agrees_with_the_all_rows_loop(alpha):
+    """On 2,000 targets, where the backward's sums over rows are long
+    enough for BLAS to split, training on train ∪ val stays within 1e-12
+    of the per-array loop over every row, selects by the same validation
+    F1, and reruns to the same bytes."""
+    graph, labels = generate_synthetic(SynthConfig(nodes_per_class=500,
+                                                   seed=3))
+    assert graph.target_count == 2000
+    splits = make_splits(labels, ood_class=int(labels.max()), seed=0)
+    cfg = TrainConfig(epochs=8, alpha=alpha, steps=0, seed=5,
+                      learning_rate=0.01)
+    params, history = train(graph, labels, splits, cfg)
+    want_params, want_records = _ref_train(graph, labels, splits, cfg,
+                                           folded=True)
+    assert ([r.val_micro_f1 for r in history.records]
+            == [r.val_micro_f1 for r in want_records])
+    for got, want in zip(history.records, want_records):
+        assert_close_to_oracle(
+            np.array([got.total_loss, got.class_loss, got.energy_loss,
+                      got.train_energy_mean]),
+            np.array([want.total_loss, want.class_loss, want.energy_loss,
+                      want.train_energy_mean]))
+    for got, want in zip(params.param_list(), want_params.param_list(),
+                         strict=True):
+        assert_close_to_oracle(got, want)
+    again, again_history = train(graph, labels, splits, cfg)
+    assert again_history.records == history.records
+    _assert_same_params(again, params)

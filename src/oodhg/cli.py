@@ -517,11 +517,17 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The oodhg command, as the console script and python -m oodhg.cli
+    start it: main on sys.argv, then exit with its code. Every output file
+    is closed by then, so the process skips the interpreter's teardown
+    (module cleanup and the exit-time collections, about 20 ms), flushing
+    first what the streams still buffer."""
     code = main()
-    # every output file is closed by now; exit without the interpreter's
-    # teardown (module cleanup and the exit-time collections, about 20 ms),
-    # flushing first what the streams still buffer
     sys.stdout.flush()
     sys.stderr.flush()
     os._exit(code)
+
+
+if __name__ == "__main__":
+    run()

@@ -1,8 +1,10 @@
 import argparse
+import ast
 import dataclasses
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -1251,33 +1253,59 @@ def test_train_bytes_do_not_depend_on_the_blas_thread_count(dataset,
     assert outputs[0] == outputs[1]
 
 
-def _run_module(argv) -> subprocess.CompletedProcess:
-    """python -m oodhg.cli with its stdout block-buffered, as a pipe's is
-    unless PYTHONUNBUFFERED is set."""
+def _console_script() -> tuple[str, str]:
+    """(module, function) that pyproject.toml installs as the oodhg command."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^oodhg = "([\w.]+):(\w+)"$', text, re.M)
+    return target.group(1), target.group(2)
+
+
+def _run_entry(entry: str, argv) -> subprocess.CompletedProcess:
+    """The oodhg command started as python -m oodhg.cli ("module") or the
+    way the installed console script calls its target ("script"), with its
+    stdout block-buffered, as a pipe's is unless PYTHONUNBUFFERED is set."""
+    if entry == "module":
+        cmd = [sys.executable, "-m", "oodhg.cli"]
+    else:
+        module, func = _console_script()
+        cmd = [sys.executable, "-c",
+               f"import sys; from {module} import {func}; "
+               f"sys.argv[0] = 'oodhg'; sys.exit({func}())"]
     env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run([sys.executable, "-m", "oodhg.cli", *argv],
-                          capture_output=True, text=True, timeout=120,
-                          env=env)
+    return subprocess.run(cmd + list(argv), capture_output=True, text=True,
+                          timeout=120, env=env)
 
 
-def test_module_run_writes_what_an_in_process_run_writes(dataset, tmp_path,
-                                                         capsys):
-    """python -m oodhg.cli exits without interpreter teardown; it still
-    writes every output byte and every buffered stdout line."""
+def test_both_entry_points_exit_through_cli_run():
+    """The console script and python -m oodhg.cli share one exit path."""
+    assert _console_script() == ("oodhg.cli", "run")
+    tree = ast.parse((ROOT / "src" / "oodhg" / "cli.py").read_text(
+        encoding="utf-8"))
+    guard = next(node for node in tree.body if isinstance(node, ast.If))
+    assert ast.unparse(guard) == "if __name__ == '__main__':\n    run()"
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_entry_point_writes_what_an_in_process_run_writes(entry, dataset,
+                                                          tmp_path, capsys):
+    """The command exits without interpreter teardown; it still writes
+    every output byte and every buffered stdout line."""
     argv = ["ablate", "--data", str(dataset), "--ood-class", "3",
             "--seeds", "0,1"] + FAST
     assert main(argv + ["--out", str(tmp_path / "in")]) == 0
     want = capsys.readouterr().out
-    proc = _run_module(argv + ["--out", str(tmp_path / "child")])
+    proc = _run_entry(entry, argv + ["--out", str(tmp_path / "child")])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == want and len(want.splitlines()) == 5
     assert _tree_bytes(tmp_path / "child") == _tree_bytes(tmp_path / "in")
 
 
-def test_module_run_error_is_one_line_and_exit_2(tmp_path):
-    proc = _run_module(["train", "--data", str(tmp_path / "missing"),
-                        "--ood-class", "3", "--out", str(tmp_path / "run")])
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_entry_point_error_is_one_line_and_exit_2(entry, tmp_path):
+    proc = _run_entry(entry, ["train", "--data", str(tmp_path / "missing"),
+                              "--ood-class", "3", "--out",
+                              str(tmp_path / "run")])
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")

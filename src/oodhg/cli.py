@@ -105,6 +105,9 @@ def _number_list(flag: str, text: str, kind: type) -> list:
 _TRAIN_KEYS = {"lr": "learning_rate", "epochs": "epochs", "alpha": "alpha",
                "m_in": "m_in", "gamma": "gamma", "steps": "steps",
                "seed": "seed", "hidden": "d_hidden"}
+# TrainConfig field -> its train flag
+_FLAGS = {field: "--" + key.replace("_", "-")
+          for key, field in _TRAIN_KEYS.items()}
 
 # gen flag (with "-" for "_") -> SynthConfig field; each flag takes the
 # type and default of its field
@@ -136,19 +139,31 @@ def _splits_for_seed(ood_class, labels, file_splits, seed: int):
     return make_splits(labels, ood_class, seed=seed)
 
 
+def _distinct(values: list, source: str, noun: str) -> list:
+    """values, or a ValueError naming source when one is listed twice: a
+    repeat would rerun the same trainings and write their rows twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{source}: {noun} {value} is listed twice")
+    return values
+
+
 def _seed_list(args, config_file: dict, base: TrainConfig) -> list[int]:
     """The --seeds entries, else the --config file's "seeds", else
     [base.seed]. Each is checked as base's seed before any training, and a
-    bad or repeated one is an error naming the flag or the file."""
+    bad or repeated one is an error naming the flag or the file. A --seed
+    flag that a seed list overrides is an error too."""
     if args.seeds is not None:
         seeds, source = _number_list("--seeds", args.seeds, int), "--seeds"
+    elif "seeds" in config_file:
+        seeds, source = config_file["seeds"], args.config
     else:
-        seeds, source = config_file.get("seeds", [base.seed]), args.config
+        return [base.seed]
+    if args.seed is not None:
+        raise ValueError(f"--seed conflicts with the seed list of {source}")
     if not seeds:
         raise ValueError("the seed list is empty")
-    for i, seed in enumerate(seeds):
-        if seed in seeds[:i]:
-            raise ValueError(f"{source}: seed {seed} is listed twice")
+    for seed in _distinct(seeds, source, "seed"):
         try:
             dataclasses.replace(base, seed=seed)
         except ValueError as exc:
@@ -337,9 +352,13 @@ def cmd_sweep(args) -> int:
     base = _train_config(args, config_file)
     seeds = _seed_list(args, config_file, base)
     param = args.param
+    if getattr(args, param, None) is not None:
+        raise ValueError(f"{_FLAGS[param]} conflicts with --param {param}, "
+                         f"whose values come from the grid")
     if args.grid is not None:
-        grid = _number_list("--grid", args.grid,
-                            TRAIN_CONFIG_KINDS.get(param, float))
+        grid = _distinct(_number_list("--grid", args.grid,
+                                      TRAIN_CONFIG_KINDS.get(param, float)),
+                         "--grid", "value")
         if not grid:
             raise ValueError("--grid lists no value")
     else:
@@ -441,9 +460,8 @@ def _add_data_flags(p: argparse.ArgumentParser, splits: bool = True) -> None:
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (flags override it)")
-    for key, field in _TRAIN_KEYS.items():
-        p.add_argument("--" + key.replace("_", "-"), dest=field,
-                       type=TRAIN_CONFIG_KINDS[field])
+    for field, flag in _FLAGS.items():
+        p.add_argument(flag, dest=field, type=TRAIN_CONFIG_KINDS[field])
 
 
 def build_parser() -> argparse.ArgumentParser:

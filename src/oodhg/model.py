@@ -30,13 +30,16 @@ its adjoint is the transposed update, so the hinge gradient reaches every
 logit that influenced a training node's final energy, including unlabeled
 neighbours.
 
+Every training pass, in train and in the gradient check (gradients,
+training_loss), takes its feature tables and operators from _pass_inputs.
 Without propagation (steps 0) the losses read the logits and raw energies
 of training nodes only, and model selection reads validation nodes only,
-so training runs the encoder on the feature-table rows of train and
-validation nodes alone. With propagation a training node's final energy
-reads every row its K-step neighbourhood reaches, so training encodes all
-target nodes. Either way the losses, gradients and selection are those of
-the all-rows pass. Only the backward's sums over rows (X^T d_pre and
+so _pass_inputs cuts the tables to the rows of the ids the pass is given:
+train and validation nodes in train, training nodes in the gradient
+check. With propagation a training node's final energy reads every row
+its K-step neighbourhood reaches, so every pass encodes all target nodes.
+Either way the losses, gradients and selection are those of the all-rows
+pass. Only the backward's sums over rows (X^T d_pre and
 hidden^T d_logits) may group differently, since the dropped rows add
 exact zeros; where BLAS splits them, parameters move by about 1e-16.
 
@@ -274,7 +277,7 @@ class _Workspace:
 
     x is the feature tables side by side, [X_1 | ... | X_P] (n, sum d_i),
     copied once from the tables it is given: every target node's row, or
-    at steps 0 only the rows _encoder_rows keeps, so n counts the rows the
+    at steps 0 only the rows _pass_inputs keeps, so n counts the rows the
     encoder reads, not the graph's target nodes. rows[i] selects the rows of
     path i's block in every (sum d_i, h) array. The encoder never forms the
     per-path projections: folded_weight F and folded_bias c are the
@@ -282,9 +285,10 @@ class _Workspace:
     each pass, and d_folded is the gradient of F.
 
     train allocates one per call and reuses it every epoch. gradients,
-    training_loss and forward_from_features make a fresh one per call. The
-    arrays a pass returns live here, valid until the next pass into the same
-    workspace.
+    training_loss and forward_from_features make a fresh one per call. A
+    pass leaves its results here, valid until the next pass into the same
+    workspace: the logits, the raw energies (logit_pass.energy) and the
+    gradients (grads, views into grad_flat).
     """
 
     def __init__(self, xs: list[np.ndarray], params: EncoderParams):
@@ -365,45 +369,8 @@ def _mean(x: np.ndarray):
     return x.sum() / x.size
 
 
-@dataclass(frozen=True)
-class _TrainRows:
-    """The training nodes and their head classes, fixed for a whole train
-    call; rows is arange(ids.size), the row index of each into lp.probs[ids]."""
-
-    ids: np.ndarray
-    classes: np.ndarray
-    rows: np.ndarray
-
-    @classmethod
-    def of(cls, labels: np.ndarray, train_ids: np.ndarray) -> "_TrainRows":
-        return cls(train_ids, labels[train_ids], np.arange(train_ids.size))
-
-
-def _class_loss(lp: LogitPass, train_rows: _TrainRows) -> float:
-    return float(-_mean(lp.log_probs(train_rows.ids, train_rows.classes)))
-
-
-def _hinge(final_energies: np.ndarray, train_ids: np.ndarray,
-           m_in: float) -> np.ndarray:
-    """max(0, E_i - m_in) over the training nodes."""
-    return np.maximum(final_energies[train_ids] - m_in, 0.0)
-
-
 def loss_total(l_c: float, l_e: float, alpha: float) -> float:
     return alpha * l_c + (1.0 - alpha) * l_e
-
-
-@dataclass
-class _ForwardState:
-    """One full forward/backward pass over all target nodes; its arrays live
-    in the workspace the pass wrote."""
-
-    logits: np.ndarray
-    energy_raw: np.ndarray
-    class_loss: float
-    energy_loss: float
-    total_loss: float
-    grads: EncoderParams
 
 
 def propagation_operators(graph: HeteroGraph, prop_paths,
@@ -432,48 +399,52 @@ def propagated_energies(e_raw: np.ndarray, a_hats: list[MetaPathOperator],
     return fuse([propagate(e_raw, a, prop_cfg) for a in a_hats])
 
 
-def _encoder_rows(a_hats: list[MetaPathOperator], xs: list[np.ndarray],
-                  labels: np.ndarray, *ids: np.ndarray):
-    """(xs, labels, ids) cut to the rows a training pass reads. With
-    operators that is every row, returned unchanged; without, the rows of
-    the union of the id arrays, with each id array re-indexed into them."""
+def _pass_inputs(graph: HeteroGraph, paths, prop_paths, steps: int,
+                 labels: np.ndarray, *ids: np.ndarray):
+    """(a_hats, xs, labels, ids) of one training pass: the propagation
+    operators of prop_paths and the feature tables of paths, with labels
+    and the id arrays cut to the rows the pass reads. With operators that
+    is every row, returned unchanged; without, the rows of the union of
+    the id arrays, with each id array re-indexed into them."""
+    xs = feature_tables(graph, paths)
+    a_hats = propagation_operators(graph, prop_paths, steps)
     if a_hats:
-        return xs, labels, ids
+        return a_hats, xs, labels, ids
     rows = sorted_distinct(np.concatenate(ids))
-    return ([x[rows] for x in xs], labels[rows],
+    return (a_hats, [x[rows] for x in xs], labels[rows],
             tuple(np.searchsorted(rows, i) for i in ids))
 
 
 def _forward_backward(a_hats: list[MetaPathOperator],
                       params: EncoderParams,
-                      train_rows: _TrainRows,
+                      train_ids: np.ndarray,
+                      y_train: np.ndarray,
                       config: TrainConfig,
-                      ws: _Workspace) -> _ForwardState:
-    """Losses and gradients, written into ws. train_rows.classes must be
-    head classes whose range the caller has checked."""
-    n = ws.x.shape[0]
-    train_ids = train_rows.ids
+                      ws: _Workspace) -> tuple[float, float, float]:
+    """(total, classification, energy) loss of params on the training
+    nodes. The pass leaves its logits in ws.logits, the raw energies in
+    ws.logit_pass.energy and the gradients in ws.grads (views into
+    ws.grad_flat). y_train are the head classes of train_ids, whose range
+    the caller has checked."""
     n_train = train_ids.size
     prop_cfg = config.propagation
 
-    logits = _encode(params, ws)
-    lp = logit_pass(logits, ws.logit_pass)
+    lp = logit_pass(_encode(params, ws), ws.logit_pass)
     e_final = propagated_energies(lp.energy, a_hats, prop_cfg)
-    l_c = _class_loss(lp, train_rows)
-    hinge = _hinge(e_final, train_ids, config.m_in)
+    l_c = float(-_mean(lp.log_probs(train_ids, y_train)))
+    hinge = np.maximum(e_final[train_ids] - config.m_in, 0.0)
     l_e = float(_mean(hinge ** 2))
-    total = loss_total(l_c, l_e, config.alpha)
 
     # backward: gradient of the total loss w.r.t. the logits
     d_logits = ws.d_logits
     d_logits.fill(0.0)
     if config.alpha != 0.0:
         d_ce = lp.probs[train_ids]
-        d_ce[train_rows.rows, train_rows.classes] -= 1.0
+        d_ce[np.arange(n_train), y_train] -= 1.0
         d_logits[train_ids] += (config.alpha / n_train) * d_ce
     # no active hinge: the energy gradient is exactly 0 (NaN counts as active)
     if config.alpha != 1.0 and hinge.any():
-        g = np.zeros(n)
+        g = np.zeros(ws.x.shape[0])
         g[train_ids] = 2.0 * hinge / n_train
         if a_hats:
             d_e_raw = fuse([propagate_transpose(g, a, prop_cfg) for a in a_hats])
@@ -501,22 +472,23 @@ def _forward_backward(a_hats: list[MetaPathOperator],
         d_wh += b[:, None] * s
         np.matmul(d_f, wh.T, out=d_w)
         np.matmul(s, wh.T, out=d_b)
-    return _ForwardState(logits, lp.energy, l_c, l_e, total, grads)
+    return loss_total(l_c, l_e, config.alpha), l_c, l_e
 
 
 def _graph_pass(graph: HeteroGraph, params: EncoderParams, labels: np.ndarray,
-                train_ids: np.ndarray, config: TrainConfig) -> _ForwardState:
-    """_forward_backward on the feature tables of params.paths and the
-    operators of params.prop_paths, built from graph, into a fresh
-    workspace."""
+                train_ids: np.ndarray, config: TrainConfig):
+    """(losses, workspace) of _forward_backward on the feature tables of
+    params.paths and the operators of params.prop_paths, built from graph,
+    into a fresh workspace."""
     labels = np.asarray(labels, dtype=np.int64)
     train_ids = np.asarray(train_ids, dtype=np.int64)
     _check_head_labels(labels, train_ids, params.n_classes)
-    xs = feature_tables(graph, params.paths)
-    a_hats = propagation_operators(graph, params.prop_paths, config.steps)
-    xs, labels, (train_ids,) = _encoder_rows(a_hats, xs, labels, train_ids)
-    return _forward_backward(a_hats, params, _TrainRows.of(labels, train_ids),
-                             config, _Workspace(xs, params))
+    a_hats, xs, labels, (train_ids,) = _pass_inputs(
+        graph, params.paths, params.prop_paths, config.steps, labels,
+        train_ids)
+    ws = _Workspace(xs, params)
+    return _forward_backward(a_hats, params, train_ids, labels[train_ids],
+                             config, ws), ws
 
 
 def gradients(graph: HeteroGraph, params: EncoderParams, labels: np.ndarray,
@@ -528,7 +500,7 @@ def gradients(graph: HeteroGraph, params: EncoderParams, labels: np.ndarray,
     labels must already be head-space class ids in [0, K); the energy term
     differentiates through the propagation chain via its transpose.
     """
-    return _graph_pass(graph, params, labels, train_ids, config).grads
+    return _graph_pass(graph, params, labels, train_ids, config)[1].grads
 
 
 def training_loss(graph: HeteroGraph, params: EncoderParams,
@@ -537,8 +509,7 @@ def training_loss(graph: HeteroGraph, params: EncoderParams,
     """(total, classification, energy) loss of the model params, on its own
     feature and propagation paths; the finite-difference target of
     gradients."""
-    state = _graph_pass(graph, params, labels, train_ids, config)
-    return state.total_loss, state.class_loss, state.energy_loss
+    return _graph_pass(graph, params, labels, train_ids, config)[0]
 
 
 class _Adam:
@@ -636,9 +607,11 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     empty validation split the final parameters are returned.
     The encoder runs once per epoch, plus once after the last epoch when the
     validation split is non-empty, always in the one workspace train
-    allocates. At steps 0 it reads only the feature-table rows of the train
-    and validation nodes, the only rows the losses and selection read; with
-    propagation it reads every target node's row.
+    allocates; each epoch reads its losses, raw energies and gradients from
+    there. Its inputs come from _pass_inputs: at steps 0 the encoder reads
+    only the feature-table rows of the train and validation nodes, the only
+    rows the losses and selection read; with propagation it reads every
+    target node's row.
 
     With stop_when_settled and a non-empty validation split, training ends
     right after the first epoch whose validation micro-F1 is 1.0: no later
@@ -653,12 +626,10 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     id_values, y_head = label_space(labels, splits)
     feature_paths, prop_paths = resolve_paths(graph, graph.metapaths,
                                               graph.max_hops)
-    xs = feature_tables(graph, feature_paths)
-    a_hats = propagation_operators(graph, prop_paths, config.steps)
-    xs, y_head, (train_ids, val_ids) = _encoder_rows(
-        a_hats, xs, y_head, splits.train_ids, splits.val_ids)
-    train_rows = _TrainRows.of(y_head, train_ids)
-    y_val = y_head[val_ids]
+    a_hats, xs, y_head, (train_ids, val_ids) = _pass_inputs(
+        graph, feature_paths, prop_paths, config.steps, y_head,
+        splits.train_ids, splits.val_ids)
+    y_train, y_val = y_head[train_ids], y_head[val_ids]
 
     # imported here, as in data.make_splits
     from .philox import PhiloxGenerator
@@ -677,35 +648,31 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     # The finite check below turns overflow and NaN into TrainingDiverged,
     # so numpy's warnings on the way there only add noise.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        state = _forward_backward(a_hats, params, train_rows, config, ws)
+        losses = _forward_backward(a_hats, params, train_ids, y_train,
+                                   config, ws)
         for epoch in range(config.epochs):
-            # the next pass overwrites ws, so read this epoch's losses first
-            losses = dict(total_loss=state.total_loss,
-                          class_loss=state.class_loss,
-                          energy_loss=state.energy_loss,
-                          train_energy_mean=float(
-                              _mean(state.energy_raw[train_ids])))
+            # the next pass overwrites ws, so read this epoch's results first
+            total, l_c, l_e = losses
+            e_mean = float(_mean(ws.logit_pass.energy[train_ids]))
             adam.update(flat, ws.grad_flat, epoch + 1)
-            if not (np.isfinite(state.total_loss)
-                    and np.isfinite(flat, out=finite).all()):
+            if not (np.isfinite(total) and np.isfinite(flat, out=finite).all()):
                 raise TrainingDiverged(
-                    f"training diverged at epoch {epoch}: loss "
-                    f"{state.total_loss} or a parameter is not finite; "
-                    f"lower the learning rate")
+                    f"training diverged at epoch {epoch}: loss {total} or a "
+                    f"parameter is not finite; lower the learning rate")
 
             # the next epoch's forward pass scores validation for this one
             if epoch + 1 < config.epochs:
-                state = _forward_backward(a_hats, params, train_rows, config, ws)
-                logits = state.logits
+                losses = _forward_backward(a_hats, params, train_ids, y_train,
+                                           config, ws)
             elif val_ids.size:
-                logits = _encode(params, ws)
+                _encode(params, ws)
             if val_ids.size:
                 val_f1 = np.count_nonzero(
-                    logits[val_ids].argmax(axis=1) == y_val) / val_ids.size
+                    ws.logits[val_ids].argmax(axis=1) == y_val) / val_ids.size
             else:
                 val_f1 = 0.0
-            history.records.append(EpochRecord(
-                epoch=epoch, val_micro_f1=val_f1, **losses))
+            history.records.append(
+                EpochRecord(epoch, total, l_c, l_e, val_f1, e_mean))
             if val_ids.size and val_f1 > best_f1:
                 best_f1 = val_f1
                 best = flat.copy()

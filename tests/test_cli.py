@@ -527,6 +527,40 @@ class TestAblate:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {where}: seed 2 is listed twice"]
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", [
+        ["ablate"], ["sweep", "--param", "gamma", "--grid", "0.3"]],
+        ids=["ablate", "sweep"])
+    def test_seed_flag_under_a_seed_list_fails_before_training(
+            self, dataset, tmp_path, monkeypatch, capsys, command, source):
+        """The seed list picks the seeds that train, so --seed would only
+        be echoed."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained with an overridden --seed")
+        monkeypatch.setattr(cli, "train", no_training)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"seeds": [1, 2]}))
+        seeds = (["--seeds", "1,2"] if source == "flag"
+                 else ["--config", str(cfg_file)])
+        assert main(command + ["--data", str(dataset), "--ood-class", "3",
+                               "--seed", "5"] + seeds + FAST) == 2
+        where = "--seeds" if source == "flag" else str(cfg_file)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --seed conflicts with the seed list of {where}"]
+
+    def test_config_seed_under_a_seed_list_is_echoed(self, dataset,
+                                                     tmp_path):
+        """A config file's seed stays allowed beside a seed list, so an
+        echo replays as a config."""
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"seed": 5, "seeds": [1]}))
+        out = tmp_path / "ab"
+        assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
+                     "--config", str(cfg_file), "--out", str(out)]
+                    + FAST) == 0
+        echo = json.loads((out / "ablation.json").read_text())["config_echo"]
+        assert echo["seeds"] == [1] and echo["train_config"]["seed"] == 5
+
 
 class TestSweep:
     def test_gamma_grid(self, dataset, tmp_path):
@@ -642,6 +676,46 @@ class TestSweep:
                      "--seeds", "0"] + FAST) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and needle in err
+
+    @pytest.mark.parametrize("param, grid, value", [
+        ("gamma", "0.3,0.7,0.30", "0.3"),
+        ("steps", "2,0,2", "2"),
+        ("tau", "1,1.0", "1.0"),
+    ], ids=["gamma", "steps", "tau"])
+    def test_repeated_grid_value_fails_before_training(
+            self, dataset, monkeypatch, capsys, param, grid, value):
+        """Values are compared in the swept field's kind, so tau 1 and
+        1.0 are one value; a repeat would train and write it twice."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained before checking its grid")
+        monkeypatch.setattr(cli, "train", no_training)
+        assert main(["sweep", "--data", str(dataset), "--ood-class", "3",
+                     "--param", param, "--grid", grid,
+                     "--seeds", "0"] + FAST) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --grid: value {value} is listed twice"]
+
+    @pytest.mark.parametrize("param, flag, value", [
+        ("gamma", "--gamma", "0.3"),
+        ("steps", "--steps", "1"),
+        ("alpha", "--alpha", "0.5"),
+        ("m_in", "--m-in", "-2"),
+    ], ids=["gamma", "steps", "alpha", "m_in"])
+    @pytest.mark.parametrize("grid", [[], ["--grid", "0.5"]],
+                             ids=["default-grid", "grid"])
+    def test_swept_fields_flag_fails_before_training(
+            self, dataset, monkeypatch, capsys, param, flag, value, grid):
+        """Every point sets the swept field from the grid, so its flag
+        would only be echoed."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained with an overridden flag")
+        monkeypatch.setattr(cli, "train", no_training)
+        assert main(["sweep", "--data", str(dataset), "--ood-class", "3",
+                     "--param", param, flag, value, "--seeds", "0"]
+                    + grid + FAST) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {flag} conflicts with --param {param}, whose values "
+            f"come from the grid"]
 
 
 class TestParser:

@@ -328,12 +328,18 @@ class TestGradients:
             self._two_path_setup(3)]
 
     def test_matches_finite_differences(self):
+        # steps 0 encodes only the training rows, so the row cut is checked
+        # as well as the propagation adjoint
+        configs = [GRAD_CFG, dataclasses.replace(GRAD_CFG, steps=0),
+                   dataclasses.replace(GRAD_CFG, steps=0, alpha=1.0)]
         for graph, paths, params, y_head, train_ids in self._inputs():
-            got = gradients(graph, params, y_head, train_ids, GRAD_CFG)
-            fd = fd_gradients(graph, params, y_head, train_ids, GRAD_CFG)
-            for a, f in zip(got.param_list(), fd, strict=True):
-                denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-3)
-                assert np.all(np.abs(a - f) <= np.maximum(1e-7, 1e-4 * denom))
+            for cfg in configs:
+                got = gradients(graph, params, y_head, train_ids, cfg)
+                fd = fd_gradients(graph, params, y_head, train_ids, cfg)
+                for a, f in zip(got.param_list(), fd, strict=True):
+                    denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-3)
+                    assert np.all(
+                        np.abs(a - f) <= np.maximum(1e-7, 1e-4 * denom))
 
     def test_matches_the_textbook_encoder(self):
         for graph, paths, params, y_head, train_ids in self._inputs():

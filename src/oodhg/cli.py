@@ -51,6 +51,13 @@ _SWEEP_DEFAULT_GRIDS = {
     "m_in": [-5.0, -4.0, -3.0, -2.0, -1.0, 0.0],
     "tau": ENERGY_TAU_GRID.tolist(),
 }
+# every point of a sweep over the key trains and scores alike while the base
+# config's field holds this value: (field, value, what the sweep needs)
+_INERT_SWEEPS = {
+    "gamma": ("steps", 0, "steps >= 1"),
+    "steps": ("gamma", 1.0, "gamma < 1"),
+    "m_in": ("alpha", 1.0, "alpha < 1"),
+}
 
 
 def _load_config_file(args) -> dict:
@@ -355,6 +362,11 @@ def cmd_sweep(args) -> int:
     if getattr(args, param, None) is not None:
         raise ValueError(f"{_FLAGS[param]} conflicts with --param {param}, "
                          f"whose values come from the grid")
+    if param in _INERT_SWEEPS:
+        field, inert, need = _INERT_SWEEPS[param]
+        if getattr(base, field) == inert:
+            raise ValueError(f"sweep --param {param} needs {need} "
+                             f"so its points differ")
     if args.grid is not None:
         grid = _distinct(_number_list("--grid", args.grid,
                                       TRAIN_CONFIG_KINDS.get(param, float)),

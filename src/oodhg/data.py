@@ -591,34 +591,23 @@ def _assign_labels(path: Path, pairs: np.ndarray, n_target: int) -> np.ndarray:
     negative label, or a node that an earlier row already labelled. Then
     every target node must hold a label.
     """
-    ids, values = pairs[:, 0], pairs[:, 1]
-    outside = (ids < 0) | (ids >= n_target)
-    # a row is a duplicate when an earlier row names its node; rows after
-    # the first error never apply, so only rows before the first outside id
-    # matter and outside ids can be left out here
-    inside = np.flatnonzero(~outside)
-    order = inside[np.argsort(ids[inside], kind="stable")]
-    duplicate = np.zeros(ids.size, dtype=bool)
-    duplicate[order[1:][ids[order[1:]] == ids[order[:-1]]]] = True
-    bad = np.flatnonzero(outside | (values < 0) | duplicate)
-    if bad.size:
-        row = int(bad[0])
-        node_id = int(ids[row])
-        where = f"{path}:{_data_line(path, row)}"
-        if outside[row]:
-            raise ValidationError(f"{where}: node id {node_id} "
-                                  f"outside [0, {n_target})")
-        if values[row] < 0:
-            raise ValidationError(f"{where}: negative label {int(values[row])} "
-                                  f"for node {node_id}")
-        raise ValidationError(f"{where}: duplicate label for node {node_id}")
+    labels = np.empty(n_target, dtype=np.int64)
     seen = np.zeros(n_target, dtype=bool)
-    seen[ids] = True
+    for row, (node_id, value) in enumerate(pairs.tolist()):
+        if not 0 <= node_id < n_target:
+            problem = f"node id {node_id} outside [0, {n_target})"
+        elif value < 0:
+            problem = f"negative label {value} for node {node_id}"
+        elif seen[node_id]:
+            problem = f"duplicate label for node {node_id}"
+        else:
+            labels[node_id] = value
+            seen[node_id] = True
+            continue
+        raise ValidationError(f"{path}:{_data_line(path, row)}: {problem}")
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise ValidationError(f"{path}: no label for target node {missing}")
-    labels = np.empty(n_target, dtype=np.int64)
-    labels[ids] = values
     return labels
 
 

@@ -11,9 +11,9 @@ resolve_paths alone decides which meta-paths a model uses.
 Propagation never forms that product: metapath_operator applies the cached
 hops right to left (and their adjoints left to right), which costs the hops'
 nnz per product instead of the far denser composed matrix. That operator is
-the one definition of A_hat, repairs included. compose_metapath stores it:
-column j of A_hat is the operator's matvec of the j-th unit vector, kept as
-row j of A_hat^T and transposed once, so no dense n x n array is formed.
+the one definition of A_hat, repairs included. compose_metapath, the tests'
+dense reference, stores it column by column from the operator's matvecs of
+unit vectors.
 
 Every hop is H = diag(1/deg) B for the 0/1 pattern B that hop_matrix
 returns, applied through the HopKernel built from B: a segment sum over B
@@ -457,22 +457,11 @@ def metapath_operator(graph: HeteroGraph, path) -> MetaPathOperator:
 
 def compose_metapath(graph: HeteroGraph, path) -> SparseRowMatrix:
     """A_hat of metapath_operator(graph, path) as a SparseRowMatrix, exact
-    zeros dropped. Column j is the operator's matvec of the j-th unit
-    vector; its nonzeros are stored as row j of A_hat^T, which is
-    transposed once, so no dense n_rows x n_cols array is formed."""
+    zeros dropped: column j is the operator's matvec of the j-th unit
+    vector. A dense reference for the tests; no command calls it."""
     op = metapath_operator(graph, path)
-    unit = np.zeros(op.n_cols)
-    rows, values = [], []
-    for j in range(op.n_cols):
-        unit[j] = 1.0
-        column = op.matvec(unit)
-        unit[j] = 0.0
-        nonzero = np.flatnonzero(column)
-        rows.append(nonzero)
-        values.append(column[nonzero])
-    offsets = row_layout([r.size for r in rows]).offsets
-    return SparseRowMatrix(op.n_cols, op.n_rows, offsets, np.concatenate(rows),
-                           np.concatenate(values)).transpose()
+    return SparseRowMatrix.from_dense(
+        np.stack([op.matvec(u) for u in np.eye(op.n_cols)], axis=1))
 
 
 def candidate_metapaths(graph: HeteroGraph, max_hops: int) -> list[MetaPath]:

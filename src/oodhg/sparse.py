@@ -4,13 +4,13 @@ Implements construction from edge pairs, row normalization, CSR*vector
 products, and transposition. The package itself builds a SparseRowMatrix
 in two places: hetgraph.hop_matrix builds each hop's 0/1 pattern with
 from_edge_pairs, which hetgraph.HopKernel applies without reading the
-values, and compose_metapath transposes the matrix it assembles from the
-operator's columns. The valued products (matvec, rmatvec) and
-row_normalize serve the tests as references, and matmul is a dense
-reference product that no command runs: it multiplies through to_dense
-and keeps the nonzeros with from_dense. All values are 64-bit floats.
-matvec sums each row's terms with a segment reduction in a fixed order,
-so its results are bitwise reproducible for a given input.
+values, and compose_metapath keeps with from_dense the nonzeros of the
+dense matrix it stacks from the operator's columns. The valued products
+(matvec, rmatvec) and row_normalize serve the tests as references, and
+matmul is a dense reference product that no command runs: it multiplies
+through to_dense and keeps the nonzeros with from_dense. All values are
+64-bit floats. matvec sums each row's terms with a segment reduction in a
+fixed order, so its results are bitwise reproducible for a given input.
 
 This module alone does CSR index arithmetic, for SparseRowMatrix and
 HopKernel both: row_layout turns row counts into offsets and the starts of

@@ -717,6 +717,31 @@ class TestSweep:
             f"error: {flag} conflicts with --param {param}, whose values "
             f"come from the grid"]
 
+    @pytest.mark.parametrize("param, grid, field, value, need", [
+        ("gamma", "0.3,0.7", "steps", 0, "steps >= 1"),
+        ("steps", "1,2", "gamma", 1.0, "gamma < 1"),
+        ("m_in", "-3,-1", "alpha", 1.0, "alpha < 1"),
+    ], ids=["gamma", "steps", "m_in"])
+    def test_inert_param_fails_before_training(
+            self, dataset, tmp_path, monkeypatch, capsys, param, grid, field,
+            value, need):
+        """With steps 0 or gamma 1 nothing propagates, and with alpha 1
+        the energy loss, and so m_in, has no weight: every point would
+        train and score alike. The base is set by flag, then by --config."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("sweep trained a grid whose points match")
+        monkeypatch.setattr(cli, "train", no_training)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({field: value}))
+        for base in ([cli._FLAGS[field], str(value)],
+                     ["--config", str(cfg_file)]):
+            assert main(["sweep", "--data", str(dataset), "--ood-class", "3",
+                         "--param", param, "--grid", grid, "--seeds", "0,1"]
+                        + base + FAST) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: sweep --param {param} needs {need} "
+                f"so its points differ"]
+
 
 class TestParser:
     @staticmethod

@@ -795,7 +795,7 @@ def test_graph_level_load_error_names_the_dataset(tmp_path, corrupt, message):
 
 
 def _assign_labels_loop(path, pairs, n_target):
-    """The row-by-row label assignment the vectorised one must reproduce."""
+    """The row-by-row label assignment that data._assign_labels must match."""
     labels = np.zeros(n_target, dtype=np.int64)
     seen = np.zeros(n_target, dtype=bool)
     for row, (node_id, value) in enumerate(pairs, start=1):

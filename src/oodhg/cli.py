@@ -107,14 +107,11 @@ def _number_list(flag: str, text: str, kind: type) -> list:
             if v.strip()]
 
 
-# train flag (with "-" for "_") -> TrainConfig field; each flag takes the
-# kind of its field and no default, so an unset flag leaves the --config value
-_TRAIN_KEYS = {"lr": "learning_rate", "epochs": "epochs", "alpha": "alpha",
-               "m_in": "m_in", "gamma": "gamma", "steps": "steps",
-               "seed": "seed", "hidden": "d_hidden"}
-# TrainConfig field -> its train flag
-_FLAGS = {field: "--" + key.replace("_", "-")
-          for key, field in _TRAIN_KEYS.items()}
+# TrainConfig field -> its train flag; each flag takes the kind of its field
+# and no default, so an unset flag leaves the --config value
+_FLAGS = {"learning_rate": "--lr", "epochs": "--epochs", "alpha": "--alpha",
+          "m_in": "--m-in", "gamma": "--gamma", "steps": "--steps",
+          "seed": "--seed", "d_hidden": "--hidden"}
 
 # gen flag (with "-" for "_") -> SynthConfig field; each flag takes the
 # type and default of its field
@@ -203,9 +200,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config_file = _load_config_file(args)
+    cfg = _train_config(args, _load_config_file(args))
     graph, labels, file_splits = load_dataset(args.data)
-    cfg = _train_config(args, config_file)
     splits = _splits_for_seed(args.ood_class, labels, file_splits, cfg.seed)
     params, history = train(graph, labels, splits, cfg)
 
@@ -225,6 +221,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    tau = DetectorConfig(DEFAULT_TAU if args.tau is None else args.tau).tau
     ckpt = load_checkpoint(args.ckpt)
     if args.ood_class not in (None, ckpt.ood_class):
         raise ValueError(
@@ -235,7 +232,6 @@ def cmd_eval(args) -> int:
     graph, labels, file_splits = load_dataset(args.data)
     splits = _splits_for_seed(ckpt.ood_class, labels, file_splits,
                               ckpt.config.seed)
-    tau = DEFAULT_TAU if args.tau is None else args.tau
     report = evaluate(graph, labels, splits, ckpt.params, ckpt.config, tau)
 
     to_label = np.append(ckpt.params.classes, ckpt.ood_class).tolist()
@@ -282,20 +278,22 @@ def cmd_eval(args) -> int:
 _HEADLINE = ("auroc", "aupr", "fpr95", "micro_f1", "macro_f1", "auroc_msp")
 
 
-def _grid(args, data, base: TrainConfig, seeds: list[int],
+def _grid(args, base: TrainConfig, seeds: list[int],
           points: list[dict], taus: list[float]) -> list[dict]:
     """Per-seed headline rows and their summary for each (point, tau) pair,
-    point-major. A point is a dict of TrainConfig overrides on base.
+    point-major, on the dataset of args.data. A point is a dict of
+    TrainConfig overrides on base.
 
-    The taus, every point's TrainConfig and every seed's splits are checked
-    before any training, so a bad grid value or split fails at once; the
-    splits depend only on the seed, so every point shares them. Each point
-    trains and evaluates each seed once, in the order given, and reads the
-    taus off that one report with EvalReport.at.
+    The taus and every point's TrainConfig are checked before the dataset
+    is read, and every seed's splits before any training, so a bad grid
+    value or split fails at once; the splits depend only on the seed, so
+    every point shares them. Each point trains and evaluates each seed
+    once, in the order given, and reads the taus off that one report with
+    EvalReport.at.
     """
-    graph, labels, file_splits = data
     taus = [DetectorConfig(t).tau for t in taus]
     configs = [dataclasses.replace(base, **overrides) for overrides in points]
+    graph, labels, file_splits = load_dataset(args.data)
     seed_splits = {seed: _splits_for_seed(args.ood_class, labels,
                                           file_splits, seed) for seed in seeds}
     cells = []
@@ -319,7 +317,6 @@ def _grid(args, data, base: TrainConfig, seeds: list[int],
 
 def cmd_ablate(args) -> int:
     config_file = _load_config_file(args)
-    data = load_dataset(args.data)
     base = _train_config(args, config_file)
     if base.alpha >= 1.0:
         raise ValueError("ablate needs alpha < 1 so the energy-loss arms differ")
@@ -334,7 +331,7 @@ def cmd_ablate(args) -> int:
         ("no_ep", {"alpha": base.alpha, "steps": 0}),
         ("full", {"alpha": base.alpha, "steps": base.steps}),
     ]
-    cells = _grid(args, data, base, seeds, [o for _, o in arms], [DEFAULT_TAU])
+    cells = _grid(args, base, seeds, [o for _, o in arms], [DEFAULT_TAU])
     results = [{"arm": name, **overrides, **cell}
                for (name, overrides), cell in zip(arms, cells)]
 
@@ -355,7 +352,6 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config_file = _load_config_file(args)
-    data = load_dataset(args.data)
     base = _train_config(args, config_file)
     seeds = _seed_list(args, config_file, base)
     param = args.param
@@ -378,7 +374,7 @@ def cmd_sweep(args) -> int:
     taus = grid if param == "tau" else [DEFAULT_TAU]
     points = [{}] if param == "tau" else [{param: v} for v in grid]
     rows_per_value = [{"value": value, **cell} for value, cell
-                      in zip(grid, _grid(args, data, base, seeds, points, taus))]
+                      in zip(grid, _grid(args, base, seeds, points, taus))]
 
     echo = {"command": "sweep", "data": str(args.data), "param": param,
             "grid": grid, "train_config": base.to_dict(), "seeds": seeds}

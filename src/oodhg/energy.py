@@ -11,7 +11,6 @@ detector flags node i when -E_i <= tau.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,10 +22,8 @@ from .errors import (
     NotRowStochastic,
     ShapeMismatch,
 )
+from .hetgraph import MetaPathOperator
 from .sparse import SparseRowMatrix
-
-if TYPE_CHECKING:
-    from .hetgraph import MetaPathOperator
 
 ROW_SUM_TOL = 1e-9
 

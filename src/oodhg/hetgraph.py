@@ -50,11 +50,11 @@ from .errors import (
 from .sparse import (
     RowLayout,
     SparseRowMatrix,
-    ascending,
     column_major_keys,
     pair_keys,
     row_layout,
     segment_sum,
+    sorted_distinct,
 )
 
 
@@ -227,8 +227,8 @@ def build_graph(node_types, edge_types, edges, features, target_type,
                 raise IndexOutOfRange(
                     f"edge type {s.name!r}: dst index {bad[1]} outside "
                     f"[0, {n_dst}) for type {s.dst_type!r}")
-            keys = ascending(pair_keys(n_src, n_dst, pairs[:, 0], pairs[:, 1]))
-            if np.any(keys[1:] == keys[:-1]):
+            keys = pair_keys(n_src, n_dst, pairs[:, 0], pairs[:, 1])
+            if sorted_distinct(keys).size != keys.size:
                 raise ValidationError(f"duplicate (src, dst) pair in edge type {s.name!r}")
         checked_edges[s.name] = pairs
 

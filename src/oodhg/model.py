@@ -438,10 +438,10 @@ def _forward_backward(a_hats: list[MetaPathOperator],
     # backward: gradient of the total loss w.r.t. the logits
     d_logits = ws.d_logits
     d_logits.fill(0.0)
-    if config.alpha != 0.0:
-        d_ce = lp.probs[train_ids]
-        d_ce[np.arange(n_train), y_train] -= 1.0
-        d_logits[train_ids] += (config.alpha / n_train) * d_ce
+    # at alpha 0 this adds signed zeros, which leave d_logits bitwise as is
+    d_ce = lp.probs[train_ids]
+    d_ce[np.arange(n_train), y_train] -= 1.0
+    d_logits[train_ids] += (config.alpha / n_train) * d_ce
     # no active hinge: the energy gradient is exactly 0 (NaN counts as active)
     if config.alpha != 1.0 and hinge.any():
         g = np.zeros(ws.x.shape[0])

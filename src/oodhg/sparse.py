@@ -13,9 +13,10 @@ through to_dense and keeps the nonzeros with from_dense. All values are
 fixed order, so its results are bitwise reproducible for a given input.
 
 This module alone does CSR index arithmetic, for SparseRowMatrix and
-HopKernel both: row_layout turns row counts into offsets and the starts of
-the nonempty rows, segment_sum sums values over each row of a layout, and
-column_major_keys gives the nonzero order and row layout of a transpose.
+HopKernel both: row_layout turns row counts into offsets, the starts of
+the nonempty rows and their mask, segment_sum sums values over each row of
+a layout, and column_major_keys gives the nonzero order and row layout of a
+transpose. sorted_distinct is the package's one sort-and-dedupe.
 """
 
 from __future__ import annotations
@@ -89,15 +90,11 @@ class SparseRowMatrix:
     def from_edge_pairs(cls, n_rows: int, n_cols: int,
                         pairs) -> "SparseRowMatrix":
         """Binary matrix with a 1.0 at every (row, col) pair; a pair given
-        more than once is stored once. The pairs are ordered by sorting
-        their pair_keys (skipped when they are already in order), which are
-        split back into rows and columns.
+        more than once is stored once. The pairs are ordered by their
+        distinct pair_keys, which are split back into rows and columns.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        keys = ascending(pair_keys(n_rows, n_cols, pairs[:, 0], pairs[:, 1]))
-        dup = keys[1:] == keys[:-1]
-        if dup.any():
-            keys = keys[np.concatenate([[True], ~dup])]
+        keys = sorted_distinct(pair_keys(n_rows, n_cols, pairs[:, 0], pairs[:, 1]))
         # floor division by a scalar is several times faster than divmod
         rows = keys // n_cols
         cols = keys - rows * n_cols
@@ -186,11 +183,11 @@ class SparseRowMatrix:
 class RowLayout(NamedTuple):
     """Where the rows of a CSR array lie: offsets (n_rows + 1 of them), the
     offsets at which the nonempty rows start, and the mask of the nonempty
-    rows, None when no row is empty."""
+    rows."""
 
     offsets: np.ndarray
     starts: np.ndarray
-    nonempty: np.ndarray | None
+    nonempty: np.ndarray
 
 
 def row_layout(counts) -> RowLayout:
@@ -199,19 +196,14 @@ def row_layout(counts) -> RowLayout:
     offsets = np.zeros(counts.size + 1, np.int64)
     np.cumsum(counts, out=offsets[1:])
     nonempty = counts > 0
-    return RowLayout(offsets, offsets[:-1][nonempty],
-                     None if nonempty.all() else nonempty)
+    return RowLayout(offsets, offsets[:-1][nonempty], nonempty)
 
 
 def segment_sum(values: np.ndarray, layout: RowLayout) -> np.ndarray:
     """Sum of values over each row of layout, in a fixed order per row; an
-    empty row sums to 0. With no empty row the sums are returned as
-    np.add.reduceat makes them, with no zero-fill or scatter."""
-    sums = np.add.reduceat(values, layout.starts)
-    if layout.nonempty is None:
-        return sums
+    empty row sums to 0."""
     out = np.zeros(layout.nonempty.size)
-    out[layout.nonempty] = sums
+    out[layout.nonempty] = np.add.reduceat(values, layout.starts)
     return out
 
 
@@ -250,14 +242,6 @@ def pair_keys(n_rows: int, n_cols: int, rows: np.ndarray,
     if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
         raise ValidationError("column index out of [0, n_cols)")
     return rows * n_cols + cols
-
-
-def ascending(keys: np.ndarray) -> np.ndarray:
-    """keys in non-decreasing order: keys itself when it already is, as a
-    relation written in row-major order is, else np.sort(keys)."""
-    if np.any(keys[1:] < keys[:-1]):
-        return np.sort(keys)
-    return keys
 
 
 def sorted_distinct(values: np.ndarray) -> np.ndarray:

@@ -1066,6 +1066,29 @@ class TestErrors:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {path}: byte 4 is not valid UTF-8 (invalid start byte)"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--ood-class", "3", "--out", "run", "--alpha", "2"],
+         "alpha must be in [0, 1], got 2.0"),
+        (["eval", "--ckpt", "nope/checkpoint.json", "--out", "eval",
+          "--tau", "nan"], "tau must be finite, got nan"),
+        (["ablate", "--ood-class", "3", "--alpha", "1"],
+         "ablate needs alpha < 1 so the energy-loss arms differ"),
+        (["sweep", "--ood-class", "3", "--param", "gamma", "--grid", "0.5,2"],
+         "gamma must be in (0, 1], got 2.0"),
+        (["sweep", "--ood-class", "3", "--param", "tau", "--grid", "1,nan"],
+         "tau must be finite, got nan"),
+        (["sweep", "--ood-class", "3", "--param", "gamma", "--seeds", "1,1"],
+         "--seeds: seed 1 is listed twice"),
+    ], ids=["train", "eval", "ablate", "sweep-grid", "sweep-tau",
+            "sweep-seeds"])
+    def test_refused_flag_is_reported_before_the_dataset_is_read(
+            self, tmp_path, capsys, argv, message):
+        """Flags, grid values and seed lists are checked before --data is
+        read, so a missing dataset cannot hide the flag's own error."""
+        missing = tmp_path / "nope"
+        assert main(argv[:1] + ["--data", str(missing)] + argv[1:]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("argv", [
         ["train", "--ood-class", "3", "--out", "run"],
         ["eval", "--ckpt", "checkpoint.json", "--out", "eval"],

@@ -61,8 +61,10 @@ class TestBuildGraph:
         assert sum(s.count for s in g.node_types) == 26218
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(ValidationError, match="duplicate"):
-            _ap_graph([(0, 0), (0, 0)])
+        # sorted, and unsorted with the repeated pair not adjacent
+        for pairs in ([(0, 0), (0, 0)], [(1, 0), (0, 0), (1, 0)]):
+            with pytest.raises(ValidationError, match="duplicate"):
+                _ap_graph(pairs)
 
     def test_edge_type_too_large_for_pair_keys_rejected(self):
         node_types = [NodeTypeSchema("A", 2 ** 32), NodeTypeSchema("B", 2 ** 31)]

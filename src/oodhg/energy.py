@@ -32,8 +32,8 @@ ROW_SUM_TOL = 1e-9
 class PropagationConfig:
     """Mixing weight gamma in (0, 1] and the number of propagation steps.
 
-    gamma = 1.0 disables neighbour mixing; steps = 0 disables propagation
-    entirely. Both leave the input energies unchanged.
+    At steps 0 or gamma 1 energies do not propagate: the input energies
+    come out unchanged. inert is that rule, and the one place it is written.
     """
 
     gamma: float
@@ -44,6 +44,11 @@ class PropagationConfig:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
+
+    @property
+    def inert(self) -> bool:
+        """True when energies do not move: steps 0 or gamma 1."""
+        return self.steps == 0 or self.gamma == 1.0
 
 
 @dataclass(frozen=True)
@@ -140,8 +145,8 @@ def check_row_stochastic(a_hat: SparseRowMatrix) -> None:
 
 def _iterate(x: np.ndarray, apply, config: PropagationConfig) -> np.ndarray:
     """x after config.steps updates x <- gamma x + (1 - gamma) apply(x); a
-    copy of x when gamma = 1 or steps = 0."""
-    if config.steps == 0 or config.gamma == 1.0:
+    copy of x when config is inert."""
+    if config.inert:
         return x.copy()
     gamma = config.gamma
     for _ in range(config.steps):

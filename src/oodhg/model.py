@@ -32,16 +32,17 @@ neighbours.
 
 Every training pass, in train and in the gradient check (gradients,
 training_loss), takes its feature tables and operators from _pass_inputs.
-Without propagation (steps 0) the losses read the logits and raw energies
-of training nodes only, and model selection reads validation nodes only,
-so _pass_inputs cuts the tables to the rows of the ids the pass is given:
-train and validation nodes in train, training nodes in the gradient
-check. With propagation a training node's final energy reads every row
-its K-step neighbourhood reaches, so every pass encodes all target nodes.
-Either way the losses, gradients and selection are those of the all-rows
-pass. Only the backward's sums over rows (X^T d_pre and
-hidden^T d_logits) may group differently, since the dropped rows add
-exact zeros; where BLAS splits them, parameters move by about 1e-16.
+Without propagation (steps 0 or gamma 1, PropagationConfig.inert) the
+losses read the logits and raw energies of training nodes only, and model
+selection reads validation nodes only, so _pass_inputs cuts the tables to
+the rows of the ids the pass is given: train and validation nodes in
+train, training nodes in the gradient check. With propagation a training
+node's final energy reads every row its K-step neighbourhood reaches, so
+every pass encodes all target nodes. Either way the losses, gradients and
+selection are those of the all-rows pass. Only the backward's sums over
+rows (X^T d_pre and hidden^T d_logits) may group differently, since the
+dropped rows add exact zeros; where BLAS splits them, parameters move by
+about 1e-16.
 
 Each epoch runs the encoder once. The parameters leaving epoch t are the
 ones entering epoch t + 1, so the forward/backward pass that gives epoch
@@ -277,12 +278,12 @@ class _Workspace:
 
     x is the feature tables side by side, [X_1 | ... | X_P] (n, sum d_i),
     copied once from the tables it is given: every target node's row, or
-    at steps 0 only the rows _pass_inputs keeps, so n counts the rows the
-    encoder reads, not the graph's target nodes. rows[i] selects the rows of
-    path i's block in every (sum d_i, h) array. The encoder never forms the
-    per-path projections: folded_weight F and folded_bias c are the
-    projections composed with the hidden layer, rebuilt from the parameters
-    each pass, and d_folded is the gradient of F.
+    without propagation only the rows _pass_inputs keeps, so n counts the
+    rows the encoder reads, not the graph's target nodes. rows[i] selects
+    the rows of path i's block in every (sum d_i, h) array. The encoder
+    never forms the per-path projections: folded_weight F and folded_bias c
+    are the projections composed with the hidden layer, rebuilt from the
+    parameters each pass, and d_folded is the gradient of F.
 
     train allocates one per call and reuses it every epoch. gradients,
     training_loss and forward_from_features make a fresh one per call. A
@@ -374,14 +375,16 @@ def loss_total(l_c: float, l_e: float, alpha: float) -> float:
 
 
 def propagation_operators(graph: HeteroGraph, prop_paths,
-                          steps: int) -> list[MetaPathOperator]:
+                          propagation: PropagationConfig
+                          ) -> list[MetaPathOperator]:
     """Matrix-free operator (forward and adjoint) for every propagation path;
-    none when steps is 0."""
-    if steps == 0:
+    none when propagation is inert (steps 0 or gamma 1)."""
+    if propagation.inert:
         return []
     paths = [MetaPath(p) for p in prop_paths or []]
     if not paths:
-        raise InvalidPath("propagation steps > 0 but no target-to-target meta-path given")
+        raise InvalidPath("energies propagate (steps >= 1, gamma < 1) but no "
+                          "target-to-target meta-path given")
     for p in paths:
         if p.types[0] != graph.target_type or p.types[-1] != graph.target_type:
             raise InvalidPath(
@@ -399,15 +402,17 @@ def propagated_energies(e_raw: np.ndarray, a_hats: list[MetaPathOperator],
     return fuse([propagate(e_raw, a, prop_cfg) for a in a_hats])
 
 
-def _pass_inputs(graph: HeteroGraph, paths, prop_paths, steps: int,
-                 labels: np.ndarray, *ids: np.ndarray):
+def _pass_inputs(graph: HeteroGraph, paths, prop_paths,
+                 propagation: PropagationConfig, labels: np.ndarray,
+                 *ids: np.ndarray):
     """(a_hats, xs, labels, ids) of one training pass: the propagation
     operators of prop_paths and the feature tables of paths, with labels
     and the id arrays cut to the rows the pass reads. With operators that
-    is every row, returned unchanged; without, the rows of the union of
-    the id arrays, with each id array re-indexed into them."""
+    is every row, returned unchanged; without (steps 0 or gamma 1), the
+    rows of the union of the id arrays, with each id array re-indexed into
+    them."""
     xs = feature_tables(graph, paths)
-    a_hats = propagation_operators(graph, prop_paths, steps)
+    a_hats = propagation_operators(graph, prop_paths, propagation)
     if a_hats:
         return a_hats, xs, labels, ids
     rows = sorted_distinct(np.concatenate(ids))
@@ -484,7 +489,7 @@ def _graph_pass(graph: HeteroGraph, params: EncoderParams, labels: np.ndarray,
     train_ids = np.asarray(train_ids, dtype=np.int64)
     _check_head_labels(labels, train_ids, params.n_classes)
     a_hats, xs, labels, (train_ids,) = _pass_inputs(
-        graph, params.paths, params.prop_paths, config.steps, labels,
+        graph, params.paths, params.prop_paths, config.propagation, labels,
         train_ids)
     ws = _Workspace(xs, params)
     return _forward_backward(a_hats, params, train_ids, labels[train_ids],
@@ -608,10 +613,10 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     The encoder runs once per epoch, plus once after the last epoch when the
     validation split is non-empty, always in the one workspace train
     allocates; each epoch reads its losses, raw energies and gradients from
-    there. Its inputs come from _pass_inputs: at steps 0 the encoder reads
-    only the feature-table rows of the train and validation nodes, the only
-    rows the losses and selection read; with propagation it reads every
-    target node's row.
+    there. Its inputs come from _pass_inputs: at steps 0 or gamma 1 the
+    encoder reads only the feature-table rows of the train and validation
+    nodes, the only rows the losses and selection read; with propagation it
+    reads every target node's row.
 
     With stop_when_settled and a non-empty validation split, training ends
     right after the first epoch whose validation micro-F1 is 1.0: no later
@@ -627,7 +632,7 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     feature_paths, prop_paths = resolve_paths(graph, graph.metapaths,
                                               graph.max_hops)
     a_hats, xs, y_head, (train_ids, val_ids) = _pass_inputs(
-        graph, feature_paths, prop_paths, config.steps, y_head,
+        graph, feature_paths, prop_paths, config.propagation, y_head,
         splits.train_ids, splits.val_ids)
     y_train, y_val = y_head[train_ids], y_head[val_ids]
 

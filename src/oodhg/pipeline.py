@@ -111,7 +111,7 @@ def evaluate(graph: HeteroGraph, labels: np.ndarray, splits: Splits,
     lp = logit_pass(forward(graph, params))
     probs, e_raw = lp.probs, lp.energy
     e_final = propagated_energies(
-        e_raw, propagation_operators(graph, params.prop_paths, config.steps),
+        e_raw, propagation_operators(graph, params.prop_paths, config.propagation),
         config.propagation)
 
     test_ids = splits.test_ids

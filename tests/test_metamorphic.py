@@ -152,7 +152,7 @@ def test_fusing_two_paths_does_not_depend_on_their_order(relabel_dataset,
     graph, labels, _ = relabel_dataset
     _, prop = resolve_paths(graph)
     cfg = TrainConfig()
-    operators = propagation_operators(graph, prop, cfg.steps)
+    operators = propagation_operators(graph, prop, cfg.propagation)
     assert len(operators) == 2
     e_raw = np.random.default_rng(400 + seed).standard_normal(labels.size) * 3
     want = propagated_energies(e_raw, operators, cfg.propagation)

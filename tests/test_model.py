@@ -345,7 +345,8 @@ class TestGradients:
         for graph, paths, params, y_head, train_ids in self._inputs():
             got = gradients(graph, params, y_head, train_ids, GRAD_CFG)
             xs = feature_tables(graph, paths)
-            a_hats = propagation_operators(graph, [PROP_PATH], GRAD_CFG.steps)
+            a_hats = propagation_operators(graph, [PROP_PATH],
+                                           GRAD_CFG.propagation)
             _, want = _ref_forward_backward(xs, a_hats, params, y_head,
                                             train_ids, GRAD_CFG)
             for a, w in zip(got.param_list(), want, strict=True):
@@ -366,6 +367,23 @@ class TestGradients:
                           dataclasses.replace(GRAD_CFG, steps=0))
         for a, b in zip(g_ident.param_list(), g_off.param_list()):
             np.testing.assert_array_equal(a, b)
+
+
+def test_gamma_one_trains_the_steps_zero_parameters():
+    """gamma 1 leaves energies where steps 0 does, so it builds no operator
+    and takes the steps 0 row cut; on 1,000 targets, where BLAS regroups
+    the backward's row sums, the parameters are bitwise the steps 0 run's."""
+    graph, labels = generate_synthetic(SynthConfig(nodes_per_class=250,
+                                                   seed=3))
+    assert propagation_operators(graph, resolve_paths(graph)[1],
+                                 PropagationConfig(1.0, 2)) == []
+    splits = make_splits(labels, 3, seed=0)
+    still, _ = train(graph, labels, splits,
+                     TrainConfig(seed=0, epochs=5, gamma=1.0))
+    off, _ = train(graph, labels, splits,
+                   TrainConfig(seed=0, epochs=5, steps=0))
+    for a, b in zip(still.param_list(), off.param_list(), strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_id_class_values_is_np_unique():
@@ -666,7 +684,7 @@ def _ref_train(graph, labels, splits, cfg, folded):
     feature_paths, prop_paths = resolve_paths(graph)
     y = map_to_head(labels, id_class_values(labels, train_ids, val_ids))
     xs = feature_tables(graph, feature_paths)
-    a_hats = propagation_operators(graph, prop_paths, cfg.steps)
+    a_hats = propagation_operators(graph, prop_paths, cfg.propagation)
     params = make_params(graph, feature_paths, cfg.seed, cfg.d_hidden,
                          int(y.max()) + 1)
     m = [np.zeros_like(a) for a in params.param_list()]

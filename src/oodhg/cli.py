@@ -33,9 +33,10 @@ from .data import (
 )
 from .energy import DetectorConfig, PropagationConfig, propagate
 from .errors import OodhgError, ValidationError
-from .hetgraph import HeteroGraph, metapath_operator, resolve_paths
+from .hetgraph import HeteroGraph, resolve_paths
 from .metrics import ENERGY_TAU_GRID
-from .model import TRAIN_CONFIG_KINDS, TrainConfig, train
+from .model import (TRAIN_CONFIG_KINDS, TrainConfig, propagation_operators,
+                    train)
 from .pipeline import (
     DEFAULT_TAU,
     evaluate,
@@ -285,8 +286,9 @@ def _grid(args, base: TrainConfig, seeds: list[int],
     TrainConfig overrides on base.
 
     The taus and every point's TrainConfig are checked before the dataset
-    is read, and every seed's splits before any training, so a bad grid
-    value or split fails at once; the splits depend only on the seed, so
+    is read, and every point's propagation paths (propagation_operators)
+    and every seed's splits before any training, so a bad grid value,
+    graph or split fails at once; the splits depend only on the seed, so
     every point shares them. Each point trains and evaluates each seed
     once, in the order given, and reads the taus off that one report with
     EvalReport.at.
@@ -294,6 +296,9 @@ def _grid(args, base: TrainConfig, seeds: list[int],
     taus = [DetectorConfig(t).tau for t in taus]
     configs = [dataclasses.replace(base, **overrides) for overrides in points]
     graph, labels, file_splits = load_dataset(args.data)
+    prop_paths = resolve_paths(graph, graph.metapaths, graph.max_hops)[1]
+    for cfg in configs:
+        propagation_operators(graph, prop_paths, cfg.propagation)
     seed_splits = {seed: _splits_for_seed(args.ood_class, labels,
                                           file_splits, seed) for seed in seeds}
     cells = []
@@ -320,10 +325,9 @@ def cmd_ablate(args) -> int:
     base = _train_config(args, config_file)
     if base.alpha >= 1.0:
         raise ValueError("ablate needs alpha < 1 so the energy-loss arms differ")
-    if base.steps < 1:
-        raise ValueError("ablate needs steps >= 1 so the propagation arms differ")
-    if base.gamma == 1.0:
-        raise ValueError("ablate needs gamma < 1 so the propagation arms differ")
+    if base.propagation.inert:
+        raise ValueError("ablate needs steps >= 1 and gamma < 1 so the "
+                         "propagation arms differ")
     seeds = _seed_list(args, config_file, base)
     arms = [
         ("no_ep_no_le", {"alpha": 1.0, "steps": 0}),
@@ -419,7 +423,7 @@ def cmd_bench(args) -> int:
     def build_all():
         fresh = HeteroGraph(graph.node_types, graph.edge_types, graph.edges,
                             graph.features, graph.target_type)
-        return [metapath_operator(fresh, p) for p in prop]
+        return propagation_operators(fresh, prop, PropagationConfig(0.5, 1))
 
     # compose_cold_s keeps its key: it times the operator build, hop kernels
     # included, on a fresh graph; propagation pays that before its first matvec

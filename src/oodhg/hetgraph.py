@@ -149,6 +149,19 @@ class HeteroGraph:
         return self._pair_index.get((src, dst), [])
 
 
+def _checked_max_hops(max_hops) -> int:
+    """max_hops as a Python int; a ValidationError unless it is an integer
+    >= 2 of any integer type (a bool is 0 or 1, a float such as 3.0 none)."""
+    try:
+        hops = operator.index(max_hops)
+    except TypeError:
+        hops = 0
+    if hops < 2:
+        raise ValidationError(
+            f"max_hops must be an integer >= 2, got {max_hops!r}")
+    return hops
+
+
 def build_graph(node_types, edge_types, edges, features, target_type,
                 metapaths=None, max_hops=None) -> HeteroGraph:
     """Validate schemas, edges, features and meta-path settings, and
@@ -253,19 +266,9 @@ def build_graph(node_types, edge_types, edges, features, target_type,
             raise ValidationError(f"non-finite feature value for node type {s.name!r}")
         checked_features[s.name] = mat
 
-    if max_hops is not None:
-        # any integer type, stored as a Python int; a bool indexes as 0 or 1
-        try:
-            hops = operator.index(max_hops)
-        except TypeError:
-            hops = 0
-        if hops < 2:
-            raise ValidationError(
-                f"max_hops must be an integer >= 2, got {max_hops!r}")
-        max_hops = hops
     graph = HeteroGraph(node_types, edge_types, checked_edges,
                         checked_features, target_type)
-    graph.max_hops = max_hops
+    graph.max_hops = None if max_hops is None else _checked_max_hops(max_hops)
     if metapaths is not None:
         paths = []
         for i, seq in enumerate(metapaths):
@@ -469,9 +472,9 @@ def candidate_metapaths(graph: HeteroGraph, max_hops: int) -> list[MetaPath]:
 
     Every consecutive pair must be a declared edge-type signature. The result
     is sorted lexicographically by type sequence and is deterministic.
+    max_hops must be an integer >= 2, as build_graph requires.
     """
-    if max_hops < 2:
-        raise ValidationError(f"max_hops must be >= 2, got {max_hops}")
+    max_hops = _checked_max_hops(max_hops)
     successors: dict[str, list[str]] = {}
     for (src, dst) in graph._pair_index:
         successors.setdefault(src, []).append(dst)
@@ -502,8 +505,10 @@ def resolve_paths(graph: HeteroGraph, metapaths=None, max_hops: int | None = Non
     metapaths, unless None, are used as given; otherwise the
     target-to-target candidates within max_hops hops are enumerated,
     DEFAULT_MAX_HOPS when max_hops is None.
-    Propagation keeps only paths with both endpoints at the target type;
-    feature paths must start at the target and end at a featured type.
+    Feature paths start at the target and end at a featured type;
+    propagation paths start and end at the target. Either list may be
+    empty: model.feature_tables and model.propagation_operators own the
+    rules that need one.
     """
     if metapaths is not None:
         paths = [validate_metapath(graph, seq) for seq in metapaths]
@@ -515,12 +520,6 @@ def resolve_paths(graph: HeteroGraph, metapaths=None, max_hops: int | None = Non
             if p.types[0] == target and p.types[-1] == target]
     feat = [p for p in paths
             if p.types[0] == target and graph.feature_dim(p.types[-1]) > 0]
-    if not feat:
-        raise InvalidPath("no meta-path starts at the target type and ends "
-                          "at a featured type")
-    if not prop:
-        raise InvalidPath("no target-to-target meta-path available for "
-                          "energy propagation")
     return feat, prop
 
 

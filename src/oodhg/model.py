@@ -249,10 +249,12 @@ def init_params(rng, paths, in_dims, d_hidden: int,
 
 
 def feature_tables(graph: HeteroGraph, feature_paths) -> list[np.ndarray]:
-    """Aggregated features per path; every path must start at the target type."""
+    """Aggregated features per path; every path must start at the target
+    type. The one owner of the rule that a model needs a feature path."""
     paths = [MetaPath(p) for p in feature_paths]
     if not paths:
-        raise InvalidPath("at least one feature meta-path is required")
+        raise InvalidPath("no meta-path starts at the target type and ends "
+                          "at a featured type")
     for p in paths:
         if p.types[0] != graph.target_type:
             raise InvalidPath(
@@ -378,7 +380,8 @@ def propagation_operators(graph: HeteroGraph, prop_paths,
                           propagation: PropagationConfig
                           ) -> list[MetaPathOperator]:
     """Matrix-free operator (forward and adjoint) for every propagation path;
-    none when propagation is inert (steps 0 or gamma 1)."""
+    none when propagation is inert (steps 0 or gamma 1). The one owner of
+    the rule that energies which propagate need a target-to-target path."""
     if propagation.inert:
         return []
     paths = [MetaPath(p) for p in prop_paths or []]
@@ -607,7 +610,9 @@ def train(graph: HeteroGraph, labels: np.ndarray, splits, config: TrainConfig,
     sorted distinct labels seen in train plus val. The paths are
     resolve_paths' for the graph's own metapaths and max_hops, so a graph
     that load_dataset read trains on the paths of its schema.json, as every
-    CLI command that trains does. Model selection keeps the parameters
+    CLI command that trains does. feature_tables refuses a graph with no
+    feature path, and propagation_operators, unless the run is inert, one
+    with no target-to-target path. Model selection keeps the parameters
     with the highest validation micro-F1 (earliest epoch wins ties); with an
     empty validation split the final parameters are returned.
     The encoder runs once per epoch, plus once after the last epoch when the

@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oodhg import cli, hetgraph
+from oodhg import cli, hetgraph, save_dataset
 from oodhg.cli import main
 from oodhg.model import TRAIN_CONFIG_KINDS
 from oodhg.pipeline import load_checkpoint
+
+from conftest import target_aux_graph
 
 GEN = ["gen", "--classes", "3", "--per-class", "25", "--seed", "7"]
 FAST = ["--epochs", "5", "--hidden", "8"]
@@ -419,7 +421,8 @@ class TestAblate:
         assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
                      "--steps", "0"] + FAST) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: ablate needs steps >= 1 so the propagation arms differ"]
+            "error: ablate needs steps >= 1 and gamma < 1 so the propagation "
+            "arms differ"]
 
     def test_rejects_gamma_one(self, dataset, capsys):
         """At gamma 1 propagation returns its input, so full would equal
@@ -427,7 +430,8 @@ class TestAblate:
         assert main(["ablate", "--data", str(dataset), "--ood-class", "3",
                      "--gamma", "1"] + FAST) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: ablate needs gamma < 1 so the propagation arms differ"]
+            "error: ablate needs steps >= 1 and gamma < 1 so the propagation "
+            "arms differ"]
 
     @pytest.mark.parametrize("command", [
         ["ablate"], ["sweep", "--param", "gamma", "--grid", "0.3,0.7"]],
@@ -853,6 +857,50 @@ class TestBench:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--data", str(dataset)] + flags)
         assert exc.value.code == 2
+
+
+class TestNoPropagationPath:
+    """A dataset whose one meta-path, target->aux0, is a feature path and
+    no target-to-target path: every command whose energies propagate is
+    refused by propagation_operators' message, before any training."""
+
+    REFUSAL = ("error: energies propagate (steps >= 1, gamma < 1) but no "
+               "target-to-target meta-path given")
+
+    @pytest.fixture
+    def feature_path_only(self, tmp_path) -> Path:
+        return save_dataset(tmp_path / "data", *target_aux_graph())
+
+    @pytest.mark.parametrize("command", [
+        ["ablate"], ["sweep", "--param", "gamma", "--grid", "0.3,0.7"]],
+        ids=["ablate", "sweep-gamma"])
+    def test_grid_commands_refuse_before_training(
+            self, feature_path_only, monkeypatch, capsys, command):
+        trained, real_train = [], cli.train
+
+        def recording_train(*args, **kwargs):
+            trained.append(args)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        assert main(command + ["--data", str(feature_path_only),
+                               "--ood-class", "2"] + FAST) == 2
+        assert capsys.readouterr().err.splitlines() == [self.REFUSAL]
+        assert trained == []
+
+    def test_bench_refuses(self, feature_path_only, capsys):
+        assert main(["bench", "--data", str(feature_path_only)]) == 2
+        assert capsys.readouterr().err.splitlines() == [self.REFUSAL]
+
+    def test_bench_reads_no_features(self, tmp_path, monkeypatch):
+        """A structure-only dataset, with no featured type, benches: bench
+        reads only the propagation paths."""
+        data = save_dataset(tmp_path / "data", *target_aux_graph(0, None))
+        monkeypatch.setattr(cli, "_BENCH_STEPS", (1, 2))
+        assert main(["bench", "--data", str(data),
+                     "--out", str(tmp_path / "bench")]) == 0
+        report = json.loads((tmp_path / "bench" / "bench.json").read_text())
+        assert report["paths"] == ["target->aux0->target"]
 
 
 class TestOodClassWithSplitsFile:

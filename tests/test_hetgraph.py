@@ -12,7 +12,9 @@ from oodhg import (
     compose_metapath,
     metapath_features,
 )
+from oodhg.energy import PropagationConfig
 from oodhg.hetgraph import hop_matrix, resolve_paths
+from oodhg.model import propagation_operators
 from oodhg.errors import (
     DimensionMismatch,
     FeaturelessEndType,
@@ -308,22 +310,32 @@ class TestCandidateMetapaths:
 
     @pytest.mark.parametrize("max_hops", [0, 1])
     def test_resolve_paths_never_replaces_a_given_max_hops(self, max_hops):
-        with pytest.raises(ValidationError, match="max_hops must be >= 2"):
+        with pytest.raises(ValidationError,
+                           match="max_hops must be an integer >= 2"):
             resolve_paths(self._dblp_schema(), None, max_hops)
 
     def test_resolve_paths_never_replaces_a_given_empty_path_list(self):
-        with pytest.raises(InvalidPath, match="no meta-path starts at the target"):
-            resolve_paths(self._dblp_schema(), [])
+        assert resolve_paths(self._dblp_schema(), []) == ([], [])
 
     def test_resolve_paths_needs_a_target_to_target_path(self):
+        """resolve_paths returns no propagation path; propagation_operators
+        refuses that list once energies propagate."""
         graph = build_graph(
             [NodeTypeSchema("A", 3), NodeTypeSchema("P", 2, 1)],
             [EdgeTypeSchema("AP", "A", "P"), EdgeTypeSchema("PA", "P", "A")],
             {"AP": [(0, 0)], "PA": [(0, 0)]}, {"P": np.ones((2, 1))}, "A")
+        feat, prop = resolve_paths(graph, [("A", "P")])
+        assert feat == [MetaPath(("A", "P"))] and prop == []
         with pytest.raises(InvalidPath) as info:
-            resolve_paths(graph, [("A", "P")])
-        assert str(info.value) == ("no target-to-target meta-path available "
-                                   "for energy propagation")
+            propagation_operators(graph, prop, PropagationConfig(0.5, 1))
+        assert str(info.value) == ("energies propagate (steps >= 1, gamma < 1) "
+                                   "but no target-to-target meta-path given")
+
+    def test_candidate_max_hops_is_build_graphs_rule(self):
+        with pytest.raises(ValidationError) as info:
+            candidate_metapaths(self._dblp_schema(), 2.5)
+        assert type(info.value) is ValidationError
+        assert str(info.value) == "max_hops must be an integer >= 2, got 2.5"
 
 
 class TestMetapathFeatures:

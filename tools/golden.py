@@ -3,8 +3,9 @@
 Runs the CLI in-process, in an empty working directory and from relative
 paths, and compares the sha256 of every file the commands write with
 tests/golden.json. That file maps each path, relative to the working
-directory, to its digest, and records the Python and numpy versions that
-made the digests: either version changing is an output change too.
+directory, to its digest, and records the Python and numpy versions and
+the BLAS kernel's fingerprint that made the digests: any of them changing
+is an output change too, and the check names it.
 
     python tools/golden.py            # check; exit 1 naming every change
     python tools/golden.py --write    # regenerate tests/golden.json
@@ -51,8 +52,24 @@ COMMANDS = (
 )
 
 
+def blas_fingerprint() -> str:
+    """First 12 hex digits of the sha256 of a @ b and a.T @ d for fixed
+    (600, 32), (32, 32) and (600, 32) inputs. BLAS kernels that block or
+    fuse these sums differently round them differently, and so give
+    different digits: under OpenBLAS 0.3.31 the SkylakeX, Haswell,
+    Sandybridge and Prescott kernels give four values."""
+    a = np.sin(np.arange(600 * 32) * 0.37).reshape(600, 32)
+    b = np.cos(np.arange(32 * 32) * 0.11).reshape(32, 32)
+    d = np.sin(np.arange(600 * 32) * 1.3 + 0.5).reshape(600, 32)
+    products = (a @ b).tobytes() + (a.T @ d).tobytes()
+    return hashlib.sha256(products).hexdigest()[:12]
+
+
 def versions() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    """What made the digests besides the code: the Python and numpy
+    versions and the BLAS kernel's fingerprint."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas_fingerprint()}
 
 
 def run_commands(workdir: Path) -> dict:

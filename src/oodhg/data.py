@@ -5,7 +5,8 @@ Directory format:
                   [{name, src, dst}], target_type, plus optional metapaths
                   (explicit type-name sequences) and max_hops (used for
                   enumeration when metapaths is absent); the graph carries
-                  these two, and build_graph checks them.
+                  these two. hetgraph.schema_graph checks this file
+                  before any table is read.
     edges/<edge_type>.tsv      one "src<TAB>dst" pair of 0-based ids per line.
     features/<node_type>.csv   count x feature_dim decimal floats.
     labels.tsv                 one "node_id<TAB>label" per target node.
@@ -75,6 +76,7 @@ from .hetgraph import (
     HeteroGraph,
     NodeTypeSchema,
     build_graph,
+    schema_graph,
 )
 from .sparse import sorted_distinct
 
@@ -619,51 +621,46 @@ _SCHEMA = {
     "max_hops": OptionalKey(int),
 }
 
-def _read_schema(root: Path) -> dict:
-    """schema.json of the directory root, read against _SCHEMA and checked:
-    every type its node and edge types name is declared. build_graph checks
-    the meta-path settings."""
+def _read_schema(root: Path) -> HeteroGraph:
+    """schema.json of the directory root, read against _SCHEMA, as
+    hetgraph.schema_graph checks it: a graph with no edges or features.
+    Every error starts with the file's path."""
     path = root / "schema.json"
     schema = _read_json(path, _SCHEMA)
-    declared = {e["name"] for e in schema["node_types"]}
-    for e in schema["edge_types"]:
-        for end in (e["src"], e["dst"]):
-            if end not in declared:
-                raise ValidationError(
-                    f"{path}: edge type {e['name']!r} references "
-                    f"unknown node type {end!r}")
-    if schema["target_type"] not in declared:
-        raise ValidationError(
-            f"{path}: target_type {schema['target_type']!r} not declared")
-    return schema
+    try:
+        return schema_graph(
+            [NodeTypeSchema(e["name"], e["count"], e.get("feature_dim", 0))
+             for e in schema["node_types"]],
+            [EdgeTypeSchema(e["name"], e["src"], e["dst"])
+             for e in schema["edge_types"]],
+            schema["target_type"], schema.get("metapaths"),
+            schema.get("max_hops"))
+    except OodhgError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
     """Load and validate a dataset directory.
 
     Returns (graph, labels, splits) with splits None when splits.json is
-    absent. Every error names the dataset. An error found in reading one
-    file starts with that file's path, and with its line or key where one
-    applies. An error build_graph raises over the tables read or the
-    meta-path settings (a repeated (src, dst) pair in an edge type, a node
-    type count < 1, a repeated type name, a non-finite feature value, a
-    meta-path it refuses) keeps its class and starts with the dataset
-    directory.
+    absent. Every error names the dataset. schema.json is checked first,
+    before any table is read, so a rule that reads no table (a declared
+    type, a count, a repeated name, the meta-path settings) is an error
+    starting with that file's path. An error found in reading one file
+    starts with that file's path, and with its line or key where one
+    applies. An error build_graph raises over the tables read (a repeated
+    (src, dst) pair in an edge type, a non-finite feature value) keeps its
+    class and starts with the dataset directory.
     """
     root = Path(dir_path)
     schema = _read_schema(root)
-    node_types = [NodeTypeSchema(e["name"], e["count"], e.get("feature_dim", 0))
-                  for e in schema["node_types"]]
-    edge_types = [EdgeTypeSchema(e["name"], e["src"], e["dst"])
-                  for e in schema["edge_types"]]
-    declared = {s.name: s for s in node_types}
 
     edges = {}
-    for s in edge_types:
+    for s in schema.edge_types:
         path = root / "edges" / f"{s.name}.tsv"
         pairs = _parse_int_pair_file(path)
-        n_src = declared[s.src_type].count
-        n_dst = declared[s.dst_type].count
+        n_src = schema.node_count(s.src_type)
+        n_dst = schema.node_count(s.dst_type)
         if pairs.size:
             bad = np.flatnonzero((pairs[:, 0] < 0) | (pairs[:, 0] >= n_src) |
                                  (pairs[:, 1] < 0) | (pairs[:, 1] >= n_dst))
@@ -675,15 +672,15 @@ def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
         edges[s.name] = pairs
 
     features = {}
-    for s in node_types:
+    for s in schema.node_types:
         if s.feature_dim > 0:
             features[s.name] = _load_features(root / "features", s.name,
                                               s.count, s.feature_dim)
 
     try:
-        graph = build_graph(node_types, edge_types, edges, features,
-                            schema["target_type"], schema.get("metapaths"),
-                            schema.get("max_hops"))
+        graph = build_graph(schema.node_types, schema.edge_types, edges,
+                            features, schema.target_type, schema.metapaths,
+                            schema.max_hops)
     except OodhgError as exc:
         raise type(exc)(f"{root}: {exc}") from None
 
@@ -699,7 +696,7 @@ def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
             "train": [int], "val": [int], "test": [int], "ood_class": int})
         all_ids = np.asarray(payload["train"] + payload["val"] + payload["test"],
                              dtype=np.int64)
-        if all_ids.size and (all_ids.min() < 0 or all_ids.max() >= n_target):
+        if all_ids.size and all_ids.max() >= n_target:
             raise ValidationError(f"{splits_path}: node id outside [0, {n_target})")
         try:
             splits = Splits(payload["train"], payload["val"], payload["test"],
@@ -711,12 +708,11 @@ def load_dataset(dir_path) -> tuple[HeteroGraph, np.ndarray, Splits | None]:
 
 def load_path_config(dir_path) -> tuple[list[tuple[str, ...]] | None, int | None]:
     """Optional meta-path settings from schema.json: (metapaths, max_hops),
-    None where absent, read and type-checked as load_dataset reads them;
-    build_graph's checks of them run only in load_dataset, whose graph
-    carries them. perfbench's setup probe is the one caller outside the
-    tests."""
+    None where absent, read and checked exactly as load_dataset checks
+    them, without reading any table. perfbench's setup probe is the one
+    caller outside the tests."""
     schema = _read_schema(Path(dir_path))
-    metapaths = schema.get("metapaths")
+    metapaths = schema.metapaths
     if metapaths is not None:
-        metapaths = [tuple(seq) for seq in metapaths]
-    return metapaths, schema.get("max_hops")
+        metapaths = [path.types for path in metapaths]
+    return metapaths, schema.max_hops

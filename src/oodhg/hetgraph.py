@@ -5,8 +5,9 @@ and optional per-type feature matrices. Meta-paths are node-type sequences;
 the adjacency of one is the product of the row-normalized per-hop
 adjacencies, a row-stochastic matrix between the endpoint types. A graph
 also carries its dataset's meta-path settings, an explicit metapaths list
-and the max_hops of the enumeration, which build_graph checks; from those,
-resolve_paths alone decides which meta-paths a model uses.
+and the max_hops of the enumeration; from those, resolve_paths alone
+decides which meta-paths a model uses. schema_graph checks every rule that
+reads no edge or feature table, and build_graph checks the tables on top.
 
 Propagation never forms that product: metapath_operator applies the cached
 hops right to left (and their adjoints left to right), which costs the hops'
@@ -104,11 +105,12 @@ class HeteroGraph:
     kernels and meta-path feature tables are memoised on it as they are
     first used.
 
-    Build through build_graph; the constructor trusts its inputs. Edge lists
-    are (m, 2) int64 arrays of indices local to each endpoint type. Feature
-    matrices are float64 with shape (count, feature_dim). metapaths and
-    max_hops are the dataset's meta-path settings, which build_graph sets
-    once it has checked them; None where the dataset sets none.
+    Build through build_graph, or schema_graph for a graph with no edges
+    or features; the constructor trusts its inputs. Edge lists are (m, 2)
+    int64 arrays of indices local to each endpoint type. Feature matrices
+    are float64 with shape (count, feature_dim). metapaths and max_hops are
+    the dataset's meta-path settings, which schema_graph sets once it has
+    checked them; None where the dataset sets none.
     """
 
     def __init__(self, node_types, edge_types, edges, features, target_type):
@@ -162,17 +164,15 @@ def _checked_max_hops(max_hops) -> int:
     return hops
 
 
-def build_graph(node_types, edge_types, edges, features, target_type,
-                metapaths=None, max_hops=None) -> HeteroGraph:
-    """Validate schemas, edges, features and meta-path settings, and
-    assemble a HeteroGraph.
+def schema_graph(node_types, edge_types, target_type, metapaths=None,
+                 max_hops=None) -> HeteroGraph:
+    """Check every rule of a graph that reads no edge or feature table, and
+    return a HeteroGraph with no edges or features: its types, target type
+    and checked meta-path settings. build_graph fills one in.
 
     Args:
         node_types: iterable of NodeTypeSchema.
         edge_types: iterable of EdgeTypeSchema.
-        edges: mapping edge-type name -> iterable of (src, dst) index pairs.
-        features: mapping node-type name -> (count, feature_dim) matrix;
-            None when no type has features.
         target_type: name of the node type under classification.
         metapaths: type-name sequences the models of this graph use, or
             None to enumerate them (see resolve_paths).
@@ -180,94 +180,36 @@ def build_graph(node_types, edge_types, edges, features, target_type,
             DEFAULT_MAX_HOPS; any integer type, stored as a Python int.
 
     Raises:
-        UnknownType: an edge schema, edges key, features key, target_type or
-            meta-path names an undeclared type.
-        IndexOutOfRange: an edge endpoint index is >= its type's count.
-        DimensionMismatch: a feature matrix has the wrong shape.
+        UnknownType: an edge schema, target_type or meta-path names an
+            undeclared type.
         InvalidPath: a meta-path has fewer than 2 types, or a hop with no
             declared edge type.
-        ValidationError: duplicate names, duplicate edge pairs, count < 1,
-            missing features for a featured type, non-finite features, an
-            edge type whose count(src) * count(dst) does not fit int64, an
-            empty metapaths, a meta-path listed twice, or a max_hops that
-            is not an integer >= 2 (a bool or a float such as 3.0 is not).
+        ValidationError: duplicate names, count < 1, a negative
+            feature_dim, an empty metapaths, a meta-path listed twice, or a
+            max_hops that is not an integer >= 2 (a bool or a float such as
+            3.0 is not).
     """
     node_types = tuple(node_types)
     edge_types = tuple(edge_types)
-    features = dict(features or {})
-    edges = dict(edges or {})
-
-    names = [s.name for s in node_types]
-    if len(set(names)) != len(names):
+    names = {s.name for s in node_types}
+    if len(names) != len(node_types):
         raise ValidationError("duplicate node type names")
     for s in node_types:
         if s.count < 1:
             raise ValidationError(f"node type {s.name!r} must have count >= 1")
         if s.feature_dim < 0:
             raise ValidationError(f"node type {s.name!r} has negative feature_dim")
-    by_name = {s.name: s for s in node_types}
-
-    edge_names = [s.name for s in edge_types]
-    if len(set(edge_names)) != len(edge_names):
+    if len({s.name for s in edge_types}) != len(edge_types):
         raise ValidationError("duplicate edge type names")
     for s in edge_types:
         for end in (s.src_type, s.dst_type):
-            if end not in by_name:
+            if end not in names:
                 raise UnknownType(
                     f"edge type {s.name!r} references unknown node type {end!r}")
-
-    if target_type not in by_name:
+    if target_type not in names:
         raise UnknownType(f"target_type {target_type!r} is not a declared node type")
 
-    declared = set(edge_names)
-    for key in edges:
-        if key not in declared:
-            raise UnknownType(f"edges given for undeclared edge type {key!r}")
-    checked_edges: dict[str, np.ndarray] = {}
-    for s in edge_types:
-        pairs = np.asarray(edges.get(s.name, np.zeros((0, 2))), dtype=np.int64)
-        pairs = pairs.reshape(-1, 2)
-        n_src = by_name[s.src_type].count
-        n_dst = by_name[s.dst_type].count
-        if pairs.size:
-            if pairs[:, 0].min() < 0 or pairs[:, 0].max() >= n_src:
-                bad = pairs[(pairs[:, 0] < 0) | (pairs[:, 0] >= n_src)][0]
-                raise IndexOutOfRange(
-                    f"edge type {s.name!r}: src index {bad[0]} outside "
-                    f"[0, {n_src}) for type {s.src_type!r}")
-            if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= n_dst:
-                bad = pairs[(pairs[:, 1] < 0) | (pairs[:, 1] >= n_dst)][0]
-                raise IndexOutOfRange(
-                    f"edge type {s.name!r}: dst index {bad[1]} outside "
-                    f"[0, {n_dst}) for type {s.dst_type!r}")
-            keys = pair_keys(n_src, n_dst, pairs[:, 0], pairs[:, 1])
-            if sorted_distinct(keys).size != keys.size:
-                raise ValidationError(f"duplicate (src, dst) pair in edge type {s.name!r}")
-        checked_edges[s.name] = pairs
-
-    checked_features: dict[str, np.ndarray] = {}
-    for key in features:
-        if key not in by_name:
-            raise UnknownType(f"features given for unknown node type {key!r}")
-    for s in node_types:
-        if s.feature_dim == 0:
-            if s.name in features:
-                raise DimensionMismatch(
-                    f"node type {s.name!r} is featureless but features were given")
-            continue
-        if s.name not in features:
-            raise ValidationError(f"missing feature matrix for node type {s.name!r}")
-        mat = np.asarray(features[s.name], dtype=np.float64)
-        if mat.shape != (s.count, s.feature_dim):
-            raise DimensionMismatch(
-                f"features for {s.name!r} have shape {mat.shape}, "
-                f"expected ({s.count}, {s.feature_dim})")
-        if not np.all(np.isfinite(mat)):
-            raise ValidationError(f"non-finite feature value for node type {s.name!r}")
-        checked_features[s.name] = mat
-
-    graph = HeteroGraph(node_types, edge_types, checked_edges,
-                        checked_features, target_type)
+    graph = HeteroGraph(node_types, edge_types, {}, {}, target_type)
     graph.max_hops = None if max_hops is None else _checked_max_hops(max_hops)
     if metapaths is not None:
         paths = []
@@ -282,6 +224,78 @@ def build_graph(node_types, edge_types, edges, features, target_type,
         if not paths:
             raise ValidationError("metapaths must list at least one meta-path")
         graph.metapaths = tuple(paths)
+    return graph
+
+
+def build_graph(node_types, edge_types, edges, features, target_type,
+                metapaths=None, max_hops=None) -> HeteroGraph:
+    """Check the schema and meta-path settings through schema_graph, then
+    the edge and feature tables, and fill that graph with them.
+
+    Args:
+        node_types, edge_types, target_type, metapaths, max_hops: as
+            schema_graph takes them, which raises what they break.
+        edges: mapping edge-type name -> iterable of (src, dst) index pairs.
+        features: mapping node-type name -> (count, feature_dim) matrix;
+            None when no type has features.
+
+    Raises:
+        UnknownType: an edges key or features key names an undeclared type.
+        IndexOutOfRange: an edge endpoint index is >= its type's count.
+        DimensionMismatch: a feature matrix has the wrong shape.
+        ValidationError: duplicate edge pairs, missing features for a
+            featured type, non-finite features, or an edge type whose
+            count(src) * count(dst) does not fit int64.
+    """
+    graph = schema_graph(node_types, edge_types, target_type, metapaths,
+                         max_hops)
+    features = dict(features or {})
+    edges = dict(edges or {})
+
+    declared = {s.name for s in graph.edge_types}
+    for key in edges:
+        if key not in declared:
+            raise UnknownType(f"edges given for undeclared edge type {key!r}")
+    for s in graph.edge_types:
+        pairs = np.asarray(edges.get(s.name, np.zeros((0, 2))), dtype=np.int64)
+        pairs = pairs.reshape(-1, 2)
+        n_src = graph.node_count(s.src_type)
+        n_dst = graph.node_count(s.dst_type)
+        if pairs.size:
+            if pairs[:, 0].min() < 0 or pairs[:, 0].max() >= n_src:
+                bad = pairs[(pairs[:, 0] < 0) | (pairs[:, 0] >= n_src)][0]
+                raise IndexOutOfRange(
+                    f"edge type {s.name!r}: src index {bad[0]} outside "
+                    f"[0, {n_src}) for type {s.src_type!r}")
+            if pairs[:, 1].min() < 0 or pairs[:, 1].max() >= n_dst:
+                bad = pairs[(pairs[:, 1] < 0) | (pairs[:, 1] >= n_dst)][0]
+                raise IndexOutOfRange(
+                    f"edge type {s.name!r}: dst index {bad[1]} outside "
+                    f"[0, {n_dst}) for type {s.dst_type!r}")
+            keys = pair_keys(n_src, n_dst, pairs[:, 0], pairs[:, 1])
+            if sorted_distinct(keys).size != keys.size:
+                raise ValidationError(f"duplicate (src, dst) pair in edge type {s.name!r}")
+        graph.edges[s.name] = pairs
+
+    for key in features:
+        if key not in graph._nodes_by_name:
+            raise UnknownType(f"features given for unknown node type {key!r}")
+    for s in graph.node_types:
+        if s.feature_dim == 0:
+            if s.name in features:
+                raise DimensionMismatch(
+                    f"node type {s.name!r} is featureless but features were given")
+            continue
+        if s.name not in features:
+            raise ValidationError(f"missing feature matrix for node type {s.name!r}")
+        mat = np.asarray(features[s.name], dtype=np.float64)
+        if mat.shape != (s.count, s.feature_dim):
+            raise DimensionMismatch(
+                f"features for {s.name!r} have shape {mat.shape}, "
+                f"expected ({s.count}, {s.feature_dim})")
+        if not np.all(np.isfinite(mat)):
+            raise ValidationError(f"non-finite feature value for node type {s.name!r}")
+        graph.features[s.name] = mat
     return graph
 
 

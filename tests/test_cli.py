@@ -369,8 +369,8 @@ class TestEval:
         assert main(["eval", "--ckpt", str(trained / "checkpoint.json"),
                      "--data", str(dataset), "--out", str(tmp_path / "e")]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {dataset}: metapaths[1] repeats the meta-path "
-            f"target->aux0->target"]
+            f"error: {dataset / 'schema.json'}: metapaths[1] repeats the "
+            f"meta-path target->aux0->target"]
 
     def test_held_out_class_defaults_to_the_checkpoints(self, dataset,
                                                         trained, tmp_path):
@@ -1257,7 +1257,9 @@ MUTATIONS = [
     ("cfg.json", ["alpha"], 2.0, "alpha must be in [0, 1], got 2.0"),
     # a well-typed value that the rest of the input contradicts
     ("splits.json", ["train", 0], 999, "node id outside [0, 80)"),
-    ("schema.json", ["target_type"], "nope", "target_type 'nope' not declared"),
+    ("splits.json", ["train", 0], -1, "negative node id -1"),
+    ("schema.json", ["target_type"], "nope",
+     "target_type 'nope' is not a declared node type"),
     ("checkpoint.json", ["params", "projections"], [],
      "checkpoint has 0 projections for 2 feature paths"),
     ("checkpoint.json", ["params", "projections", 0, "path"],

@@ -26,6 +26,7 @@ from oodhg.errors import (
     MissingFile,
     OodClassMissing,
     ParseError,
+    UnknownType,
     ValidationError,
 )
 
@@ -268,8 +269,11 @@ class TestDatasetIO:
         schema = json.loads((dst / "schema.json").read_text())
         schema["edge_types"].append({"name": "ghost", "src": "user", "dst": "nowhere"})
         (dst / "schema.json").write_text(json.dumps(schema))
-        with pytest.raises(ValidationError, match="schema.json"):
+        with pytest.raises(UnknownType) as info:
             load_dataset(dst)
+        assert str(info.value) == (
+            f"{dst / 'schema.json'}: edge type 'ghost' references unknown "
+            f"node type 'nowhere'")
 
     @pytest.mark.parametrize("text, line", [
         pytest.param("0\t0\n9\t0\n", 2, id="no-blank-line"),
@@ -416,8 +420,8 @@ class TestDatasetIO:
         assert np.unique(labels).size == 4
 
     @pytest.mark.parametrize("max_hops, message", [
-        (0, "{root}: max_hops must be an integer >= 2, got 0"),
-        (1, "{root}: max_hops must be an integer >= 2, got 1"),
+        (0, "{schema}: max_hops must be an integer >= 2, got 0"),
+        (1, "{schema}: max_hops must be an integer >= 2, got 1"),
         (2.0, "{schema}: 'max_hops' must be an integer, got 2.0"),
         (True, "{schema}: 'max_hops' must be an integer, got True"),
         ("2", "{schema}: 'max_hops' must be an integer, got '2'")],
@@ -434,12 +438,12 @@ class TestDatasetIO:
     @pytest.mark.parametrize("metapaths, message", [
         (5, "{schema}: 'metapaths' must be a list, got 5"),
         ("target", "{schema}: 'metapaths' must be a list, got 'target'"),
-        ([], "{root}: metapaths must list at least one meta-path"),
+        ([], "{schema}: metapaths must list at least one meta-path"),
         ([["target", 3]], "{schema}: 'metapaths[0][1]' must be a string, got 3"),
         ([("target", "aux0", "target"), 7],
          "{schema}: 'metapaths[1]' must be a list, got 7"),
         ([("target", "aux0", "target"), ("target", "aux0", "target")],
-         "{root}: metapaths[1] repeats the meta-path target->aux0->target")],
+         "{schema}: metapaths[1] repeats the meta-path target->aux0->target")],
         ids=["number", "string", "empty", "non-string-type", "non-list-path",
              "repeated-path"])
     def test_schema_metapaths_must_be_lists_of_type_names(self, tmp_path,
@@ -774,17 +778,12 @@ def _nan_first_feature(root: Path) -> None:
 @pytest.mark.parametrize("corrupt, message", [
     (_repeat_first_edge,
      "duplicate (src, dst) pair in edge type 'target_aux0'"),
-    (lambda root: _edit_schema(root, lambda s: s["node_types"].append(
-        {"name": "z", "count": 0})),
-     "node type 'z' must have count >= 1"),
     (_nan_first_feature, "non-finite feature value for node type 'target'"),
-    (lambda root: _edit_schema(root, lambda s: s["node_types"].append(
-        s["node_types"][1])),
-     "duplicate node type names"),
-], ids=["repeated-edge", "zero-count", "nan-feature", "repeated-type"])
+], ids=["repeated-edge", "nan-feature"])
 def test_graph_level_load_error_names_the_dataset(tmp_path, corrupt, message):
-    """An error build_graph raises reaches the caller of load_dataset with
-    the dataset directory in front and its class unchanged."""
+    """An error build_graph raises over the tables reaches the caller of
+    load_dataset with the dataset directory in front and its class
+    unchanged."""
     root = _gen(tmp_path / "d", "--per-class", "10")
     _drop_sidecars(root)
     corrupt(root)
@@ -793,6 +792,39 @@ def test_graph_level_load_error_names_the_dataset(tmp_path, corrupt, message):
     assert type(info.value) is ValidationError
     assert str(info.value) == f"{root}: {message}"
 
+
+
+@pytest.mark.parametrize("load, edit, message", [
+    # aux0 keeps its edges, whose ids a count of 0 puts out of range
+    pytest.param(load_dataset, lambda s: s["node_types"][1].update(count=0),
+                 "node type 'aux0' must have count >= 1", id="zero-count"),
+    pytest.param(load_dataset,
+                 lambda s: s["node_types"].append(s["node_types"][1]),
+                 "duplicate node type names", id="repeated-type"),
+    pytest.param(load_path_config, lambda s: s.update(max_hops=1),
+                 "max_hops must be an integer >= 2, got 1",
+                 id="path-config-max-hops-1"),
+    pytest.param(load_path_config, lambda s: s.update(
+        metapaths=[["target", "aux0", "target"]] * 2),
+                 "metapaths[1] repeats the meta-path target->aux0->target",
+                 id="path-config-repeated-path"),
+])
+def test_schema_rule_error_names_the_schema_before_any_table_is_read(
+        tmp_path, monkeypatch, load, edit, message):
+    """A rule that reads no table is checked on schema.json alone, by
+    load_dataset and load_path_config alike, and its error starts with
+    that file's path."""
+    root = _gen(tmp_path / "d", "--per-class", "10")
+    _edit_schema(root, edit)
+    reads = []
+    real = data._read_table
+    monkeypatch.setattr(data, "_read_table",
+                        lambda path, *a: reads.append(path) or real(path, *a))
+    with pytest.raises(ValidationError) as info:
+        load(root)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"{root / 'schema.json'}: {message}"
+    assert reads == []
 
 def _assign_labels_loop(path, pairs, n_target):
     """The row-by-row label assignment that data._assign_labels must match."""
